@@ -18,7 +18,6 @@ from zenosim import (
     extended_hamiltonian,
     hamiltonian_matrix,
     load_hamiltonian,
-    projector_full,
     select_unitary,
     to_text,
 )
@@ -50,9 +49,9 @@ for j, rate in enumerate(sys.block_rates):
 print("select is unitary:", np.allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=1e-12))
 print()
 
-proj = projector_full(sys)
-compressed = sys.generator_scale * (proj @ extended_hamiltonian(sys) @ proj)
 p_anc = np.outer(sys.projector_state, sys.projector_state.conj())
+proj = np.kron(np.eye(sys.target_dim), p_anc)
+compressed = sys.generator_scale * (proj @ extended_hamiltonian(sys) @ proj)
 target = np.kron(hamiltonian_matrix(h), p_anc)
 print("compression identity residual:",
       f"{np.max(np.abs(compressed - target)):.2e} (should be ~1e-16)")

@@ -62,14 +62,11 @@ from .zeno import (
     block_encoding_matrix,
     build_extended,
     extended_hamiltonian,
-    projector_full,
-    reflection_full,
     run_kicks,
     run_sampled,
     run_zeno,
     select_unitary,
     step_success_probability,
-    zeno_step_operator,
 )
 
 __version__ = "0.1.0"
@@ -110,10 +107,8 @@ __all__ = [
     "matexp_hermitian",
     "matmul",
     "parse_hamiltonian",
-    "projector_full",
     "qdrift_channel",
     "qdrift_sample",
-    "reflection_full",
     "run_experiment",
     "run_kicks",
     "run_sampled",
@@ -126,5 +121,4 @@ __all__ = [
     "trace_norm",
     "trotter_first_order",
     "unitary_channel",
-    "zeno_step_operator",
 ]

@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 all bounds satisfied; 1 usage error (bad flags, missing file,
-invalid option combination); 2 Hamiltonian parse error; 3 desk-scale limit
-exceeded; 4 at least one measured value violated its analytic bound.
+invalid option combination, non-finite or negative t, epsilon not finite
+and positive); 2 Hamiltonian parse error (including non-finite
+coefficients); 3 desk-scale limit exceeded (including a step count above
+``MAX_STEPS``); 4 at least one measured value violated its analytic bound.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ class CancellationError(HamiltonianParseError):
 
 
 class ConvergenceError(ZenosimError, RuntimeError):
-    """Raised when an iterative numerical routine hits its iteration cap."""
+    """Raised when a LAPACK decomposition does not converge."""
 
 
 class LimitExceededError(ZenosimError, ValueError):

@@ -51,6 +51,7 @@ MODES = ("projected", "sampled", "channel")
 
 DEFAULT_MAX_QUBITS = 6
 MAX_TERMS = 32
+MAX_STEPS = 10**6  # largest step count from --n, --sweep or --epsilon
 MAX_QUBITS_ENV = "ZENOSIM_MAX_QUBITS"
 
 SLOPE_FLOOR = 1e-12
@@ -133,8 +134,10 @@ def _validate_config(config: ExperimentConfig) -> None:
     chosen = [x is not None for x in (config.n, config.epsilon, config.sweep)]
     if sum(chosen) != 1:
         raise ConfigError("exactly one of n, epsilon, or sweep must be set")
-    if config.t < 0:
-        raise ConfigError("t must be nonnegative")
+    if not (math.isfinite(config.t) and config.t >= 0):
+        raise ConfigError(f"t must be finite and nonnegative, got {config.t}")
+    if config.epsilon is not None and not (math.isfinite(config.epsilon) and config.epsilon > 0):
+        raise ConfigError(f"epsilon must be finite and positive, got {config.epsilon}")
     if config.mode == "channel" and config.method != "qdrift":
         raise ConfigError("channel mode applies to the qdrift method only")
     if config.method == "qdrift" and config.mode != "channel":
@@ -172,12 +175,19 @@ def _resolve_ns(config: ExperimentConfig, h: PauliHamiltonian) -> list[int]:
         ns = [int(n) for n in config.sweep]
         if not ns or any(n < 1 for n in ns):
             raise ConfigError("sweep values must be positive integers")
-        return sorted(set(ns))
-    if config.n is not None:
+        ns = sorted(set(ns))
+    elif config.n is not None:
         if config.n < 1:
             raise ConfigError("n must be >= 1")
-        return [int(config.n)]
-    return [bounds.steps_for_precision(h.lam, config.t, config.epsilon)]
+        ns = [int(config.n)]
+    else:
+        try:
+            ns = [bounds.steps_for_precision(h.lam, config.t, config.epsilon)]
+        except OverflowError as exc:  # t^2 lam^2 / epsilon is infinite
+            raise LimitExceededError(f"epsilon {config.epsilon} needs more than {MAX_STEPS} steps") from exc
+    if ns[-1] > MAX_STEPS:
+        raise LimitExceededError(f"step count {ns[-1]} exceeds the cap of {MAX_STEPS}")
+    return ns
 
 
 def _resolve_psi0(config: ExperimentConfig, target_dim: int) -> np.ndarray | None:
@@ -261,17 +271,7 @@ def _run_method(
         psi0 = _resolve_psi0(config, system.target_dim)
         for n in ns:
             if config.mode == "sampled":
-                points.append(
-                    run_sampled(
-                        system,
-                        config.t,
-                        n,
-                        order=order,
-                        psi0=psi0,
-                        shots=config.shots,
-                        seed=config.seed,
-                    )
-                )
+                points.append(run_sampled(system, config.t, n, order, psi0, config.shots, config.seed))
             else:
                 points.append(run_zeno(system, config.t, n, order=order, psi0=psi0))
     elif method == "kicks":

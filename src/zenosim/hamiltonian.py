@@ -14,7 +14,8 @@ Text grammar (whitespace is insignificant):
 A leading '-' on the expression, a '-' separator, or a negative decimal all
 negate the term's sign. Terms with identical Pauli words are merged by
 signed summation; a merged magnitude at or below 1e-15 is reported as a
-cancellation error rather than silently dropped.
+cancellation error rather than silently dropped. A coefficient that is not
+finite, as written (``1e400``) or after merging, is a parse error.
 
 File format: UTF-8 text holding one expression; ``#`` starts a comment that
 runs to end of line; blank lines are ignored; several files are joined into
@@ -23,6 +24,7 @@ one expression with '+'.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import reduce
@@ -155,6 +157,8 @@ def parse_hamiltonian(text: str) -> PauliHamiltonian:
         coef_text = m.group("coef")
         magnitude = 1.0 if coef_text is None else float(coef_text)
         value = signed * magnitude
+        if not math.isfinite(value):
+            raise HamiltonianParseError(f"coefficient {coef_text} for term {m.group('word')!r} is not finite")
         if abs(value) <= COEFFICIENT_THRESHOLD:
             raise HamiltonianParseError(
                 f"coefficient magnitude {abs(value):g} for term {m.group('word')!r} "
@@ -177,6 +181,8 @@ def parse_hamiltonian(text: str) -> PauliHamiltonian:
 
     terms = []
     for word, value in merged.items():
+        if not math.isfinite(value):
+            raise HamiltonianParseError(f"terms with word {word!r} sum to a non-finite coefficient")
         if abs(value) <= COEFFICIENT_THRESHOLD:
             raise CancellationError(
                 f"terms with word {word!r} cancel to {value:g}; remove them explicitly"

@@ -1,9 +1,9 @@
 """Dense complex linear algebra used by every other module.
 
 All operators are plain ``numpy.ndarray`` objects with dtype ``complex128``;
-state vectors are 1-D arrays. Matrices stay dense throughout: the largest
-register handled at desk scale is 2^6 target times 2^5 ancilla dimensions,
-i.e. 2048.
+state vectors are 1-D arrays. Matrices stay dense throughout: the measured
+sequences run on the target register (dimension at most 2^6 = 64) and the
+largest matrices are the 5-qubit qdrift superoperators (dimension 4^5).
 
 Tolerances are centralized here. Unless an operation states otherwise,
 Hermiticity and unitarity are checked to 1e-10 and equality assertions in
@@ -19,9 +19,6 @@ from .errors import ConvergenceError
 HERMITICITY_TOL = 1e-10
 UNITARITY_TOL = 1e-10
 EQUALITY_TOL = 1e-9
-
-SPECTRAL_NORM_RTOL = 1e-10
-SPECTRAL_NORM_MAX_ITER = 10_000
 
 
 def as_matrix(a) -> np.ndarray:
@@ -104,55 +101,17 @@ def matexp_hermitian(h, theta: float) -> np.ndarray:
     return (u * phases) @ u.conj().T
 
 
-def spectral_norm(
-    a,
-    rtol: float = SPECTRAL_NORM_RTOL,
-    max_iter: int = SPECTRAL_NORM_MAX_ITER,
-) -> float:
-    """Largest singular value, via power iteration on a^dagger a.
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
+        raise ConvergenceError(f"singular value decomposition did not converge: {exc}") from exc
 
-    The start vector is the normalized all-ones vector so repeated runs are
-    reproducible; if the Rayleigh quotient stagnates at zero (the start
-    vector fell into the null space) the iteration restarts from
-    computational basis vectors. Raises ConvergenceError when the iteration
-    cap is exceeded, reporting the last iterate and its residual.
-    """
+
+def spectral_norm(a) -> float:
+    """Largest singular value, from a LAPACK singular value decomposition."""
     a = as_matrix(a)
-    if a.size == 0:
-        return 0.0
-    if not np.any(a):
-        return 0.0
-    m = a.conj().T @ a
-    dim = m.shape[0]
-    starts = [np.ones(dim) / np.sqrt(dim)]
-    starts.extend(np.eye(dim)[i] for i in range(dim))
-
-    for start in starts:
-        v = start.astype(complex)
-        prev = 0.0
-        rayleigh = 0.0
-        stagnated = False
-        for _ in range(max_iter):
-            w = m @ v
-            rayleigh = float(np.real(np.vdot(v, w)))
-            norm_w = float(np.linalg.norm(w))
-            if norm_w == 0.0 or rayleigh <= 0.0:
-                stagnated = True
-                break
-            v = w / norm_w
-            if abs(rayleigh - prev) <= rtol * max(rayleigh, np.finfo(float).tiny):
-                return float(np.sqrt(rayleigh))
-            prev = rayleigh
-        if stagnated:
-            continue
-        residual = float(np.linalg.norm(m @ v - rayleigh * v))
-        raise ConvergenceError(
-            f"power iteration did not converge in {max_iter} iterations: "
-            f"last estimate {np.sqrt(max(rayleigh, 0.0)):.16g}, residual {residual:.3e}"
-        )
-    # Every start vector was annihilated; only possible for the zero matrix,
-    # which is handled above, but keep a safe answer.
-    return 0.0
+    return float(_singular_values(a)[0]) if a.size else 0.0
 
 
 def trace_norm(a) -> float:
@@ -167,8 +126,4 @@ def trace_norm(a) -> float:
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError("trace norm requires a square matrix")
-    try:
-        singular_values = np.linalg.svd(a, compute_uv=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
-        raise ConvergenceError(f"singular value decomposition did not converge: {exc}") from exc
-    return float(np.sum(singular_values))
+    return float(np.sum(_singular_values(a)))

@@ -27,6 +27,11 @@ select acts as the identity there.
 
 Post-selection keys on the all-zeros ancilla outcome after undoing the
 prepare unitary; its probability over a run is the success probability.
+
+The runs stay on the target register: with ``P = 1 (x) |phi><phi|`` (``phi``
+the prepared ancilla state), ``P select(dt) P = A(dt) (x) |phi><phi|`` where
+``A(dt) = sum_k |phi_k|^2 U_k(dt)``. Only ``select_unitary`` and
+``extended_hamiltonian`` build combined-register matrices.
 """
 
 from __future__ import annotations
@@ -190,63 +195,48 @@ def extended_hamiltonian(sys: ExtendedSystem) -> np.ndarray:
     return out
 
 
+def _blocks(sys: ExtendedSystem, delta_t: float) -> np.ndarray:
+    """Select blocks U_k(dt) = cos(theta_k) I - i sin(theta_k) P_k stacked as (d_a, d_t, d_t)."""
+    theta = (np.array(sys.block_rates) * delta_t)[:, None, None]
+    eye = np.eye(sys.target_dim, dtype=complex)
+    return np.cos(theta) * eye - 1j * np.sin(theta) * np.array(sys.block_paulis)
+
+
 def select_unitary(sys: ExtendedSystem, delta_t: float) -> np.ndarray:
     """Controlled short-time evolution, analytic per block."""
     dim = sys.target_dim * sys.ancilla_dim
     out = np.zeros((dim, dim), dtype=complex)
-    eye = np.eye(sys.target_dim, dtype=complex)
-    for k in range(sys.ancilla_dim):
-        theta = sys.block_rates[k] * delta_t
-        block = math.cos(theta) * eye - 1j * math.sin(theta) * sys.block_paulis[k]
+    for k, block in enumerate(_blocks(sys, delta_t)):
         out[k :: sys.ancilla_dim, k :: sys.ancilla_dim] = block
     return out
 
 
-def projector_full(sys: ExtendedSystem) -> np.ndarray:
-    """Projector onto the prepared ancilla state, on the combined register."""
-    p = np.outer(sys.projector_state, sys.projector_state.conj())
-    return np.kron(np.eye(sys.target_dim, dtype=complex), p)
+def _corner(sys: ExtendedSystem, delta_t: float) -> np.ndarray:
+    """A(dt) = sum_k |phi_k|^2 U_k(dt), so that P select(dt) P = A(dt) (x) |phi><phi|."""
+    return np.tensordot(np.abs(sys.projector_state) ** 2, _blocks(sys, delta_t), axes=1)
 
 
-def reflection_full(sys: ExtendedSystem) -> np.ndarray:
-    """Reflection about the prepared ancilla state, on the combined register."""
-    return np.kron(np.eye(sys.target_dim, dtype=complex), sys.reflection)
+def _step(sys: ExtendedSystem, delta_t: float, order: int) -> np.ndarray:
+    """Target-register operator of one projected step (spectral norm at most 1).
 
-
-def zeno_step_operator(sys: ExtendedSystem, delta_t: float, order: int = 1) -> np.ndarray:
-    """One projected evolution step (spectral norm at most 1).
-
-    Order 1 is project, evolve, project; order 2 splits the evolution and
-    inserts the reflection between the halves.
+    Order 1 is project, evolve, project: A(dt). Order 2 inserts the
+    reflection R = 2|phi><phi| - 1 between two half-steps, which compresses
+    to 2 A(dt/2)^2 - A(dt) because U_k(dt/2)^2 = U_k(dt).
     """
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order}")
-    proj = projector_full(sys)
     if order == 1:
-        return proj @ select_unitary(sys, delta_t) @ proj
-    half = select_unitary(sys, delta_t / 2.0)
-    return proj @ half @ reflection_full(sys) @ half @ proj
+        return _corner(sys, delta_t)
+    half = _corner(sys, delta_t / 2.0)
+    return 2.0 * half @ half - _corner(sys, delta_t)
 
 
-def _default_state(dim: int) -> np.ndarray:
-    psi = np.zeros(dim, dtype=complex)
-    psi[0] = 1.0
-    return psi
-
-
-def _check_state(psi: np.ndarray, dim: int, name: str) -> np.ndarray:
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if psi.shape[0] != dim:
-        raise ValueError(f"{name} must have dimension {dim}, got {psi.shape[0]}")
+def _initial_state(sys: ExtendedSystem, psi0: np.ndarray | None) -> np.ndarray:
+    """The checked initial target state; |0..0> when ``psi0`` is None."""
+    psi = np.asarray(np.eye(sys.target_dim)[0] if psi0 is None else psi0, dtype=complex).reshape(-1)
+    if psi.shape[0] != sys.target_dim:
+        raise ValueError(f"psi0 must have dimension {sys.target_dim}, got {psi.shape[0]}")
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
-        raise ValueError(f"{name} must be normalized")
+        raise ValueError("psi0 must be normalized")
     return psi
-
-
-def _method_name(sys: ExtendedSystem, order: int) -> str:
-    if sys.variant == VARIANT_MUB:
-        return "mub"
-    return "zeno1" if order == 1 else "zeno2"
 
 
 def run_zeno(
@@ -258,32 +248,28 @@ def run_zeno(
 ) -> ZenoRunResult:
     """Run the projected sequence and measure error and success probability.
 
-    The error is the spectral norm of the difference between the repeated
-    step and the exact evolution tensored with the ancilla projector. The
-    success probability is the squared norm of the repeatedly projected
-    initial state (exact post-selection, no sampling).
+    The run is (step (x) |phi><phi|)^N, so the error is the spectral norm of
+    step^N minus the exact evolution, and the success probability is
+    ||step^N psi0||^2 (exact post-selection, no sampling).
     """
     if n_steps < 1:
         raise ValueError(f"step count must be >= 1, got {n_steps}")
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
+    if order not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, got {order}")
     if sys.variant == VARIANT_MUB and order != 1:
         raise ValueError("the second-order sequence is defined for the standard projector only")
 
     h = sys.hamiltonian
     delta_t = t / n_steps
-    step = zeno_step_operator(sys, delta_t, order)
-    repeated = np.linalg.matrix_power(step, n_steps)
+    repeated = np.linalg.matrix_power(_step(sys, delta_t, order), n_steps)
+    epsilon = spectral_norm(repeated - matexp_hermitian(hamiltonian_matrix(h), t))
 
-    u_exact = matexp_hermitian(hamiltonian_matrix(h), t)
-    proj = np.outer(sys.projector_state, sys.projector_state.conj())
-    epsilon = spectral_norm(repeated - np.kron(u_exact, proj))
+    psi = _initial_state(sys, psi0)
+    p_succ = float(min(1.0, np.linalg.norm(repeated @ psi) ** 2))
 
-    psi = _default_state(sys.target_dim) if psi0 is None else _check_state(psi0, sys.target_dim, "psi0")
-    vec0 = np.kron(psi, sys.projector_state)
-    p_succ = float(min(1.0, np.linalg.norm(repeated @ vec0) ** 2))
-
-    method = _method_name(sys, order)
+    method = "mub" if sys.variant == VARIANT_MUB else f"zeno{order}"
     alt = None
     if method == "zeno1":
         eps_bound = bounds.bound_zeno1_error(h.lam, t, n_steps)
@@ -314,7 +300,9 @@ def run_kicks(sys: ExtendedSystem, t: float, n_steps: int) -> ZenoRunResult:
     The reported error restricts the difference to the projected subspace,
     where the kick sequence converges to the target evolution; the
     orthogonal block evolves under a different effective Hamiltonian and is
-    not part of the contract.
+    not part of the contract. Kicks leave the range of the projector, so
+    (R select)^N is applied to the d_t columns 1 (x) |phi>, held as the
+    stack of their d_a ancilla blocks.
     """
     if sys.variant != VARIANT_STANDARD:
         raise ValueError("kick sequence requires the standard projector variant")
@@ -325,12 +313,16 @@ def run_kicks(sys: ExtendedSystem, t: float, n_steps: int) -> ZenoRunResult:
 
     h = sys.hamiltonian
     delta_t = t / n_steps
-    kick = reflection_full(sys) @ select_unitary(sys, delta_t)
-    repeated = np.linalg.matrix_power(kick, n_steps)
+    blocks = _blocks(sys, delta_t)
+    phi = sys.projector_state
+    column = phi[:, None, None]
+    slab = column * np.eye(sys.target_dim, dtype=complex)
+    for _ in range(n_steps):
+        slab = blocks @ slab
+        slab = 2.0 * column * np.tensordot(phi.conj(), slab, axes=1) - slab
 
     u_exact = matexp_hermitian(hamiltonian_matrix(h), t)
-    target = np.kron(u_exact, np.eye(sys.ancilla_dim, dtype=complex))
-    epsilon = spectral_norm((repeated - target) @ projector_full(sys))
+    epsilon = spectral_norm((slab - column * u_exact).reshape(-1, sys.target_dim))
 
     return ZenoRunResult(
         method="kicks",
@@ -367,43 +359,24 @@ def run_sampled(
         raise ValueError(f"shots must be >= 1, got {shots}")
     exact = run_zeno(sys, t, n_steps, order=order, psi0=psi0)
 
-    psi = _default_state(sys.target_dim) if psi0 is None else _check_state(psi0, sys.target_dim, "psi0")
-    delta_t = t / n_steps
-    prepare = sys.prepare
-    reflection = sys.reflection
-    # Order 1 applies one full-width evolution per step; order 2 applies the
-    # half-width evolution twice around a reflection.
-    evolution = select_unitary(sys, delta_t if order == 1 else delta_t / 2.0)
+    psi = _initial_state(sys, psi0)
     psi_exact = matexp_hermitian(hamiltonian_matrix(sys.hamiltonian), t) @ psi
-
-    d_t, d_a = sys.target_dim, sys.ancilla_dim
-    successes = 0
-    fidelities = []
-    for shot in range(shots):
-        rng = np.random.default_rng(seed + shot)
-        state = np.zeros((d_t, d_a), dtype=complex)
-        state[:, 0] = psi
-        ok = True
-        for _ in range(n_steps):
-            state = state @ prepare.T
-            state = (evolution @ state.reshape(-1)).reshape(d_t, d_a)
-            if order == 2:
-                state = state @ reflection.T
-                state = (evolution @ state.reshape(-1)).reshape(d_t, d_a)
-            state = state @ prepare.conj()
-            probs = np.sum(np.abs(state) ** 2, axis=0)
-            probs = np.clip(probs, 0.0, None)
-            probs /= probs.sum()
-            outcome = int(rng.choice(d_a, p=probs))
-            if outcome != 0:
-                ok = False
-                break
-            column = state[:, 0]
-            state = np.zeros_like(state)
-            state[:, 0] = column / np.linalg.norm(column)
-        if ok:
-            successes += 1
-            fidelities.append(float(abs(np.vdot(psi_exact, state[:, 0])) ** 2))
+    # Every surviving shot follows the same path step^k psi0 / ||.||, so the
+    # per-step survival probabilities are computed once.
+    step = _step(sys, exact.delta_t, order)
+    survival = np.zeros(n_steps)
+    for k in range(n_steps):
+        psi = step @ psi
+        survival[k] = np.vdot(psi, psi).real
+        if survival[k] == 0.0:
+            break
+        psi = psi / math.sqrt(survival[k])
+    # A step's measurement is one uniform draw u that picks the all-zeros
+    # outcome iff u < its probability, as in Generator.choice.
+    successes = sum(
+        bool(np.all(np.random.default_rng(seed + shot).random(n_steps) < survival))
+        for shot in range(shots)
+    )
 
     return ZenoRunResult(
         method=exact.method,
@@ -417,7 +390,7 @@ def run_sampled(
         shots=shots,
         seed=seed,
         epsilon_bound_alt=exact.epsilon_bound_alt,
-        fidelity_mean=float(np.mean(fidelities)) if fidelities else None,
+        fidelity_mean=float(abs(np.vdot(psi_exact, psi)) ** 2) if successes else None,
     )
 
 
@@ -429,11 +402,7 @@ def block_encoding_matrix(sys: ExtendedSystem, delta_t: float) -> np.ndarray:
     """
     if sys.variant != VARIANT_STANDARD:
         raise ZenosimError("block encoding is defined for the standard projector variant")
-    phi = sys.prepare[:, 0]
-    u4 = select_unitary(sys, delta_t).reshape(
-        sys.target_dim, sys.ancilla_dim, sys.target_dim, sys.ancilla_dim
-    )
-    return np.einsum("k,akbl,l->ab", phi.conj(), u4, phi)
+    return _corner(sys, delta_t)
 
 
 def step_success_probability(
@@ -442,10 +411,5 @@ def step_success_probability(
     psi0: np.ndarray | None = None,
 ) -> float:
     """Probability of the all-zeros ancilla outcome after a single step."""
-    psi = _default_state(sys.target_dim) if psi0 is None else _check_state(psi0, sys.target_dim, "psi0")
-    state = np.zeros((sys.target_dim, sys.ancilla_dim), dtype=complex)
-    state[:, 0] = psi
-    state = state @ sys.prepare.T
-    state = (select_unitary(sys, delta_t) @ state.reshape(-1)).reshape(sys.target_dim, sys.ancilla_dim)
-    state = state @ sys.prepare.conj()
-    return float(min(1.0, np.sum(np.abs(state[:, 0]) ** 2)))
+    psi = _initial_state(sys, psi0)
+    return float(min(1.0, np.linalg.norm(_corner(sys, delta_t) @ psi) ** 2))

@@ -8,6 +8,7 @@ import json
 
 import numpy as np
 import pytest
+from full_register import projector_full
 
 from zenosim import (
     ExperimentConfig,
@@ -19,7 +20,6 @@ from zenosim import (
     hermitian_eigen,
     matexp_hermitian,
     parse_hamiltonian,
-    projector_full,
     qdrift_channel,
     qdrift_sample,
     run_experiment,

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import random_hamiltonian
 
 from zenosim import (
     ConfigError,
@@ -16,6 +17,7 @@ from zenosim import (
     emit_results,
     fit_loglog_slope,
     run_experiment,
+    to_text,
 )
 from zenosim.cli import main
 from zenosim.experiments import CSV_COLUMNS, render_csv, render_json
@@ -219,6 +221,46 @@ class TestCompareMethods:
             compare_methods(config(hfile), ["zeno1", "zeno1"])
 
 
+class TestCeiling:
+    """The advertised size ceiling: 6 qubits and 32 terms, 5 qubits in channel mode."""
+
+    @pytest.fixture(scope="class")
+    def ceiling_file(self, tmp_path_factory):
+        def write(num_qubits):
+            h = random_hamiltonian(np.random.default_rng(0), 32, num_qubits)
+            path = tmp_path_factory.mktemp("ceiling") / f"{num_qubits}q32.txt"
+            path.write_text(to_text(h) + "\n", encoding="utf-8")
+            return str(path)
+
+        return write
+
+    @staticmethod
+    def check(result, ns):
+        assert [p.N for p in result.points] == list(ns)
+        assert result.all_bounds_satisfied
+        for p in result.points:
+            assert np.isfinite(p.epsilon_measured) and 0.0 <= p.p_succ_exact <= 1.0
+
+    @pytest.mark.parametrize("method", ["zeno1", "zeno2", "mub", "kicks", "trotter1"])
+    def test_projected(self, ceiling_file, method):
+        cfg = ExperimentConfig(hamiltonian_path=ceiling_file(6), method=method, t=1.0, sweep=(10, 100))
+        self.check(run_experiment(cfg), (10, 100))
+
+    @pytest.mark.parametrize("method", ["zeno1", "zeno2", "mub"])
+    def test_sampled(self, ceiling_file, method):
+        cfg = ExperimentConfig(
+            hamiltonian_path=ceiling_file(6), method=method, t=1.0, sweep=(10, 100),
+            mode="sampled", shots=50, seed=3,
+        )
+        self.check(run_experiment(cfg), (10, 100))
+
+    def test_qdrift_channel(self, ceiling_file):
+        cfg = ExperimentConfig(
+            hamiltonian_path=ceiling_file(5), method="qdrift", t=1.0, n=10, mode="channel"
+        )
+        self.check(run_experiment(cfg), (10,))
+
+
 class TestCliExitCodes:
     def test_success(self, hfile, capsys):
         code = main(["--hamiltonian", hfile(TWO_TERM), "--method", "zeno1", "--t", "1", "--n", "10"])
@@ -255,6 +297,25 @@ class TestCliExitCodes:
             ["--hamiltonian", hfile("0.5*" + "Z" * 7), "--method", "zeno1", "--t", "1", "--n", "5"]
         )
         assert code == 3
+
+    @pytest.mark.parametrize("flags,code,message", [
+        (["--t", "nan", "--n", "10"], 1, "t must be finite"),
+        (["--t", "inf", "--n", "10"], 1, "t must be finite"),
+        (["--t", "1", "--epsilon", "0"], 1, "epsilon must be finite and positive"),
+        (["--t", "1", "--epsilon", "nan"], 1, "epsilon must be finite and positive"),
+        (["--t", "1", "--epsilon", "1e-30"], 3, "exceeds the cap of 1000000"),
+        (["--t", "1", "--n", "1000001"], 3, "exceeds the cap of 1000000"),
+        (["--t", "1", "--sweep", "10,1000001"], 3, "exceeds the cap of 1000000"),
+    ])
+    def test_non_finite_and_extreme_inputs(self, hfile, capsys, flags, code, message):
+        assert main(["--hamiltonian", hfile(TWO_TERM), "--method", "zeno1", *flags]) == code
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1
+
+    def test_non_finite_coefficient_is_parse_error(self, hfile, capsys):
+        code = main(["--hamiltonian", hfile("1e400*X + 0.5*Z"), "--method", "zeno1", "--t", "1", "--n", "5"])
+        assert code == 2
+        assert "not finite" in capsys.readouterr().err
 
     def test_unwritable_output_path(self, hfile, tmp_path, capsys):
         code = main(

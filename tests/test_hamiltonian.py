@@ -108,6 +108,11 @@ class TestParseErrors:
         with pytest.raises(HamiltonianParseError, match="threshold"):
             parse_hamiltonian(text)
 
+    @pytest.mark.parametrize("text", ["1e400*X + 0.5*Z", "1e308*X + 1e308*X + 0.5*Z"])
+    def test_non_finite_coefficient(self, text):
+        with pytest.raises(HamiltonianParseError, match="finite"):
+            parse_hamiltonian(text)
+
     def test_exact_cancellation_is_distinct_error(self):
         with pytest.raises(CancellationError):
             parse_hamiltonian("0.5*X - 0.5*X")

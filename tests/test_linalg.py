@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from zenosim import (
-    ConvergenceError,
     dagger,
     hermitian_eigen,
     kron,
@@ -139,11 +138,10 @@ class TestSpectralNorm:
         # The all-ones start vector is exactly annihilated by X - I.
         assert spectral_norm(X - np.eye(2)) == pytest.approx(2.0, abs=1e-9)
 
-    def test_iteration_cap_reports_residual(self):
-        # Nearly degenerate top singular pair stalls the Rayleigh quotient.
+    def test_nearly_degenerate_top_pair(self):
+        # A top singular pair this close stalls power iteration; SVD resolves it.
         a = np.diag([1.0, np.sqrt(1.0 - 1e-4)]).astype(complex)
-        with pytest.raises(ConvergenceError, match="residual"):
-            spectral_norm(a)
+        assert abs(spectral_norm(a) - 1.0) <= 1e-12
 
     def test_submultiplicative_and_triangle(self):
         rng = np.random.default_rng(9)

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 from conftest import random_hamiltonian
+from full_register import kicks_full, projector_full, sampled_full, zeno_full, zeno_step_operator
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zenosim import (
     block_encoding_matrix,
@@ -12,8 +15,6 @@ from zenosim import (
     hamiltonian_matrix,
     matexp_hermitian,
     parse_hamiltonian,
-    projector_full,
-    reflection_full,
     run_kicks,
     run_sampled,
     run_zeno,
@@ -21,7 +22,6 @@ from zenosim import (
     spectral_norm,
     step_success_probability,
     term_matrix,
-    zeno_step_operator,
 )
 
 
@@ -363,3 +363,39 @@ class TestStepSuccessProbability:
         for psi in states:
             p = step_success_probability(sys2, dt, psi0=psi)
             assert p >= 1 - 2 * h2.lam**2 * dt * dt - 1e-12
+
+
+@st.composite
+def instances(draw):
+    num_qubits = draw(st.integers(1, 3))
+    num_terms = draw(st.integers(1, min(8, 4**num_qubits - 1)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return random_hamiltonian(np.random.default_rng(seed), num_terms, num_qubits)
+
+
+class TestFullRegisterOracle:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        h=instances(),
+        variant=st.sampled_from(["standard", "mub"]),
+        t=st.floats(0.0, 2.0),
+        n=st.integers(1, 50),
+        psi_index=st.integers(0, 7),
+        seed=st.integers(0, 1000),
+    )
+    def test_target_register_matches_combined_register(self, h, variant, t, n, psi_index, seed):
+        sys = build_extended(h, variant)
+        psi0 = np.zeros(sys.target_dim, dtype=complex)
+        psi0[psi_index % sys.target_dim] = 1.0
+        for order in (1, 2) if variant == "standard" else (1,):
+            r = run_zeno(sys, t, n, order=order, psi0=psi0)
+            epsilon, p_succ = zeno_full(sys, t, n, order=order, psi0=psi0)
+            assert abs(r.epsilon_measured - epsilon) <= 1e-9
+            assert abs(r.p_succ_exact - p_succ) <= 1e-9
+            sampled = run_sampled(sys, t, n, order=order, psi0=psi0, shots=20, seed=seed)
+            p_sampled, fidelity = sampled_full(sys, t, n, order=order, psi0=psi0, shots=20, seed=seed)
+            assert sampled.p_succ_sampled == p_sampled
+            if fidelity is not None:
+                assert abs(sampled.fidelity_mean - fidelity) <= 1e-9
+        if variant == "standard":
+            assert abs(run_kicks(sys, t, n).epsilon_measured - kicks_full(sys, t, n)) <= 1e-9
