@@ -48,11 +48,8 @@ from .hamiltonian import (
     to_text,
 )
 from .linalg import (
-    dagger,
     hermitian_eigen,
-    kron,
     matexp_hermitian,
-    matmul,
     spectral_norm,
     trace_norm,
 )
@@ -92,7 +89,6 @@ __all__ = [
     "build_extended",
     "choi_matrix",
     "compare_methods",
-    "dagger",
     "diamond_lower_bound",
     "emit_results",
     "exact_evolution",
@@ -102,10 +98,8 @@ __all__ = [
     "hermitian_eigen",
     "is_completely_positive",
     "is_trace_preserving",
-    "kron",
     "load_hamiltonian",
     "matexp_hermitian",
-    "matmul",
     "parse_hamiltonian",
     "qdrift_channel",
     "qdrift_sample",

@@ -2,8 +2,8 @@
 
 All bounds take the coefficient 1-norm ``lam``, the evolution time ``t``
 and the step count ``n``. Success-probability lower bounds are clamped at
-zero (the raw expressions go negative for small ``n``); ``BoundReport``
-carries both the clamped and raw values.
+zero (the raw expressions go negative for small ``n``). ``method_bounds``
+is the one place that picks a method's bounds.
 
 Step-count formulas use a ceiling with a 1e-12 relative nudge so that
 exact-ratio inputs (for example ``t=1, lam=1, epsilon=0.01``) are not
@@ -13,7 +13,6 @@ pushed up by floating-point roundoff.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 _CEIL_NUDGE = 1e-12
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -51,7 +50,8 @@ def bound_zeno1_succ_raw(lam: float, t: float, n: int) -> float:
 def bound_zeno2_error(lam: float, t: float, n: int) -> float:
     """Second-order (reflection) sequence gate-error bound lam^3 t^3 / (3 n^2)."""
     _check_args(lam, t, n)
-    return lam**3 * t**3 / (3.0 * n * n)
+    x = lam * t  # products, not powers: a float ** raises OverflowError where * gives inf
+    return x * x * x / (3.0 * n * n)
 
 
 def bound_zeno2_succ(lam: float, t: float, n: int) -> float:
@@ -61,7 +61,8 @@ def bound_zeno2_succ(lam: float, t: float, n: int) -> float:
 
 def bound_zeno2_succ_raw(lam: float, t: float, n: int) -> float:
     _check_args(lam, t, n)
-    return 1.0 - 4.0 * lam**3 * t**3 / (3.0 * n * n)
+    x = lam * t
+    return 1.0 - 4.0 * x * x * x / (3.0 * n * n)
 
 
 def bound_kicks_error(lam: float, t: float, n: int) -> float:
@@ -145,62 +146,30 @@ def circuit_cost_estimate(num_terms: int, per_term_cost: int, lam: float, t: flo
     return num_terms * per_term_cost * steps_for_precision(lam, t, epsilon)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """All analytic quantities for one (method, t, n) point."""
+def method_bounds(
+    method: str, h, n_ancilla: int, t: float, n: int
+) -> tuple[float | None, float, float | None]:
+    """Bounds for one sweep point of ``method`` on Hamiltonian ``h``.
 
-    method: str
-    lam: float
-    h_max: float
-    num_terms: int
-    n_ancilla: int
-    t: float
-    n: int
-    epsilon_bound: float
-    p_succ_bound: float
-    p_succ_bound_raw: float
-    steps_for_epsilon: int | None
-
-
-def bound_report(
-    method: str,
-    lam: float,
-    h_max: float,
-    num_terms: int,
-    n_ancilla: int,
-    t: float,
-    n: int,
-    epsilon: float | None = None,
-) -> BoundReport:
-    """Assemble every bound relevant to ``method`` at one sweep point."""
+    Returns (error bound, success lower bound, term-count error bound).
+    trotter1 states no error bound (None); only mub has a term-count
+    variant, and only mub reads ``n_ancilla``.
+    """
+    lam = h.lam
     if method == "zeno1":
-        eps = bound_zeno1_error(lam, t, n)
-        p_raw = bound_zeno1_succ_raw(lam, t, n)
-    elif method == "zeno2":
-        eps = bound_zeno2_error(lam, t, n)
-        p_raw = bound_zeno2_succ_raw(lam, t, n)
-    elif method == "kicks":
-        eps = bound_kicks_error(lam, t, n)
-        p_raw = 1.0
-    elif method == "mub":
-        eps = bound_mub_error(h_max, n_ancilla, t, n)
-        p_raw = 1.0 - 2.0 * (float(1 << n_ancilla) * h_max) ** 2 * t * t / n
-    elif method == "qdrift":
-        eps = bound_qdrift_diamond(lam, t, n)
-        p_raw = 1.0
-    else:
-        raise ValueError(f"no analytic bounds recorded for method {method!r}")
-    steps = steps_for_precision(lam, t, epsilon) if epsilon is not None else None
-    return BoundReport(
-        method=method,
-        lam=lam,
-        h_max=h_max,
-        num_terms=num_terms,
-        n_ancilla=n_ancilla,
-        t=t,
-        n=n,
-        epsilon_bound=eps,
-        p_succ_bound=max(0.0, p_raw),
-        p_succ_bound_raw=p_raw,
-        steps_for_epsilon=steps,
-    )
+        return bound_zeno1_error(lam, t, n), bound_zeno1_succ(lam, t, n), None
+    if method == "zeno2":
+        return bound_zeno2_error(lam, t, n), bound_zeno2_succ(lam, t, n), None
+    if method == "kicks":
+        return bound_kicks_error(lam, t, n), 1.0, None
+    if method == "mub":
+        return (
+            bound_mub_error(h.h_max, n_ancilla, t, n),
+            bound_mub_succ(h.h_max, n_ancilla, t, n),
+            bound_mub_error_termcount(h.h_max, h.num_terms, t, n),
+        )
+    if method == "qdrift":
+        return bound_qdrift_diamond(lam, t, n), 1.0, None
+    if method == "trotter1":
+        return None, 1.0, None
+    raise ValueError(f"no bounds recorded for method {method!r}")

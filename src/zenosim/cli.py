@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Exit codes: 0 all bounds satisfied; 1 usage error (bad flags, missing file,
-invalid option combination, non-finite or negative t, epsilon not finite
-and positive); 2 Hamiltonian parse error (including non-finite
-coefficients); 3 desk-scale limit exceeded (including a step count above
-``MAX_STEPS``); 4 at least one measured value violated its analytic bound.
+Exit codes: 0 all bounds satisfied; 1 usage error (bad flags, a Hamiltonian
+path that is missing or a directory, a method and mode the method table does
+not pair, non-finite or negative t, epsilon not finite and positive, a
+negative seed, a psi0 index outside the target register, an empty --compare
+list); 2 Hamiltonian parse error (including non-finite coefficients and files
+that are not UTF-8); 3 desk-scale limit exceeded (including a step count
+above ``MAX_STEPS``); 4 at least one measured value violated its analytic
+bound.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from .experiments import (
     MODES,
     ExperimentConfig,
     compare_methods,
-    render_comparison_csv,
     render_comparison_json,
     render_csv,
     render_json,
@@ -48,7 +50,7 @@ def _build_parser() -> _Parser:
         ),
     )
     parser.add_argument("--hamiltonian", required=True, help="path to the Hamiltonian text file")
-    parser.add_argument("--method", choices=METHODS, help="sequence or baseline to run")
+    parser.add_argument("--method", choices=tuple(METHODS), help="sequence or baseline to run")
     parser.add_argument("--t", type=float, required=True, help="evolution time")
     parser.add_argument("--n", type=int, help="fixed step count")
     parser.add_argument("--epsilon", type=float, help="target precision (resolves the step count)")
@@ -90,15 +92,12 @@ def main(argv=None) -> int:
 
     try:
         sweep = _parse_sweep(args.sweep) if args.sweep else None
-        compare = None
-        if args.compare:
-            compare = [m.strip() for m in args.compare.split(",") if m.strip()]
-        if compare is None and args.method is None:
+        if args.compare is None and args.method is None:
             raise ConfigError("either --method or --compare is required")
 
         config = ExperimentConfig(
             hamiltonian_path=args.hamiltonian,
-            method=args.method or compare[0],
+            method=args.method,
             t=args.t,
             n=args.n,
             epsilon=args.epsilon,
@@ -111,10 +110,10 @@ def main(argv=None) -> int:
             output_path=args.out,
         )
 
-        if compare is not None:
-            comparison = compare_methods(config, compare)
+        if args.compare is not None:
+            comparison = compare_methods(config, [m.strip() for m in args.compare.split(",") if m.strip()])
             rendered = (
-                render_comparison_csv(comparison)
+                render_csv(*comparison.results.values())
                 if args.format == "csv"
                 else render_comparison_json(comparison)
             )
@@ -145,6 +144,9 @@ def main(argv=None) -> int:
 
     except FileNotFoundError as exc:
         print(f"zenosim: file not found: {exc.filename or exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except IsADirectoryError as exc:
+        print(f"zenosim: is a directory, not a file: {exc.filename or exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConfigError as exc:
         print(f"zenosim: {exc}", file=sys.stderr)

@@ -39,6 +39,8 @@ from .errors import ConfigError, LimitExceededError
 from .hamiltonian import PauliHamiltonian, load_hamiltonian
 from .linalg import spectral_norm
 from .zeno import (
+    VARIANT_MUB,
+    VARIANT_STANDARD,
     ZenoRunResult,
     build_extended,
     run_kicks,
@@ -46,7 +48,6 @@ from .zeno import (
     run_zeno,
 )
 
-METHODS = ("zeno1", "zeno2", "kicks", "mub", "qdrift", "trotter1")
 MODES = ("projected", "sampled", "channel")
 
 DEFAULT_MAX_QUBITS = 6
@@ -56,8 +57,6 @@ MAX_QUBITS_ENV = "ZENOSIM_MAX_QUBITS"
 
 SLOPE_FLOOR = 1e-12
 SLOPE_MIN_POINTS = 4
-
-_SAMPLED_METHODS = ("zeno1", "zeno2", "mub")
 
 
 @dataclass(frozen=True)
@@ -126,11 +125,17 @@ def max_qubits_cap() -> int:
     return min(DEFAULT_MAX_QUBITS, value)
 
 
+def _modes(method: str) -> tuple[str, ...]:
+    """The modes ``method`` runs in, from the method table."""
+    if method not in METHODS:
+        raise ConfigError(f"unknown method {method!r}; choose from {tuple(METHODS)}")
+    return METHODS[method][0]
+
+
 def _validate_config(config: ExperimentConfig) -> None:
-    if config.method not in METHODS:
-        raise ConfigError(f"unknown method {config.method!r}; choose from {METHODS}")
-    if config.mode not in MODES:
-        raise ConfigError(f"unknown mode {config.mode!r}; choose from {MODES}")
+    modes = _modes(config.method)
+    if config.mode not in modes:
+        raise ConfigError(f"method {config.method!r} runs in mode {' or '.join(modes)}, not {config.mode!r}")
     chosen = [x is not None for x in (config.n, config.epsilon, config.sweep)]
     if sum(chosen) != 1:
         raise ConfigError("exactly one of n, epsilon, or sweep must be set")
@@ -138,18 +143,10 @@ def _validate_config(config: ExperimentConfig) -> None:
         raise ConfigError(f"t must be finite and nonnegative, got {config.t}")
     if config.epsilon is not None and not (math.isfinite(config.epsilon) and config.epsilon > 0):
         raise ConfigError(f"epsilon must be finite and positive, got {config.epsilon}")
-    if config.mode == "channel" and config.method != "qdrift":
-        raise ConfigError("channel mode applies to the qdrift method only")
-    if config.method == "qdrift" and config.mode != "channel":
-        raise ConfigError("the qdrift method reports a channel metric; use --mode channel")
-    if config.mode == "sampled":
-        if config.method not in _SAMPLED_METHODS:
-            raise ConfigError(
-                f"sampled mode applies to measured sequences {_SAMPLED_METHODS}, "
-                f"not {config.method!r}"
-            )
-        if config.shots is None or config.shots < 1:
-            raise ConfigError("sampled mode requires shots >= 1")
+    if config.mode == "sampled" and (config.shots is None or config.shots < 1):
+        raise ConfigError("sampled mode requires shots >= 1")
+    if config.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {config.seed}")
     if config.output_format not in ("json", "csv"):
         raise ConfigError(f"unknown output format {config.output_format!r}")
 
@@ -208,33 +205,59 @@ def _resolve_psi0(config: ExperimentConfig, target_dim: int) -> np.ndarray | Non
     return psi / norm
 
 
-def _qdrift_point(h: PauliHamiltonian, t: float, n: int) -> ZenoRunResult:
+def _zeno_point(order: int):
+    """Sweep point of the projected sequence of ``order``; sampled when ``shots`` is given."""
+
+    def point(system, t, n, psi0=None, shots=None, seed=0):
+        if shots is None:
+            return run_zeno(system, t, n, order=order, psi0=psi0)
+        return run_sampled(system, t, n, order, psi0, shots, seed)
+
+    return point
+
+
+def _kicks_point(system, t: float, n: int, **_) -> ZenoRunResult:
+    return run_kicks(system, t, n)
+
+
+def _baseline_point(method: str, h: PauliHamiltonian, t: float, n: int, error: float) -> ZenoRunResult:
+    eps_bound, p_bound, _ = bounds.method_bounds(method, h, 0, t, n)
+    return ZenoRunResult(
+        method=method,
+        N=n,
+        delta_t=t / n,
+        epsilon_measured=error,
+        epsilon_bound=eps_bound,
+        p_succ_exact=1.0,
+        p_succ_bound=p_bound,
+    )
+
+
+def _qdrift_point(h: PauliHamiltonian, t: float, n: int, **_) -> ZenoRunResult:
     lower = diamond_lower_bound(
         qdrift_channel(h, t, n),
         unitary_channel(exact_evolution(h, t), label="exact"),
     )
-    return ZenoRunResult(
-        method="qdrift",
-        N=n,
-        delta_t=t / n,
-        epsilon_measured=lower,
-        epsilon_bound=bounds.bound_qdrift_diamond(h.lam, t, n),
-        p_succ_exact=1.0,
-        p_succ_bound=1.0,
-    )
+    return _baseline_point("qdrift", h, t, n, lower)
 
 
-def _trotter_point(h: PauliHamiltonian, t: float, n: int) -> ZenoRunResult:
+def _trotter_point(h: PauliHamiltonian, t: float, n: int, **_) -> ZenoRunResult:
     error = spectral_norm(trotter_first_order(h, t, n) - exact_evolution(h, t))
-    return ZenoRunResult(
-        method="trotter1",
-        N=n,
-        delta_t=t / n,
-        epsilon_measured=error,
-        epsilon_bound=None,
-        p_succ_exact=1.0,
-        p_succ_bound=1.0,
-    )
+    return _baseline_point("trotter1", h, t, n, error)
+
+
+# The method table: for each method, the modes it runs in (--compare runs the
+# first), the projector variant handed to build_extended (None for the
+# baselines, which run on the Hamiltonian itself), and the function computing
+# one sweep point as point(system or Hamiltonian, t, n, psi0=, shots=, seed=).
+METHODS = {
+    "zeno1": (("projected", "sampled"), VARIANT_STANDARD, _zeno_point(1)),
+    "zeno2": (("projected", "sampled"), VARIANT_STANDARD, _zeno_point(2)),
+    "kicks": (("projected",), VARIANT_STANDARD, _kicks_point),
+    "mub": (("projected", "sampled"), VARIANT_MUB, _zeno_point(1)),
+    "qdrift": (("channel",), None, _qdrift_point),
+    "trotter1": (("projected",), None, _trotter_point),
+}
 
 
 def fit_loglog_slope(
@@ -255,36 +278,6 @@ def fit_loglog_slope(
     log_n = np.log([p[0] for p in pairs])
     log_e = np.log([p[1] for p in pairs])
     return float(np.polyfit(log_n, log_e, 1)[0])
-
-
-def _run_method(
-    method: str,
-    h: PauliHamiltonian,
-    config: ExperimentConfig,
-    ns: list[int],
-) -> list[ZenoRunResult]:
-    points: list[ZenoRunResult] = []
-    if method in ("zeno1", "zeno2", "mub"):
-        variant = "mub" if method == "mub" else "standard"
-        order = 2 if method == "zeno2" else 1
-        system = build_extended(h, variant)
-        psi0 = _resolve_psi0(config, system.target_dim)
-        for n in ns:
-            if config.mode == "sampled":
-                points.append(run_sampled(system, config.t, n, order, psi0, config.shots, config.seed))
-            else:
-                points.append(run_zeno(system, config.t, n, order=order, psi0=psi0))
-    elif method == "kicks":
-        system = build_extended(h, "standard")
-        for n in ns:
-            points.append(run_kicks(system, config.t, n))
-    elif method == "qdrift":
-        for n in ns:
-            points.append(_qdrift_point(h, config.t, n))
-    else:
-        for n in ns:
-            points.append(_trotter_point(h, config.t, n))
-    return points
 
 
 def _point_satisfied(point: ZenoRunResult) -> bool:
@@ -320,7 +313,11 @@ def run_experiment(config: ExperimentConfig) -> SweepResult:
     h = load_hamiltonian(config.hamiltonian_path)
     _check_limits(h, config)
     ns = _resolve_ns(config, h)
-    points = _run_method(config.method, h, config, ns)
+    psi0 = _resolve_psi0(config, 2**h.num_qubits)
+    _, variant, point = METHODS[config.method]
+    subject = h if variant is None else build_extended(h, variant)
+    shots = config.shots if config.mode == "sampled" else None
+    points = [point(subject, config.t, n, psi0=psi0, shots=shots, seed=config.seed) for n in ns]
     slope = fit_loglog_slope([p.N for p in points], [p.epsilon_measured for p in points])
     return SweepResult(
         points=tuple(points),
@@ -331,29 +328,24 @@ def run_experiment(config: ExperimentConfig) -> SweepResult:
 
 
 def compare_methods(config: ExperimentConfig, methods) -> MethodComparison:
-    """Run several methods on the shared Hamiltonian, time, and sweep."""
+    """Run several methods on the shared Hamiltonian, time, and sweep.
+
+    Each method runs in the first of its modes; ``config.mode`` is ignored.
+    """
     methods = list(methods)
     if not methods:
         raise ConfigError("compare needs at least one method")
     if len(set(methods)) != len(methods):
         raise ConfigError("compare methods must be distinct")
-    results: dict[str, SweepResult] = {}
-    ns_ref: tuple[int, ...] | None = None
-    for method in methods:
-        mode = "channel" if method == "qdrift" else "projected"
-        sub = replace(config, method=method, mode=mode)
-        sweep = run_experiment(sub)
-        results[method] = sweep
-        ns = tuple(p.N for p in sweep.points)
-        if ns_ref is None:
-            ns_ref = ns
+    results = {m: run_experiment(replace(config, method=m, mode=_modes(m)[0])) for m in methods}
+    ns = tuple(p.N for p in results[methods[0]].points)
     notes = []
     if "qdrift" in results:
         notes.append(
             "qdrift error is a channel-level diamond-distance lower bound; "
             "it is not directly comparable to the gate errors of the unitary methods"
         )
-    return MethodComparison(ns=ns_ref, results=results, notes=tuple(notes))
+    return MethodComparison(ns=ns, results=results, notes=tuple(notes))
 
 
 CSV_COLUMNS = (
@@ -397,11 +389,13 @@ def _point_record(point: ZenoRunResult) -> dict:
     }
 
 
-def render_csv(result: SweepResult) -> str:
+def render_csv(*results: SweepResult) -> str:
+    """One CSV table holding the points of every result, in order."""
     lines = [",".join(CSV_COLUMNS)]
-    for point in result.points:
-        record = _point_record(point)
-        lines.append(",".join(_csv_cell(record[c]) for c in CSV_COLUMNS))
+    for result in results:
+        for point in result.points:
+            record = _point_record(point)
+            lines.append(",".join(_csv_cell(record[c]) for c in CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
@@ -434,15 +428,6 @@ def emit_results(result: SweepResult, output_format: str, path) -> None:
     else:
         raise ConfigError(f"unknown output format {output_format!r}")
     Path(path).write_text(text, encoding="utf-8", newline="\n")
-
-
-def render_comparison_csv(comparison: MethodComparison) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for sweep in comparison.results.values():
-        for point in sweep.points:
-            record = _point_record(point)
-            lines.append(",".join(_csv_cell(record[c]) for c in CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
 
 
 def render_comparison_json(comparison: MethodComparison) -> str:

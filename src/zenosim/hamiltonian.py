@@ -210,7 +210,10 @@ def load_hamiltonian(*paths) -> PauliHamiltonian:
         raise HamiltonianParseError("no Hamiltonian file given")
     expressions = []
     for path in paths:
-        raw = Path(path).read_text(encoding="utf-8")
+        try:
+            raw = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise HamiltonianParseError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
         lines = [line.split("#", 1)[0] for line in raw.splitlines()]
         body = " ".join(line for line in lines if line.strip())
         if not body.strip():

@@ -29,40 +29,6 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def as_vector(v) -> np.ndarray:
-    """Coerce input to a 1-D complex128 array."""
-    w = np.asarray(v, dtype=complex)
-    if w.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {w.shape}")
-    return w
-
-
-def matmul(a, b) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T
-
-
-def kron(a, b) -> np.ndarray:
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
-def apply(a, v) -> np.ndarray:
-    """Matrix-vector product a @ v."""
-    a = as_matrix(a)
-    v = as_vector(v)
-    if a.shape[1] != v.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ vector of length {v.shape[0]}")
-    return a @ v
-
-
 def is_hermitian(a, tol: float = HERMITICITY_TOL) -> bool:
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:

@@ -72,9 +72,6 @@ class ExtendedSystem:
     block_rates: tuple[float, ...]      # per ancilla index, angle per unit time
     block_paulis: tuple[np.ndarray, ...]  # per ancilla index, signed Pauli (identity when padded)
 
-    def select(self, delta_t: float) -> np.ndarray:
-        return select_unitary(self, delta_t)
-
 
 @dataclass(frozen=True)
 class ZenoRunResult:
@@ -270,17 +267,7 @@ def run_zeno(
     p_succ = float(min(1.0, np.linalg.norm(repeated @ psi) ** 2))
 
     method = "mub" if sys.variant == VARIANT_MUB else f"zeno{order}"
-    alt = None
-    if method == "zeno1":
-        eps_bound = bounds.bound_zeno1_error(h.lam, t, n_steps)
-        p_bound = bounds.bound_zeno1_succ(h.lam, t, n_steps)
-    elif method == "zeno2":
-        eps_bound = bounds.bound_zeno2_error(h.lam, t, n_steps)
-        p_bound = bounds.bound_zeno2_succ(h.lam, t, n_steps)
-    else:
-        eps_bound = bounds.bound_mub_error(h.h_max, sys.n_ancilla, t, n_steps)
-        alt = bounds.bound_mub_error_termcount(h.h_max, h.num_terms, t, n_steps)
-        p_bound = bounds.bound_mub_succ(h.h_max, sys.n_ancilla, t, n_steps)
+    eps_bound, p_bound, alt = bounds.method_bounds(method, h, sys.n_ancilla, t, n_steps)
 
     return ZenoRunResult(
         method=method,
@@ -323,15 +310,16 @@ def run_kicks(sys: ExtendedSystem, t: float, n_steps: int) -> ZenoRunResult:
 
     u_exact = matexp_hermitian(hamiltonian_matrix(h), t)
     epsilon = spectral_norm((slab - column * u_exact).reshape(-1, sys.target_dim))
+    eps_bound, p_bound, _ = bounds.method_bounds("kicks", h, sys.n_ancilla, t, n_steps)
 
     return ZenoRunResult(
         method="kicks",
         N=n_steps,
         delta_t=delta_t,
         epsilon_measured=epsilon,
-        epsilon_bound=bounds.bound_kicks_error(h.lam, t, n_steps),
+        epsilon_bound=eps_bound,
         p_succ_exact=1.0,
-        p_succ_bound=1.0,
+        p_succ_bound=p_bound,
     )
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from zenosim import bounds
+from zenosim import bounds, parse_hamiltonian
 
 
 class TestFirstOrder:
@@ -29,6 +29,12 @@ class TestSecondOrder:
     def test_success_examples(self):
         assert bounds.bound_zeno2_succ(1, 0, 10) == 1.0
         assert bounds.bound_zeno2_succ(1, 1, 10) == pytest.approx(1 - 4 / 300)
+
+    def test_overflow_gives_inf_bound_and_zero_success(self):
+        # (lam t)^3 overflows a float: the bound is inf, not an OverflowError.
+        assert bounds.bound_zeno2_error(2e200, 1, 10) == float("inf")
+        assert bounds.bound_zeno2_succ(2e200, 1, 10) == 0.0
+        assert bounds.bound_zeno2_error(2e200, 0, 10) == 0.0
 
 
 class TestKicks:
@@ -137,13 +143,17 @@ class TestStructure:
                     if n > lam * t / 3:
                         assert second < first + 1e-15
 
-    def test_report_assembly(self):
-        report = bounds.bound_report("zeno1", 1.0, 0.6, 2, 1, 1.0, 100, epsilon=0.01)
-        assert report.epsilon_bound == pytest.approx(0.01)
-        assert report.p_succ_bound == pytest.approx(0.98)
-        assert report.steps_for_epsilon == 100
-        kicked = bounds.bound_report("kicks", 1.0, 0.6, 2, 1, 1.0, 100)
-        assert kicked.p_succ_bound == 1.0
-        assert kicked.steps_for_epsilon is None
+    def test_method_bounds(self):
+        h = parse_hamiltonian("0.6*X + 0.4*Z")
+        eps, p_succ, alt = bounds.method_bounds("zeno1", h, 1, 1.0, 100)
+        assert eps == pytest.approx(0.01) and p_succ == pytest.approx(0.98) and alt is None
+        kicks = bounds.method_bounds("kicks", h, 1, 1.0, 100)
+        assert kicks == (bounds.bound_kicks_error(1.0, 1.0, 100), 1.0, None)
+        assert bounds.method_bounds("mub", h, 1, 1.0, 100) == (
+            bounds.bound_mub_error(0.6, 1, 1.0, 100),
+            bounds.bound_mub_succ(0.6, 1, 1.0, 100),
+            bounds.bound_mub_error_termcount(0.6, 2, 1.0, 100),
+        )
+        assert bounds.method_bounds("trotter1", h, 0, 1.0, 100) == (None, 1.0, None)
         with pytest.raises(ValueError, match="method"):
-            bounds.bound_report("trotter1", 1.0, 0.6, 2, 1, 1.0, 100)
+            bounds.method_bounds("trotter2", h, 0, 1.0, 100)

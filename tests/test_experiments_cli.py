@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,10 +20,11 @@ from zenosim import (
     run_experiment,
     to_text,
 )
-from zenosim.cli import main
-from zenosim.experiments import CSV_COLUMNS, render_csv, render_json
+from zenosim.cli import _build_parser, main
+from zenosim.experiments import CSV_COLUMNS, METHODS, MODES, render_csv, render_json
 
 TWO_TERM = "0.6*X + 0.4*Z"
+TWO_TERM_FILE = str(Path(__file__).resolve().parent.parent / "demos" / "hamiltonians" / "two_term.txt")
 
 
 def config(hfile, text=TWO_TERM, **kwargs):
@@ -81,6 +83,36 @@ class TestRunExperiment:
         result = run_experiment(config(hfile, method="trotter1"))
         assert result.points[0].epsilon_bound is None
         assert result.all_bounds_satisfied
+
+
+class TestMethodTable:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("method", METHODS)
+    def test_allowed_pairs_run_and_others_are_rejected(self, method, mode):
+        cfg = ExperimentConfig(
+            hamiltonian_path=TWO_TERM_FILE, method=method, t=1.0, n=10, mode=mode, shots=20
+        )
+        if mode in METHODS[method][0]:
+            result = run_experiment(cfg)
+            assert [(p.method, p.N) for p in result.points] == [(method, 10)]
+            assert (result.points[0].shots is not None) == (mode == "sampled")
+        else:
+            with pytest.raises(ConfigError, match=f"{method}.*{mode}"):
+                run_experiment(cfg)
+
+    def test_method_choices_are_the_table_keys(self):
+        (action,) = [a for a in _build_parser()._actions if a.dest == "method"]
+        assert tuple(action.choices) == tuple(METHODS)
+
+    def test_compare_runs_each_method_in_its_first_mode(self):
+        cfg = ExperimentConfig(
+            hamiltonian_path=TWO_TERM_FILE, method="zeno1", t=1.0, n=10, mode="sampled", shots=20
+        )
+        comparison = compare_methods(cfg, list(METHODS))
+        assert list(comparison.results) == list(METHODS)
+        for method, sweep in comparison.results.items():
+            assert sweep.resolved_config["mode"] == METHODS[method][0][0]
+            assert sweep.points[0].shots is None
 
 
 class TestConfigValidation:
@@ -306,11 +338,43 @@ class TestCliExitCodes:
         (["--t", "1", "--epsilon", "1e-30"], 3, "exceeds the cap of 1000000"),
         (["--t", "1", "--n", "1000001"], 3, "exceeds the cap of 1000000"),
         (["--t", "1", "--sweep", "10,1000001"], 3, "exceeds the cap of 1000000"),
+        (["--t", "1", "--n", "10", "--mode", "sampled", "--shots", "10", "--seed", "-5"], 1, "seed must be >= 0"),
     ])
     def test_non_finite_and_extreme_inputs(self, hfile, capsys, flags, code, message):
         assert main(["--hamiltonian", hfile(TWO_TERM), "--method", "zeno1", *flags]) == code
         err = capsys.readouterr().err
         assert message in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("method", ["zeno1", "zeno2", "mub", "kicks", "trotter1", "qdrift"])
+    def test_psi0_out_of_range_for_every_method(self, hfile, capsys, method):
+        mode = "channel" if method == "qdrift" else "projected"
+        args = ["--hamiltonian", hfile(TWO_TERM), "--method", method, "--mode", mode, "--t", "1", "--n", "10"]
+        assert main(args + ["--psi0", "99"]) == 1
+        err = capsys.readouterr().err
+        assert "psi0 index 99 out of range" in err and len(err.splitlines()) == 1
+
+    def test_unreadable_inputs(self, tmp_path, capsys):
+        binary = tmp_path / "latin1.txt"
+        binary.write_bytes("0.5*X # \xe9t\xe9\n".encode("latin-1"))
+        flags = ["--method", "zeno1", "--t", "1", "--n", "5"]
+        for path, code, message in [
+            (tmp_path, 1, "is a directory"),
+            (binary, 2, "not UTF-8"),
+        ]:
+            assert main(["--hamiltonian", str(path), *flags]) == code
+            err = capsys.readouterr().err
+            assert message in err and len(err.splitlines()) == 1
+
+    def test_empty_compare_list(self, hfile, capsys):
+        assert main(["--hamiltonian", hfile(TWO_TERM), "--compare", ",", "--t", "1", "--n", "5"]) == 1
+        err = capsys.readouterr().err
+        assert "compare needs at least one method" in err and len(err.splitlines()) == 1
+
+    def test_overflowing_zeno2_bound_is_inf(self, hfile, capsys):
+        code = main(["--hamiltonian", hfile("1e200*X + 1e200*Z"), "--method", "zeno2", "--t", "1", "--n", "10"])
+        assert code == 0
+        row = dict(zip(CSV_COLUMNS, capsys.readouterr().out.splitlines()[1].split(",")))
+        assert row["epsilon_bound"] == "inf" and row["p_succ_bound"] == "0"
 
     def test_non_finite_coefficient_is_parse_error(self, hfile, capsys):
         code = main(["--hamiltonian", hfile("1e400*X + 0.5*Z"), "--method", "zeno1", "--t", "1", "--n", "5"])

@@ -6,15 +6,11 @@ import numpy as np
 import pytest
 
 from zenosim import (
-    dagger,
     hermitian_eigen,
-    kron,
     matexp_hermitian,
-    matmul,
     spectral_norm,
     trace_norm,
 )
-from zenosim.linalg import apply as mat_apply
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -53,27 +49,6 @@ def real_matexp(x, alpha):
     """exp(alpha x) for Hermitian x via eigendecomposition (test oracle)."""
     w, u = np.linalg.eigh(x)
     return (u * np.exp(alpha * w)) @ u.conj().T
-
-
-class TestElementaryOps:
-    def test_kron_identity(self):
-        np.testing.assert_array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_dagger_of_diagonal(self):
-        np.testing.assert_array_equal(dagger(np.diag([1j, -1j])), np.diag([-1j, 1j]))
-
-    def test_pauli_involution(self):
-        np.testing.assert_allclose(matmul(X, X), np.eye(2), atol=1e-15)
-
-    def test_apply(self):
-        v = mat_apply(X, np.array([1.0, 0.0]))
-        np.testing.assert_allclose(v, [0.0, 1.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            matmul(np.eye(2), np.eye(3))
-        with pytest.raises(ValueError, match="mismatch"):
-            mat_apply(np.eye(2), np.ones(3))
 
 
 class TestMatexpHermitian:
