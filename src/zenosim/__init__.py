@@ -13,7 +13,6 @@ from .channels import (
     QdriftTrajectory,
     choi_matrix,
     diamond_lower_bound,
-    exact_evolution,
     is_completely_positive,
     is_trace_preserving,
     qdrift_channel,
@@ -34,13 +33,13 @@ from .experiments import (
     MethodComparison,
     SweepResult,
     compare_methods,
-    emit_results,
     fit_loglog_slope,
     run_experiment,
 )
 from .hamiltonian import (
     PauliHamiltonian,
     PauliTerm,
+    exact_evolution,
     hamiltonian_matrix,
     load_hamiltonian,
     parse_hamiltonian,
@@ -90,7 +89,6 @@ __all__ = [
     "choi_matrix",
     "compare_methods",
     "diamond_lower_bound",
-    "emit_results",
     "exact_evolution",
     "extended_hamiltonian",
     "fit_loglog_slope",

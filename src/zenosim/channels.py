@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .errors import LimitExceededError
-from .hamiltonian import PauliHamiltonian, hamiltonian_matrix, term_matrix
-from .linalg import is_unitary, matexp_hermitian, trace_norm
+from .hamiltonian import PauliHamiltonian, pauli_rotations
+from .linalg import is_unitary, trace_norm
 
 CHANNEL_MAX_QUBITS = 5
 
@@ -33,7 +34,6 @@ class ChannelRep:
 
     dim: int
     superoperator: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         d = self.dim
@@ -81,11 +81,6 @@ def conjugation_superoperator(u: np.ndarray) -> np.ndarray:
     return np.kron(u.conj(), u)
 
 
-def exact_evolution(h: PauliHamiltonian, t: float) -> np.ndarray:
-    """The target unitary for evolution time t."""
-    return matexp_hermitian(hamiltonian_matrix(h), t)
-
-
 def trotter_first_order(h: PauliHamiltonian, t: float, n_steps: int) -> np.ndarray:
     """First-order product formula, factors in term order (leftmost first).
 
@@ -95,23 +90,8 @@ def trotter_first_order(h: PauliHamiltonian, t: float, n_steps: int) -> np.ndarr
     if n_steps < 1:
         raise ValueError(f"step count must be >= 1, got {n_steps}")
     delta_t = t / n_steps
-    eye = np.eye(2**h.num_qubits, dtype=complex)
-    step = eye
-    for term in h.terms:
-        theta = term.coefficient * delta_t
-        step = step @ (math.cos(theta) * eye - 1j * math.sin(theta) * term_matrix(term))
+    step = reduce(np.matmul, pauli_rotations(h, [term.coefficient * delta_t for term in h.terms]))
     return np.linalg.matrix_power(step, n_steps)
-
-
-def _sampled_unitaries(h: PauliHamiltonian, delta_t: float) -> list[np.ndarray]:
-    """Blocks exp(-i * lam * H_j * delta_t) used by the randomized scheme."""
-    lam = h.lam
-    eye = np.eye(2**h.num_qubits, dtype=complex)
-    theta = lam * delta_t
-    return [
-        math.cos(theta) * eye - 1j * math.sin(theta) * term_matrix(term)
-        for term in h.terms
-    ]
 
 
 def qdrift_sample(h: PauliHamiltonian, t: float, n_steps: int, seed: int) -> QdriftTrajectory:
@@ -122,7 +102,7 @@ def qdrift_sample(h: PauliHamiltonian, t: float, n_steps: int, seed: int) -> Qdr
     probs = np.array([term.coefficient / lam for term in h.terms])
     rng = np.random.default_rng(seed)
     picks = rng.choice(h.num_terms, size=n_steps, p=probs)
-    unitaries = _sampled_unitaries(h, t / n_steps)
+    unitaries = pauli_rotations(h, [lam * (t / n_steps)] * h.num_terms)
     product = np.eye(2**h.num_qubits, dtype=complex)
     for j in picks:
         product = unitaries[int(j)] @ product
@@ -137,7 +117,7 @@ def qdrift_step_superoperator(h: PauliHamiltonian, delta_t: float) -> np.ndarray
     """Superoperator of the single-step randomized mixture."""
     lam = h.lam
     out = np.zeros((4**h.num_qubits, 4**h.num_qubits), dtype=complex)
-    for term, u in zip(h.terms, _sampled_unitaries(h, delta_t)):
+    for term, u in zip(h.terms, pauli_rotations(h, [lam * delta_t] * h.num_terms)):
         out += (term.coefficient / lam) * conjugation_superoperator(u)
     return out
 
@@ -152,15 +132,15 @@ def qdrift_channel(h: PauliHamiltonian, t: float, n_steps: int) -> ChannelRep:
         )
     step = qdrift_step_superoperator(h, t / n_steps)
     total = np.linalg.matrix_power(step, n_steps)
-    return ChannelRep(dim=2**h.num_qubits, superoperator=total, label=f"qdrift(N={n_steps})")
+    return ChannelRep(dim=2**h.num_qubits, superoperator=total)
 
 
-def unitary_channel(u: np.ndarray, label: str = "unitary") -> ChannelRep:
+def unitary_channel(u: np.ndarray) -> ChannelRep:
     """Channel of conjugation by a unitary."""
     u = np.asarray(u, dtype=complex)
     if not is_unitary(u):
         raise ValueError("input is not unitary within tolerance 1e-10")
-    return ChannelRep(dim=u.shape[0], superoperator=conjugation_superoperator(u), label=label)
+    return ChannelRep(dim=u.shape[0], superoperator=conjugation_superoperator(u))
 
 
 def choi_matrix(channel: ChannelRep) -> np.ndarray:
@@ -170,19 +150,19 @@ def choi_matrix(channel: ChannelRep) -> np.ndarray:
     return s4.transpose(1, 3, 0, 2).reshape(d * d, d * d)
 
 
-def is_trace_preserving(channel: ChannelRep, tol: float = TP_TOL) -> bool:
+def is_trace_preserving(channel: ChannelRep) -> bool:
     """Check that the Choi matrix partial-traces to the identity."""
     d = channel.dim
     j4 = choi_matrix(channel).reshape(d, d, d, d)
     reduced = np.einsum("mimk->ik", j4)
-    return float(np.max(np.abs(reduced - np.eye(d)))) <= tol
+    return float(np.max(np.abs(reduced - np.eye(d)))) <= TP_TOL
 
 
-def is_completely_positive(channel: ChannelRep, tol: float = CP_TOL) -> bool:
-    """Check that the Choi matrix has no eigenvalue below -tol."""
+def is_completely_positive(channel: ChannelRep) -> bool:
+    """Check that the Choi matrix has no eigenvalue below -CP_TOL."""
     j = choi_matrix(channel)
     evals = np.linalg.eigvalsh((j + j.conj().T) / 2.0)
-    return float(evals[0]) >= -tol
+    return float(evals[0]) >= -CP_TOL
 
 
 def diamond_lower_bound(c1: ChannelRep, c2: ChannelRep) -> float:

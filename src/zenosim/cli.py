@@ -2,18 +2,19 @@
 
 Exit codes: 0 all bounds satisfied; 1 usage error (bad flags, a Hamiltonian
 path that is missing or a directory, a method and mode the method table does
-not pair, non-finite or negative t, epsilon not finite and positive, a
-negative seed, a psi0 index outside the target register, an empty --compare
-list); 2 Hamiltonian parse error (including non-finite coefficients and files
-that are not UTF-8); 3 desk-scale limit exceeded (including a step count
-above ``MAX_STEPS``); 4 at least one measured value violated its analytic
-bound.
+not pair, non-finite or negative t, epsilon not finite and positive, shots
+below 1 in any mode, a negative seed, a psi0 index outside the target
+register, an empty --compare list, an --out path that cannot be written);
+2 Hamiltonian parse error (including non-finite coefficients and files that
+are not UTF-8); 3 desk-scale limit exceeded (including a step count above
+``MAX_STEPS``); 4 at least one measured value violated its analytic bound.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from .errors import ConfigError, HamiltonianParseError, LimitExceededError
 from .experiments import (
@@ -65,17 +66,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _write(path: str, text: str) -> int | None:
-    """Write rendered output; returns an exit code on failure, else None."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"zenosim: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return None
-
-
 def _parse_sweep(text: str) -> tuple[int, ...]:
     try:
         values = tuple(int(part) for part in text.split(",") if part.strip())
@@ -110,37 +100,37 @@ def main(argv=None) -> int:
             output_path=args.out,
         )
 
+        # The branches differ only in what they run, their JSON renderer, --out summary and notes.
         if args.compare is not None:
             comparison = compare_methods(config, [m.strip() for m in args.compare.split(",") if m.strip()])
-            rendered = (
-                render_csv(*comparison.results.values())
-                if args.format == "csv"
-                else render_comparison_json(comparison)
-            )
-            if args.out:
-                if (code := _write(args.out, rendered)) is not None:
-                    return code
-                print(comparison.render())
-            else:
-                sys.stdout.write(rendered)
-                for note in comparison.notes:
-                    print(f"note: {note}", file=sys.stderr)
-            ok = all(s.all_bounds_satisfied for s in comparison.results.values())
-            return EXIT_OK if ok else EXIT_BOUND_VIOLATION
-
-        result = run_experiment(config)
-        rendered = render_csv(result) if args.format == "csv" else render_json(result)
-        if args.out:
-            if (code := _write(args.out, rendered)) is not None:
-                return code
+            results = tuple(comparison.results.values())
+            to_json = partial(render_comparison_json, comparison)
+            summary, notes = comparison.render(), comparison.notes
+        else:
+            result = run_experiment(config)
+            results = (result,)
+            to_json = partial(render_json, result)
             slope = "n/a" if result.fitted_slope is None else f"{result.fitted_slope:.4f}"
-            print(
+            summary = (
                 f"{config.method}: {len(result.points)} point(s) written to {args.out} "
                 f"(slope {slope}, bounds {'ok' if result.all_bounds_satisfied else 'VIOLATED'})"
             )
+            notes = ()
+
+        rendered = render_csv(*results) if args.format == "csv" else to_json()
+        if args.out:
+            try:
+                with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                    fh.write(rendered)
+            except OSError as exc:
+                print(f"zenosim: cannot write output: {exc}", file=sys.stderr)
+                return EXIT_USAGE
+            print(summary)
         else:
             sys.stdout.write(rendered)
-        return EXIT_OK if result.all_bounds_satisfied else EXIT_BOUND_VIOLATION
+            for note in notes:
+                print(f"note: {note}", file=sys.stderr)
+        return EXIT_OK if all(r.all_bounds_satisfied for r in results) else EXIT_BOUND_VIOLATION
 
     except FileNotFoundError as exc:
         print(f"zenosim: file not found: {exc.filename or exc}", file=sys.stderr)

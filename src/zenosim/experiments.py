@@ -1,4 +1,4 @@
-"""Experiment harness: configs, sweeps, slope fits, and result emission.
+"""Experiment harness: configs, sweeps, slope fits, and output rendering.
 
 A config names a Hamiltonian file, a method, an evolution time, and exactly
 one way to choose step counts: a fixed ``n``, a target ``epsilon`` (which
@@ -20,23 +20,16 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
 from . import bounds
 from .channels import (
-    CHANNEL_MAX_QUBITS,
-    diamond_lower_bound,
-    exact_evolution,
-    qdrift_channel,
-    trotter_first_order,
-    unitary_channel,
+    CHANNEL_MAX_QUBITS, diamond_lower_bound, qdrift_channel, trotter_first_order, unitary_channel
 )
 from .errors import ConfigError, LimitExceededError
-from .hamiltonian import PauliHamiltonian, load_hamiltonian
+from .hamiltonian import PauliHamiltonian, exact_evolution, load_hamiltonian
 from .linalg import spectral_norm
 from .zeno import (
     VARIANT_MUB,
@@ -50,10 +43,9 @@ from .zeno import (
 
 MODES = ("projected", "sampled", "channel")
 
-DEFAULT_MAX_QUBITS = 6
+MAX_QUBITS = 6
 MAX_TERMS = 32
 MAX_STEPS = 10**6  # largest step count from --n, --sweep or --epsilon
-MAX_QUBITS_ENV = "ZENOSIM_MAX_QUBITS"
 
 SLOPE_FLOOR = 1e-12
 SLOPE_MIN_POINTS = 4
@@ -70,7 +62,7 @@ class ExperimentConfig:
     mode: str = "projected"
     shots: int | None = None
     seed: int = 0
-    psi0: int | list | None = None
+    psi0: int | None = None  # initial target state as a basis-state index; |0..0> when None
     output_format: str = "csv"
     output_path: str | None = None
 
@@ -111,20 +103,6 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def max_qubits_cap() -> int:
-    """Effective target-qubit cap; the environment may lower it, never raise it."""
-    raw = os.environ.get(MAX_QUBITS_ENV)
-    if raw is None:
-        return DEFAULT_MAX_QUBITS
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{MAX_QUBITS_ENV} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ConfigError(f"{MAX_QUBITS_ENV} must be >= 1, got {value}")
-    return min(DEFAULT_MAX_QUBITS, value)
-
-
 def _modes(method: str) -> tuple[str, ...]:
     """The modes ``method`` runs in, from the method table."""
     if method not in METHODS:
@@ -143,8 +121,12 @@ def _validate_config(config: ExperimentConfig) -> None:
         raise ConfigError(f"t must be finite and nonnegative, got {config.t}")
     if config.epsilon is not None and not (math.isfinite(config.epsilon) and config.epsilon > 0):
         raise ConfigError(f"epsilon must be finite and positive, got {config.epsilon}")
-    if config.mode == "sampled" and (config.shots is None or config.shots < 1):
+    if config.shots is not None and config.shots < 1:
+        raise ConfigError(f"shots must be >= 1, got {config.shots}")
+    if config.mode == "sampled" and config.shots is None:
         raise ConfigError("sampled mode requires shots >= 1")
+    if config.psi0 is not None and (isinstance(config.psi0, bool) or not isinstance(config.psi0, int)):
+        raise ConfigError(f"psi0 must be a basis-state index, got {config.psi0!r}")
     if config.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {config.seed}")
     if config.output_format not in ("json", "csv"):
@@ -152,10 +134,9 @@ def _validate_config(config: ExperimentConfig) -> None:
 
 
 def _check_limits(h: PauliHamiltonian, config: ExperimentConfig) -> None:
-    cap = max_qubits_cap()
-    if h.num_qubits > cap:
+    if h.num_qubits > MAX_QUBITS:
         raise LimitExceededError(
-            f"Hamiltonian acts on {h.num_qubits} qubits, cap is {cap}"
+            f"Hamiltonian acts on {h.num_qubits} qubits, cap is {MAX_QUBITS}"
         )
     if h.num_terms > MAX_TERMS:
         raise LimitExceededError(
@@ -190,19 +171,9 @@ def _resolve_ns(config: ExperimentConfig, h: PauliHamiltonian) -> list[int]:
 def _resolve_psi0(config: ExperimentConfig, target_dim: int) -> np.ndarray | None:
     if config.psi0 is None:
         return None
-    if isinstance(config.psi0, int):
-        if not 0 <= config.psi0 < target_dim:
-            raise ConfigError(f"psi0 index {config.psi0} out of range for dimension {target_dim}")
-        psi = np.zeros(target_dim, dtype=complex)
-        psi[config.psi0] = 1.0
-        return psi
-    psi = np.asarray(config.psi0, dtype=complex).reshape(-1)
-    if psi.shape[0] != target_dim:
-        raise ConfigError(f"psi0 amplitude list must have length {target_dim}")
-    norm = np.linalg.norm(psi)
-    if norm < 1e-12:
-        raise ConfigError("psi0 amplitude list is (numerically) zero")
-    return psi / norm
+    if not 0 <= config.psi0 < target_dim:
+        raise ConfigError(f"psi0 index {config.psi0} out of range for dimension {target_dim}")
+    return np.eye(target_dim, dtype=complex)[config.psi0]
 
 
 def _zeno_point(order: int):
@@ -236,7 +207,7 @@ def _baseline_point(method: str, h: PauliHamiltonian, t: float, n: int, error: f
 def _qdrift_point(h: PauliHamiltonian, t: float, n: int, **_) -> ZenoRunResult:
     lower = diamond_lower_bound(
         qdrift_channel(h, t, n),
-        unitary_channel(exact_evolution(h, t), label="exact"),
+        unitary_channel(exact_evolution(h, t)),
     )
     return _baseline_point("qdrift", h, t, n, lower)
 
@@ -260,20 +231,15 @@ METHODS = {
 }
 
 
-def fit_loglog_slope(
-    ns,
-    errors,
-    floor: float = SLOPE_FLOOR,
-    min_points: int = SLOPE_MIN_POINTS,
-) -> float | None:
+def fit_loglog_slope(ns, errors) -> float | None:
     """Least-squares slope of log(error) against log(N).
 
-    Points at or below ``floor`` are excluded so the floating-point floor
-    does not contaminate the fit; returns None with fewer than
-    ``min_points`` usable points.
+    Points at or below ``SLOPE_FLOOR`` are excluded so the floating-point
+    floor does not contaminate the fit; returns None with fewer than
+    ``SLOPE_MIN_POINTS`` usable points.
     """
-    pairs = [(n, e) for n, e in zip(ns, errors) if e > floor]
-    if len(pairs) < min_points:
+    pairs = [(n, e) for n, e in zip(ns, errors) if e > SLOPE_FLOOR]
+    if len(pairs) < SLOPE_MIN_POINTS:
         return None
     log_n = np.log([p[0] for p in pairs])
     log_e = np.log([p[1] for p in pairs])
@@ -297,7 +263,7 @@ def _resolved_config_dict(config: ExperimentConfig, ns: list[int], h: PauliHamil
         "mode": config.mode,
         "shots": config.shots,
         "seed": config.seed,
-        "psi0": config.psi0 if not isinstance(config.psi0, np.ndarray) else list(map(complex, config.psi0)),
+        "psi0": config.psi0,
         "output_format": config.output_format,
         "output_path": config.output_path,
         "lam": h.lam,
@@ -417,17 +383,6 @@ def render_json(result: SweepResult) -> str:
         "points": [_point_record(p) for p in result.points],
     }
     return json.dumps(_round_floats(payload), indent=2) + "\n"
-
-
-def emit_results(result: SweepResult, output_format: str, path) -> None:
-    """Write a sweep to disk in the requested format."""
-    if output_format == "csv":
-        text = render_csv(result)
-    elif output_format == "json":
-        text = render_json(result)
-    else:
-        raise ConfigError(f"unknown output format {output_format!r}")
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
 def render_comparison_json(comparison: MethodComparison) -> str:

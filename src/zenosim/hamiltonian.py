@@ -33,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CancellationError, HamiltonianParseError
+from .linalg import matexp_hermitian
 
 PAULI_AXES = "IXYZ"
 
@@ -69,9 +70,6 @@ class PauliTerm:
     def num_qubits(self) -> int:
         return len(self.axes)
 
-    def matrix(self) -> np.ndarray:
-        return term_matrix(self)
-
 
 @dataclass(frozen=True)
 class PauliHamiltonian:
@@ -107,12 +105,6 @@ class PauliHamiltonian:
         """Largest single term coefficient."""
         return float(max(t.coefficient for t in self.terms))
 
-    def matrix(self) -> np.ndarray:
-        return hamiltonian_matrix(self)
-
-    def to_text(self) -> str:
-        return to_text(self)
-
 
 def term_matrix(term: PauliTerm) -> np.ndarray:
     """Dense matrix of the signed Pauli string (spectral norm 1)."""
@@ -127,6 +119,22 @@ def hamiltonian_matrix(h: PauliHamiltonian) -> np.ndarray:
     for term in h.terms:
         out += term.coefficient * term_matrix(term)
     return out
+
+
+def exact_evolution(h: PauliHamiltonian, t: float) -> np.ndarray:
+    """The target unitary exp(-i * t * H) that every method is measured against."""
+    return matexp_hermitian(hamiltonian_matrix(h), t)
+
+
+def pauli_rotations(h: PauliHamiltonian, thetas) -> np.ndarray:
+    """Rotations exp(-i theta_j H_j) = cos(theta_j) 1 - i sin(theta_j) H_j, stacked as (L, d, d).
+
+    H_j is term j's signed Pauli string; the Zeno select blocks, qdrift samples and Trotter factors are these.
+    """
+    theta = np.asarray(thetas, dtype=float)[:, None, None]
+    paulis = np.array([term_matrix(term) for term in h.terms])
+    eye = np.eye(2**h.num_qubits, dtype=complex)
+    return np.cos(theta) * eye - 1j * np.sin(theta) * paulis
 
 
 def parse_hamiltonian(text: str) -> PauliHamiltonian:

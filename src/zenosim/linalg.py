@@ -29,19 +29,19 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def is_hermitian(a, tol: float = HERMITICITY_TOL) -> bool:
+def is_hermitian(a) -> bool:
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         return False
-    return float(np.max(np.abs(a - a.conj().T), initial=0.0)) <= tol
+    return float(np.max(np.abs(a - a.conj().T), initial=0.0)) <= HERMITICITY_TOL
 
 
-def is_unitary(a, tol: float = UNITARITY_TOL) -> bool:
+def is_unitary(a) -> bool:
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         return False
     eye = np.eye(a.shape[0])
-    return float(np.max(np.abs(a.conj().T @ a - eye), initial=0.0)) <= tol
+    return float(np.max(np.abs(a.conj().T @ a - eye), initial=0.0)) <= UNITARITY_TOL
 
 
 def hermitian_eigen(h) -> tuple[np.ndarray, np.ndarray]:

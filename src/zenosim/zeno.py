@@ -13,7 +13,8 @@ the ancilla basis,
     select(dt) = sum_j U_j(dt) (x) |j><j|,
 
 with analytically evaluated blocks ``U_j(dt) = cos(theta) I - i sin(theta) P``
-(``P`` the signed Pauli string, ``theta`` the block angle). Two projector
+(``P`` the signed Pauli string, ``theta`` the block angle; built by
+``hamiltonian.pauli_rotations``). Two projector
 variants are supported:
 
 * ``standard``: ancilla state has amplitudes sqrt(h_j / lam); block angle
@@ -37,15 +38,15 @@ the prepared ancilla state), ``P select(dt) P = A(dt) (x) |phi><phi|`` where
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
 
 from . import bounds
 from .errors import ZenosimError
-from .hamiltonian import PauliHamiltonian, hamiltonian_matrix, term_matrix
-from .linalg import matexp_hermitian, spectral_norm
+from .hamiltonian import PauliHamiltonian, exact_evolution, pauli_rotations, term_matrix
+from .linalg import spectral_norm
 
 VARIANT_STANDARD = "standard"
 VARIANT_MUB = "mub"
@@ -69,8 +70,7 @@ class ExtendedSystem:
     projector_state: np.ndarray  # ancilla state defining the projector
     reflection: np.ndarray       # R = 2|state><state| - 1 on the ancilla
     generator_scale: float       # lam (standard) or 2^n_ancilla (mub)
-    block_rates: tuple[float, ...]      # per ancilla index, angle per unit time
-    block_paulis: tuple[np.ndarray, ...]  # per ancilla index, signed Pauli (identity when padded)
+    block_rates: tuple[float, ...]  # per ancilla index, angle per unit time (0 when padded)
 
 
 @dataclass(frozen=True)
@@ -142,9 +142,6 @@ def build_extended(h: PauliHamiltonian, variant: str = VARIANT_STANDARD) -> Exte
     target_dim = 2**h.num_qubits
     lam = h.lam
 
-    paulis = [term_matrix(t) for t in h.terms]
-    paulis.extend(np.eye(target_dim, dtype=complex) for _ in range(ancilla_dim - num_terms))
-
     if variant == VARIANT_STANDARD:
         state = np.zeros(ancilla_dim, dtype=complex)
         state[:num_terms] = np.sqrt([t.coefficient / lam for t in h.terms])
@@ -170,7 +167,6 @@ def build_extended(h: PauliHamiltonian, variant: str = VARIANT_STANDARD) -> Exte
         reflection=_freeze(reflection),
         generator_scale=scale,
         block_rates=tuple(rates),
-        block_paulis=tuple(_freeze(p) for p in paulis),
     )
 
 
@@ -185,7 +181,7 @@ def extended_hamiltonian(sys: ExtendedSystem) -> np.ndarray:
     dim = sys.target_dim * sys.ancilla_dim
     out = np.zeros((dim, dim), dtype=complex)
     for j, term in enumerate(h.terms):
-        block = sys.block_paulis[j]
+        block = term_matrix(term)
         if sys.variant == VARIANT_MUB:
             block = term.coefficient * block
         out[j :: sys.ancilla_dim, j :: sys.ancilla_dim] = block
@@ -193,10 +189,12 @@ def extended_hamiltonian(sys: ExtendedSystem) -> np.ndarray:
 
 
 def _blocks(sys: ExtendedSystem, delta_t: float) -> np.ndarray:
-    """Select blocks U_k(dt) = cos(theta_k) I - i sin(theta_k) P_k stacked as (d_a, d_t, d_t)."""
-    theta = (np.array(sys.block_rates) * delta_t)[:, None, None]
+    """Select blocks U_k(dt) stacked as (d_a, d_t, d_t); padded ancilla states get identity blocks."""
+    h = sys.hamiltonian
+    rotations = pauli_rotations(h, np.array(sys.block_rates[: h.num_terms]) * delta_t)
     eye = np.eye(sys.target_dim, dtype=complex)
-    return np.cos(theta) * eye - 1j * np.sin(theta) * np.array(sys.block_paulis)
+    padding = np.broadcast_to(eye, (sys.ancilla_dim - h.num_terms, *eye.shape))
+    return np.concatenate([rotations, padding])
 
 
 def select_unitary(sys: ExtendedSystem, delta_t: float) -> np.ndarray:
@@ -261,7 +259,7 @@ def run_zeno(
     h = sys.hamiltonian
     delta_t = t / n_steps
     repeated = np.linalg.matrix_power(_step(sys, delta_t, order), n_steps)
-    epsilon = spectral_norm(repeated - matexp_hermitian(hamiltonian_matrix(h), t))
+    epsilon = spectral_norm(repeated - exact_evolution(h, t))
 
     psi = _initial_state(sys, psi0)
     p_succ = float(min(1.0, np.linalg.norm(repeated @ psi) ** 2))
@@ -308,8 +306,7 @@ def run_kicks(sys: ExtendedSystem, t: float, n_steps: int) -> ZenoRunResult:
         slab = blocks @ slab
         slab = 2.0 * column * np.tensordot(phi.conj(), slab, axes=1) - slab
 
-    u_exact = matexp_hermitian(hamiltonian_matrix(h), t)
-    epsilon = spectral_norm((slab - column * u_exact).reshape(-1, sys.target_dim))
+    epsilon = spectral_norm((slab - column * exact_evolution(h, t)).reshape(-1, sys.target_dim))
     eps_bound, p_bound, _ = bounds.method_bounds("kicks", h, sys.n_ancilla, t, n_steps)
 
     return ZenoRunResult(
@@ -348,7 +345,7 @@ def run_sampled(
     exact = run_zeno(sys, t, n_steps, order=order, psi0=psi0)
 
     psi = _initial_state(sys, psi0)
-    psi_exact = matexp_hermitian(hamiltonian_matrix(sys.hamiltonian), t) @ psi
+    psi_exact = exact_evolution(sys.hamiltonian, t) @ psi
     # Every surviving shot follows the same path step^k psi0 / ||.||, so the
     # per-step survival probabilities are computed once.
     step = _step(sys, exact.delta_t, order)
@@ -366,18 +363,11 @@ def run_sampled(
         for shot in range(shots)
     )
 
-    return ZenoRunResult(
-        method=exact.method,
-        N=exact.N,
-        delta_t=exact.delta_t,
-        epsilon_measured=exact.epsilon_measured,
-        epsilon_bound=exact.epsilon_bound,
-        p_succ_exact=exact.p_succ_exact,
-        p_succ_bound=exact.p_succ_bound,
+    return replace(
+        exact,
         p_succ_sampled=successes / shots,
         shots=shots,
         seed=seed,
-        epsilon_bound_alt=exact.epsilon_bound_alt,
         fidelity_mean=float(abs(np.vdot(psi_exact, psi)) ** 2) if successes else None,
     )
 

@@ -15,7 +15,6 @@ from zenosim import (
     SweepResult,
     ZenoRunResult,
     compare_methods,
-    emit_results,
     fit_loglog_slope,
     run_experiment,
     to_text,
@@ -134,6 +133,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="shots"):
             run_experiment(config(hfile, mode="sampled"))
 
+    @pytest.mark.parametrize("psi0", [[1j, 0], np.array([0.6, 0.8j]), 0.0, "1", True])
+    def test_psi0_must_be_an_index(self, hfile, psi0):
+        with pytest.raises(ConfigError, match="psi0 must be a basis-state index"):
+            run_experiment(config(hfile, psi0=psi0))
+
     def test_sampled_rejects_kicks(self, hfile):
         with pytest.raises(ConfigError, match="sampled"):
             run_experiment(config(hfile, method="kicks", mode="sampled", shots=10))
@@ -154,33 +158,17 @@ class TestConfigValidation:
         with pytest.raises(LimitExceededError, match="qubits"):
             run_experiment(config(hfile, text="0.5*" + "X" * 7))
 
-    def test_env_var_lowers_cap(self, hfile, monkeypatch):
-        from zenosim import LimitExceededError
-
-        monkeypatch.setenv("ZENOSIM_MAX_QUBITS", "1")
-        with pytest.raises(LimitExceededError, match="cap is 1"):
-            run_experiment(config(hfile, text="0.5*XX + 0.5*ZZ"))
-
-    def test_env_var_cannot_raise_cap(self, hfile, monkeypatch):
-        from zenosim import LimitExceededError
-
-        monkeypatch.setenv("ZENOSIM_MAX_QUBITS", "99")
-        with pytest.raises(LimitExceededError, match="cap is 6"):
-            run_experiment(config(hfile, text="0.5*" + "X" * 7))
-
 
 class TestEmitResults:
-    def test_header_only_for_empty_sweep(self, tmp_path):
-        empty = SweepResult(points=(), fitted_slope=None, all_bounds_satisfied=True)
-        path = tmp_path / "empty.csv"
-        emit_results(empty, "csv", path)
-        assert path.read_text() == ",".join(CSV_COLUMNS) + "\n"
+    """The renderers; the CLI's --out tests cover writing their text to a file."""
 
-    def test_single_point_single_row(self, hfile, tmp_path):
+    def test_header_only_for_empty_sweep(self):
+        empty = SweepResult(points=(), fitted_slope=None, all_bounds_satisfied=True)
+        assert render_csv(empty) == ",".join(CSV_COLUMNS) + "\n"
+
+    def test_single_point_single_row(self, hfile):
         result = run_experiment(config(hfile))
-        path = tmp_path / "one.csv"
-        emit_results(result, "csv", path)
-        lines = path.read_text().splitlines()
+        lines = render_csv(result).splitlines()
         assert len(lines) == 2
         assert lines[0] == ",".join(CSV_COLUMNS)
         cells = lines[1].split(",")
@@ -192,28 +180,24 @@ class TestEmitResults:
         # No sampling: sampled columns are empty cells.
         assert cells[8] == "" and cells[9] == "" and cells[10] == ""
 
-    def test_six_point_sweep_csv_and_json(self, hfile, tmp_path):
+    def test_six_point_sweep_csv_and_json(self, hfile):
         result = run_experiment(config(hfile, n=None, sweep=(10, 20, 40, 80, 160, 320)))
-        csv_path = tmp_path / "sweep.csv"
-        emit_results(result, "csv", csv_path)
-        lines = csv_path.read_text().splitlines()
+        lines = render_csv(result).splitlines()
         assert len(lines) == 7  # header + six rows
         assert "fitted_slope" not in lines[0]
 
-        json_path = tmp_path / "sweep.json"
-        emit_results(result, "json", json_path)
-        payload = json.loads(json_path.read_text())
+        payload = json.loads(render_json(result))
         assert payload["fitted_slope"] == pytest.approx(result.fitted_slope, rel=1e-9)
         assert len(payload["points"]) == 6
         assert payload["all_bounds_satisfied"] is True
         assert payload["config"]["n_values"] == [10, 20, 40, 80, 160, 320]
 
-    def test_json_mirrors_csv_fields(self, hfile, tmp_path):
+    def test_json_mirrors_csv_fields(self, hfile):
         result = run_experiment(config(hfile))
         payload = json.loads(render_json(result))
         assert set(payload["points"][0]) == set(CSV_COLUMNS)
 
-    def test_byte_identical_reruns(self, hfile, tmp_path):
+    def test_byte_identical_reruns(self, hfile):
         cfg = config(hfile, mode="sampled", shots=120, seed=9)
         first = render_csv(run_experiment(cfg))
         second = render_csv(run_experiment(cfg))
@@ -339,6 +323,8 @@ class TestCliExitCodes:
         (["--t", "1", "--n", "1000001"], 3, "exceeds the cap of 1000000"),
         (["--t", "1", "--sweep", "10,1000001"], 3, "exceeds the cap of 1000000"),
         (["--t", "1", "--n", "10", "--mode", "sampled", "--shots", "10", "--seed", "-5"], 1, "seed must be >= 0"),
+        (["--t", "1", "--n", "5", "--shots", "-3"], 1, "shots must be >= 1"),
+        (["--t", "1", "--n", "5", "--mode", "sampled", "--shots", "0"], 1, "shots must be >= 1"),
     ])
     def test_non_finite_and_extreme_inputs(self, hfile, capsys, flags, code, message):
         assert main(["--hamiltonian", hfile(TWO_TERM), "--method", "zeno1", *flags]) == code

@@ -9,12 +9,13 @@ from zenosim import (
     HamiltonianParseError,
     hamiltonian_matrix,
     load_hamiltonian,
+    matexp_hermitian,
     parse_hamiltonian,
     spectral_norm,
     term_matrix,
     to_text,
 )
-from zenosim.hamiltonian import PauliTerm
+from zenosim.hamiltonian import PauliTerm, pauli_rotations
 
 
 def pauli_word_oracle(word, sign):
@@ -173,6 +174,22 @@ class TestTermMatrix:
             m = term_matrix(PauliTerm(coefficient=1.0, sign=sign, axes=word))
             assert np.max(np.abs(m - m.conj().T)) < 1e-14
             assert np.max(np.abs(m @ m - np.eye(2**n))) < 1e-14
+
+
+class TestPauliRotations:
+    def test_each_slice_is_the_term_exponential(self):
+        h = random_hamiltonian(np.random.default_rng(3), 6, 3)
+        thetas = np.random.default_rng(4).uniform(-2.0, 2.0, h.num_terms)
+        rotations = pauli_rotations(h, thetas)
+        assert rotations.shape == (h.num_terms, 8, 8)
+        for term, theta, rotation in zip(h.terms, thetas, rotations):
+            expected = matexp_hermitian(theta * term_matrix(term), 1.0)
+            assert np.max(np.abs(rotation - expected)) < 1e-12
+
+    def test_zero_angle_is_identity(self):
+        h = parse_hamiltonian("0.4*XZ - 0.35*YI + 0.25*ZY")
+        for rotation in pauli_rotations(h, np.zeros(h.num_terms)):
+            np.testing.assert_array_equal(rotation, np.eye(4))
 
 
 class TestHamiltonianMatrix:

@@ -112,6 +112,14 @@ class TestSelectUnitary:
         u = select_unitary(sys2, 0.3)
         np.testing.assert_allclose(select_unitary(sys2, -0.3), u.conj().T, atol=1e-12)
 
+    @pytest.mark.parametrize("variant", ["standard", "mub"])
+    def test_padded_ancilla_states_get_identity_blocks(self, h3, variant):
+        sys = build_extended(h3, variant)
+        u = select_unitary(sys, 0.37)
+        d_a = sys.ancilla_dim
+        assert d_a == 4 and h3.num_terms == 3
+        np.testing.assert_array_equal(u[3::d_a, 3::d_a], np.eye(sys.target_dim))
+
 
 class TestStructuralIdentities:
     @pytest.mark.parametrize("text,variant", [
