@@ -7,7 +7,8 @@ below 1 in any mode, a negative seed, a psi0 index outside the target
 register, an empty --compare list, an --out path that cannot be written);
 2 Hamiltonian parse error (including non-finite coefficients and files that
 are not UTF-8); 3 desk-scale limit exceeded (including a step count above
-``MAX_STEPS``); 4 at least one measured value violated its analytic bound.
+``MAX_STEPS``, and lam * t or the largest rotation angle overflowing a
+float); 4 at least one measured value violated its analytic bound.
 """
 
 from __future__ import annotations

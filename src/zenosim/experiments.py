@@ -25,9 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import bounds
-from .channels import (
-    CHANNEL_MAX_QUBITS, diamond_lower_bound, qdrift_channel, trotter_first_order, unitary_channel
-)
+from .channels import diamond_lower_bound, qdrift_channel, trotter_first_order, unitary_channel
 from .errors import ConfigError, LimitExceededError
 from .hamiltonian import PauliHamiltonian, exact_evolution, load_hamiltonian
 from .linalg import spectral_norm
@@ -35,10 +33,12 @@ from .zeno import (
     VARIANT_MUB,
     VARIANT_STANDARD,
     ZenoRunResult,
+    ancilla_qubits,
     build_extended,
     run_kicks,
     run_sampled,
     run_zeno,
+    sweep_point,
 )
 
 MODES = ("projected", "sampled", "channel")
@@ -135,17 +135,15 @@ def _validate_config(config: ExperimentConfig) -> None:
 
 def _check_limits(h: PauliHamiltonian, config: ExperimentConfig) -> None:
     if h.num_qubits > MAX_QUBITS:
-        raise LimitExceededError(
-            f"Hamiltonian acts on {h.num_qubits} qubits, cap is {MAX_QUBITS}"
-        )
+        raise LimitExceededError(f"Hamiltonian acts on {h.num_qubits} qubits, cap is {MAX_QUBITS}")
     if h.num_terms > MAX_TERMS:
-        raise LimitExceededError(
-            f"Hamiltonian has {h.num_terms} terms, cap is {MAX_TERMS}"
-        )
-    if config.mode == "channel" and h.num_qubits > CHANNEL_MAX_QUBITS:
-        raise LimitExceededError(
-            f"channel mode supports at most {CHANNEL_MAX_QUBITS} qubits, got {h.num_qubits}"
-        )
+        raise LimitExceededError(f"Hamiltonian has {h.num_terms} terms, cap is {MAX_TERMS}")
+    # The exact propagator turns by lam * t; an unbiased-basis block by up to 2^n_a * h_max * t.
+    rate = h.lam
+    if METHODS[config.method][1] == VARIANT_MUB:
+        rate = max(rate, (1 << ancilla_qubits(h.num_terms)) * h.h_max)
+    if not math.isfinite(rate * config.t):
+        raise LimitExceededError(f"largest rotation angle (rate {rate:g} times t {config.t:g}) is not finite")
 
 
 def _resolve_ns(config: ExperimentConfig, h: PauliHamiltonian) -> list[int]:
@@ -191,30 +189,14 @@ def _kicks_point(system, t: float, n: int, **_) -> ZenoRunResult:
     return run_kicks(system, t, n)
 
 
-def _baseline_point(method: str, h: PauliHamiltonian, t: float, n: int, error: float) -> ZenoRunResult:
-    eps_bound, p_bound, _ = bounds.method_bounds(method, h, 0, t, n)
-    return ZenoRunResult(
-        method=method,
-        N=n,
-        delta_t=t / n,
-        epsilon_measured=error,
-        epsilon_bound=eps_bound,
-        p_succ_exact=1.0,
-        p_succ_bound=p_bound,
-    )
-
-
 def _qdrift_point(h: PauliHamiltonian, t: float, n: int, **_) -> ZenoRunResult:
-    lower = diamond_lower_bound(
-        qdrift_channel(h, t, n),
-        unitary_channel(exact_evolution(h, t)),
-    )
-    return _baseline_point("qdrift", h, t, n, lower)
+    lower = diamond_lower_bound(qdrift_channel(h, t, n), unitary_channel(exact_evolution(h, t)))
+    return sweep_point("qdrift", h, t, n, lower)
 
 
 def _trotter_point(h: PauliHamiltonian, t: float, n: int, **_) -> ZenoRunResult:
     error = spectral_norm(trotter_first_order(h, t, n) - exact_evolution(h, t))
-    return _baseline_point("trotter1", h, t, n, error)
+    return sweep_point("trotter1", h, t, n, error)
 
 
 # The method table: for each method, the modes it runs in (--compare runs the

@@ -18,7 +18,6 @@ from .errors import ConvergenceError
 
 HERMITICITY_TOL = 1e-10
 UNITARITY_TOL = 1e-10
-EQUALITY_TOL = 1e-9
 
 
 def as_matrix(a) -> np.ndarray:

@@ -81,10 +81,8 @@ class ZenoRunResult:
     ``p_succ_exact`` the post-selection probability for the configured
     initial state (the error itself is state independent; the success
     probability is reported for the state actually used, default |0..0>).
-    ``epsilon_bound_alt`` carries the term-count variant of the
-    unbiased-basis bound, recorded alongside the register-size variant.
-    ``fidelity_mean`` averages |<exact|final>|^2 over successful sampled
-    trajectories.
+    The package builds every one with ``sweep_point``. ``fidelity_mean``
+    averages |<exact|final>|^2 over successful sampled trajectories.
     """
 
     method: str
@@ -97,7 +95,6 @@ class ZenoRunResult:
     p_succ_sampled: float | None = None
     shots: int | None = None
     seed: int | None = None
-    epsilon_bound_alt: float | None = None
     fidelity_mean: float | None = None
 
     def __post_init__(self):
@@ -107,6 +104,15 @@ class ZenoRunResult:
             raise ValueError(f"success probability out of range: {self.p_succ_exact}")
         if self.N < 1:
             raise ValueError("step count must be >= 1")
+
+
+def sweep_point(
+    method: str, h: PauliHamiltonian, t: float, n: int, epsilon: float, p_succ: float = 1.0, n_ancilla: int = 0
+) -> ZenoRunResult:
+    """The (method, N) point of a measured error and success probability, with ``method_bounds`` attached."""
+    eps_bound, p_bound = bounds.method_bounds(method, h, n_ancilla, t, n)
+    return ZenoRunResult(method=method, N=n, delta_t=t / n, epsilon_measured=epsilon,
+                         epsilon_bound=eps_bound, p_succ_exact=p_succ, p_succ_bound=p_bound)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -127,6 +133,11 @@ def _householder_to(target: np.ndarray) -> np.ndarray:
     return v.astype(complex)
 
 
+def ancilla_qubits(num_terms: int) -> int:
+    """Size of the ancilla register that labels ``num_terms`` terms (padded to a power of two)."""
+    return (num_terms - 1).bit_length()
+
+
 def build_extended(h: PauliHamiltonian, variant: str = VARIANT_STANDARD) -> ExtendedSystem:
     """Construct prepare/select/projector data for ``h``.
 
@@ -137,7 +148,7 @@ def build_extended(h: PauliHamiltonian, variant: str = VARIANT_STANDARD) -> Exte
     if variant not in (VARIANT_STANDARD, VARIANT_MUB):
         raise ValueError(f"unknown variant {variant!r}")
     num_terms = h.num_terms
-    n_ancilla = max(0, (num_terms - 1).bit_length())
+    n_ancilla = ancilla_qubits(num_terms)
     ancilla_dim = 1 << n_ancilla
     target_dim = 2**h.num_qubits
     lam = h.lam
@@ -234,6 +245,28 @@ def _initial_state(sys: ExtendedSystem, psi0: np.ndarray | None) -> np.ndarray:
     return psi
 
 
+def _projected(
+    sys: ExtendedSystem, t: float, n_steps: int, order: int, psi0: np.ndarray | None
+) -> tuple[ZenoRunResult, np.ndarray, np.ndarray]:
+    """``run_zeno``'s point, plus the step operator and the exact propagator it was measured with."""
+    if n_steps < 1:
+        raise ValueError(f"step count must be >= 1, got {n_steps}")
+    if t < 0:
+        raise ValueError(f"time must be nonnegative, got {t}")
+    if order not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, got {order}")
+    if sys.variant == VARIANT_MUB and order != 1:
+        raise ValueError("the second-order sequence is defined for the standard projector only")
+
+    step = _step(sys, t / n_steps, order)
+    exact = exact_evolution(sys.hamiltonian, t)
+    repeated = np.linalg.matrix_power(step, n_steps)
+    epsilon = spectral_norm(repeated - exact)
+    p_succ = float(min(1.0, np.linalg.norm(repeated @ _initial_state(sys, psi0)) ** 2))
+    method = "mub" if sys.variant == VARIANT_MUB else f"zeno{order}"
+    return sweep_point(method, sys.hamiltonian, t, n_steps, epsilon, p_succ, sys.n_ancilla), step, exact
+
+
 def run_zeno(
     sys: ExtendedSystem,
     t: float,
@@ -247,36 +280,7 @@ def run_zeno(
     step^N minus the exact evolution, and the success probability is
     ||step^N psi0||^2 (exact post-selection, no sampling).
     """
-    if n_steps < 1:
-        raise ValueError(f"step count must be >= 1, got {n_steps}")
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order}")
-    if sys.variant == VARIANT_MUB and order != 1:
-        raise ValueError("the second-order sequence is defined for the standard projector only")
-
-    h = sys.hamiltonian
-    delta_t = t / n_steps
-    repeated = np.linalg.matrix_power(_step(sys, delta_t, order), n_steps)
-    epsilon = spectral_norm(repeated - exact_evolution(h, t))
-
-    psi = _initial_state(sys, psi0)
-    p_succ = float(min(1.0, np.linalg.norm(repeated @ psi) ** 2))
-
-    method = "mub" if sys.variant == VARIANT_MUB else f"zeno{order}"
-    eps_bound, p_bound, alt = bounds.method_bounds(method, h, sys.n_ancilla, t, n_steps)
-
-    return ZenoRunResult(
-        method=method,
-        N=n_steps,
-        delta_t=delta_t,
-        epsilon_measured=epsilon,
-        epsilon_bound=eps_bound,
-        p_succ_exact=p_succ,
-        p_succ_bound=p_bound,
-        epsilon_bound_alt=alt,
-    )
+    return _projected(sys, t, n_steps, order, psi0)[0]
 
 
 def run_kicks(sys: ExtendedSystem, t: float, n_steps: int) -> ZenoRunResult:
@@ -307,17 +311,7 @@ def run_kicks(sys: ExtendedSystem, t: float, n_steps: int) -> ZenoRunResult:
         slab = 2.0 * column * np.tensordot(phi.conj(), slab, axes=1) - slab
 
     epsilon = spectral_norm((slab - column * exact_evolution(h, t)).reshape(-1, sys.target_dim))
-    eps_bound, p_bound, _ = bounds.method_bounds("kicks", h, sys.n_ancilla, t, n_steps)
-
-    return ZenoRunResult(
-        method="kicks",
-        N=n_steps,
-        delta_t=delta_t,
-        epsilon_measured=epsilon,
-        epsilon_bound=eps_bound,
-        p_succ_exact=1.0,
-        p_succ_bound=p_bound,
-    )
+    return sweep_point("kicks", h, t, n_steps, epsilon)
 
 
 def run_sampled(
@@ -342,13 +336,12 @@ def run_sampled(
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    exact = run_zeno(sys, t, n_steps, order=order, psi0=psi0)
+    point, step, exact = _projected(sys, t, n_steps, order, psi0)
 
     psi = _initial_state(sys, psi0)
-    psi_exact = exact_evolution(sys.hamiltonian, t) @ psi
+    psi_exact = exact @ psi
     # Every surviving shot follows the same path step^k psi0 / ||.||, so the
     # per-step survival probabilities are computed once.
-    step = _step(sys, exact.delta_t, order)
     survival = np.zeros(n_steps)
     for k in range(n_steps):
         psi = step @ psi
@@ -364,7 +357,7 @@ def run_sampled(
     )
 
     return replace(
-        exact,
+        point,
         p_succ_sampled=successes / shots,
         shots=shots,
         seed=seed,

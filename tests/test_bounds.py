@@ -6,67 +6,73 @@ import pytest
 from zenosim import bounds, parse_hamiltonian
 
 
+def error_bound(method, lam, t, n, n_ancilla=0):
+    """``method``'s error bound on a one-term Hamiltonian of weight ``lam`` (so h_max = lam)."""
+    return bounds.method_bounds(method, parse_hamiltonian(f"{lam!r}*X"), n_ancilla, t, n)[0]
+
+
+def success_bound(method, lam, t, n, n_ancilla=0):
+    return bounds.method_bounds(method, parse_hamiltonian(f"{lam!r}*X"), n_ancilla, t, n)[1]
+
+
 class TestFirstOrder:
     def test_error_examples(self):
-        assert bounds.bound_zeno1_error(1, 1, 100) == pytest.approx(0.01)
-        assert bounds.bound_zeno1_error(1, 0, 7) == 0.0
-        assert bounds.bound_zeno1_error(2, 0.5, 10) == pytest.approx(0.1)
+        assert error_bound("zeno1", 1, 1, 100) == pytest.approx(0.01)
+        assert error_bound("zeno1", 1, 0, 7) == 0.0
+        assert error_bound("zeno1", 2, 0.5, 10) == pytest.approx(0.1)
 
     def test_success_examples(self):
-        assert bounds.bound_zeno1_succ(1, 1, 100) == pytest.approx(0.98)
-        assert bounds.bound_zeno1_succ(1, 0, 5) == 1.0
-        # Raw value -1 clamps to zero.
-        assert bounds.bound_zeno1_succ(1, 1, 1) == 0.0
-        assert bounds.bound_zeno1_succ_raw(1, 1, 1) == pytest.approx(-1.0)
+        assert success_bound("zeno1", 1, 1, 100) == pytest.approx(0.98)
+        assert success_bound("zeno1", 1, 0, 5) == 1.0
+        # Raw value 1 - 2 = -1 clamps to zero.
+        assert success_bound("zeno1", 1, 1, 1) == 0.0
 
 
 class TestSecondOrder:
     def test_error_examples(self):
-        assert bounds.bound_zeno2_error(1, 1, 10) == pytest.approx(1 / 300)
-        assert bounds.bound_zeno2_error(1, 0, 10) == 0.0
-        assert bounds.bound_zeno2_error(1, 2, 20) == pytest.approx(8 / 1200)
+        assert error_bound("zeno2", 1, 1, 10) == pytest.approx(1 / 300)
+        assert error_bound("zeno2", 1, 0, 10) == 0.0
+        assert error_bound("zeno2", 1, 2, 20) == pytest.approx(8 / 1200)
 
     def test_success_examples(self):
-        assert bounds.bound_zeno2_succ(1, 0, 10) == 1.0
-        assert bounds.bound_zeno2_succ(1, 1, 10) == pytest.approx(1 - 4 / 300)
+        assert success_bound("zeno2", 1, 0, 10) == 1.0
+        assert success_bound("zeno2", 1, 1, 10) == pytest.approx(1 - 4 / 300)
 
     def test_overflow_gives_inf_bound_and_zero_success(self):
         # (lam t)^3 overflows a float: the bound is inf, not an OverflowError.
-        assert bounds.bound_zeno2_error(2e200, 1, 10) == float("inf")
-        assert bounds.bound_zeno2_succ(2e200, 1, 10) == 0.0
-        assert bounds.bound_zeno2_error(2e200, 0, 10) == 0.0
+        assert error_bound("zeno2", 2e200, 1, 10) == float("inf")
+        assert success_bound("zeno2", 2e200, 1, 10) == 0.0
+        assert error_bound("zeno2", 2e200, 0, 10) == 0.0
 
 
 class TestKicks:
     def test_examples(self):
-        assert bounds.bound_kicks_error(1, 0, 10) == 0.0
-        assert bounds.bound_kicks_error(1, 1, 100) == pytest.approx(
+        assert error_bound("kicks", 1, 0, 10) == 0.0
+        assert error_bound("kicks", 1, 1, 100) == pytest.approx(
             0.02 * (1 / np.sqrt(2) + 1) * 3.0
         )
-        assert bounds.bound_kicks_error(0.5, 1, 10) == pytest.approx(
+        assert error_bound("kicks", 0.5, 1, 10) == pytest.approx(
             0.2 * (1 / np.sqrt(2) + 1) * 0.5 * 2.0
         )
+        assert success_bound("kicks", 5, 1, 1) == 1.0
 
 
 class TestMub:
     def test_examples(self):
-        assert bounds.bound_mub_error(0.7, 0, 1, 10) == pytest.approx(0.049)
-        assert bounds.bound_mub_error(0.5, 1, 1, 100) == pytest.approx(0.01)
-        assert bounds.bound_mub_error(0.5, 1, 0, 100) == 0.0
-
-    def test_termcount_variant(self):
-        assert bounds.bound_mub_error_termcount(0.5, 3, 1, 100) == pytest.approx(0.0225)
+        assert error_bound("mub", 0.7, 1, 10, n_ancilla=0) == pytest.approx(0.049)
+        assert error_bound("mub", 0.5, 1, 100, n_ancilla=1) == pytest.approx(0.01)
+        assert error_bound("mub", 0.5, 0, 100, n_ancilla=1) == 0.0
 
     def test_success_variant(self):
-        assert bounds.bound_mub_succ(0.5, 2, 1, 100) == pytest.approx(1 - 2 * 4 / 100)
-        assert bounds.bound_mub_succ(0.5, 2, 1, 1) == 0.0
+        assert success_bound("mub", 0.5, 1, 100, n_ancilla=2) == pytest.approx(1 - 2 * 4 / 100)
+        assert success_bound("mub", 0.5, 1, 1, n_ancilla=2) == 0.0
 
 
 class TestQdrift:
     def test_examples(self):
-        assert bounds.bound_qdrift_diamond(1, 1, 25) == pytest.approx(0.16)
-        assert bounds.bound_qdrift_diamond(1, 0, 25) == 0.0
-        assert bounds.bound_qdrift_diamond(1, 1, 400) == pytest.approx(0.01)
+        assert error_bound("qdrift", 1, 1, 25) == pytest.approx(0.16)
+        assert error_bound("qdrift", 1, 0, 25) == 0.0
+        assert error_bound("qdrift", 1, 1, 400) == pytest.approx(0.01)
 
 
 class TestStepFormulas:
@@ -87,17 +93,19 @@ class TestStepFormulas:
             t = float(rng.uniform(0.1, 3.0))
             epsilon = float(rng.uniform(1e-3, 0.5))
             n = bounds.steps_for_precision(lam, t, epsilon)
-            assert bounds.bound_zeno1_error(lam, t, n) <= epsilon * (1 + 1e-9)
+            assert error_bound("zeno1", lam, t, n) <= epsilon * (1 + 1e-9)
             if n > 1:
-                assert bounds.bound_zeno1_error(lam, t, n - 1) > epsilon * (1 - 1e-9)
+                assert error_bound("zeno1", lam, t, n - 1) > epsilon * (1 - 1e-9)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             bounds.steps_for_precision(1, 1, 0.0)
         with pytest.raises(ValueError):
             bounds.steps_for_success(1, 1, 1.0)
-        with pytest.raises(ValueError):
-            bounds.bound_zeno1_error(1, 1, 0)
+        with pytest.raises(ValueError, match="step count"):
+            error_bound("zeno1", 1, 1, 0)
+        with pytest.raises(ValueError, match="time"):
+            error_bound("trotter1", 1, -1, 10)
 
 
 class TestCircuitCost:
@@ -110,18 +118,14 @@ class TestCircuitCost:
 
 class TestStructure:
     def test_monotonic_in_n_t_lam(self):
-        error_bounds = [
-            lambda lam, t, n: bounds.bound_zeno1_error(lam, t, n),
-            lambda lam, t, n: bounds.bound_zeno2_error(lam, t, n),
-            lambda lam, t, n: bounds.bound_kicks_error(lam, t, n),
-            lambda lam, t, n: bounds.bound_qdrift_diamond(lam, t, n),
-        ]
         ns = [1, 2, 5, 10, 50, 200]
         ts = [0.1, 0.5, 1.0, 2.0]
         lams = [0.3, 1.0, 2.5]
         # The unbiased-basis bound takes the peak weight instead of lam.
-        error_bounds.append(lambda lam, t, n: bounds.bound_mub_error(lam, 2, t, n))
-        for fn in error_bounds:
+        for method, n_ancilla in [("zeno1", 0), ("zeno2", 0), ("kicks", 0), ("qdrift", 0), ("mub", 2)]:
+            def fn(lam, t, n):
+                return error_bound(method, lam, t, n, n_ancilla)
+
             for lam in lams:
                 for t in ts:
                     values = [fn(lam, t, n) for n in ns]
@@ -138,22 +142,21 @@ class TestStructure:
         for lam in (0.5, 1.0, 2.0):
             for t in (0.5, 1.0, 2.0):
                 for n in (1, 2, 5, 20, 100):
-                    first = bounds.bound_zeno1_error(lam, t, n)
-                    second = bounds.bound_zeno2_error(lam, t, n)
+                    first = error_bound("zeno1", lam, t, n)
+                    second = error_bound("zeno2", lam, t, n)
                     if n > lam * t / 3:
                         assert second < first + 1e-15
 
     def test_method_bounds(self):
         h = parse_hamiltonian("0.6*X + 0.4*Z")
-        eps, p_succ, alt = bounds.method_bounds("zeno1", h, 1, 1.0, 100)
-        assert eps == pytest.approx(0.01) and p_succ == pytest.approx(0.98) and alt is None
-        kicks = bounds.method_bounds("kicks", h, 1, 1.0, 100)
-        assert kicks == (bounds.bound_kicks_error(1.0, 1.0, 100), 1.0, None)
+        eps, p_succ = bounds.method_bounds("zeno1", h, 1, 1.0, 100)
+        assert eps == pytest.approx(0.01) and p_succ == pytest.approx(0.98)
+        # Only mub reads the ancilla count and the peak weight 0.6.
+        assert bounds.method_bounds("zeno1", h, 5, 1.0, 100) == (eps, p_succ)
         assert bounds.method_bounds("mub", h, 1, 1.0, 100) == (
-            bounds.bound_mub_error(0.6, 1, 1.0, 100),
-            bounds.bound_mub_succ(0.6, 1, 1.0, 100),
-            bounds.bound_mub_error_termcount(0.6, 2, 1.0, 100),
+            pytest.approx(4 * 0.36 / 100), pytest.approx(1 - 8 * 0.36 / 100)
         )
-        assert bounds.method_bounds("trotter1", h, 0, 1.0, 100) == (None, 1.0, None)
+        assert bounds.method_bounds("kicks", h, 1, 1.0, 100) == (error_bound("kicks", 1.0, 1.0, 100), 1.0)
+        assert bounds.method_bounds("trotter1", h, 0, 1.0, 100) == (None, 1.0)
         with pytest.raises(ValueError, match="method"):
             bounds.method_bounds("trotter2", h, 0, 1.0, 100)

@@ -1,5 +1,7 @@
 """Experiment harness, output formats, exit codes, and the CLI."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -8,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import random_hamiltonian
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zenosim import (
     ConfigError,
@@ -325,9 +329,27 @@ class TestCliExitCodes:
         (["--t", "1", "--n", "10", "--mode", "sampled", "--shots", "10", "--seed", "-5"], 1, "seed must be >= 0"),
         (["--t", "1", "--n", "5", "--shots", "-3"], 1, "shots must be >= 1"),
         (["--t", "1", "--n", "5", "--mode", "sampled", "--shots", "0"], 1, "shots must be >= 1"),
+        # Finite coefficients and t, but lam * t or the largest rotation angle is not a finite float.
+        *[
+            (["--hamiltonian", "1e308*X + 1e308*Z", "--t", "1", "--n", "10", *more], 3, "is not finite")
+            for more in (["--method", "zeno1"], ["--method", "zeno2"], ["--method", "mub"], ["--method", "kicks"],
+                         ["--method", "qdrift", "--mode", "channel"], ["--mode", "sampled", "--shots", "10"])
+        ],
+        *[
+            (["--hamiltonian", "1e300*X + 1e300*Z", "--t", "1e10", "--n", "10", *more], 3, "is not finite")
+            for more in (["--method", "zeno1"], ["--method", "trotter1"], ["--method", "kicks"],
+                         ["--method", "qdrift", "--mode", "channel"])
+        ],
+        (["--hamiltonian", "5e307*XI + 5e307*ZI + 5e307*IY", "--method", "mub", "--t", "1", "--n", "1"], 3,
+         "is not finite"),
+        (["--hamiltonian", "0.5*XXXXXX", "--method", "qdrift", "--mode", "channel", "--t", "1", "--n", "2"], 3,
+         "channel mode supports at most 5 qubits"),
     ])
     def test_non_finite_and_extreme_inputs(self, hfile, capsys, flags, code, message):
-        assert main(["--hamiltonian", hfile(TWO_TERM), "--method", "zeno1", *flags]) == code
+        # A repeated flag overrides the defaults below; --hamiltonian values are expressions.
+        args = ["--hamiltonian", TWO_TERM, "--method", "zeno1", *flags]
+        args = [hfile(a, f"h{i}.txt") if args[i - 1] == "--hamiltonian" else a for i, a in enumerate(args)]
+        assert main(args) == code
         err = capsys.readouterr().err
         assert message in err and len(err.splitlines()) == 1
 
@@ -357,10 +379,12 @@ class TestCliExitCodes:
         assert "compare needs at least one method" in err and len(err.splitlines()) == 1
 
     def test_overflowing_zeno2_bound_is_inf(self, hfile, capsys):
-        code = main(["--hamiltonian", hfile("1e200*X + 1e200*Z"), "--method", "zeno2", "--t", "1", "--n", "10"])
-        assert code == 0
-        row = dict(zip(CSV_COLUMNS, capsys.readouterr().out.splitlines()[1].split(",")))
-        assert row["epsilon_bound"] == "inf" and row["p_succ_bound"] == "0"
+        # lam * t is finite in both, so they run; only the bound overflows.
+        for text, method in [("1e200*X + 1e200*Z", "zeno2"), ("1e300*X + 1e300*Z", "zeno1")]:
+            code = main(["--hamiltonian", hfile(text), "--method", method, "--t", "1", "--n", "10"])
+            assert code == 0
+            row = dict(zip(CSV_COLUMNS, capsys.readouterr().out.splitlines()[1].split(",")))
+            assert row["epsilon_bound"] == "inf" and row["p_succ_bound"] == "0"
 
     def test_non_finite_coefficient_is_parse_error(self, hfile, capsys):
         code = main(["--hamiltonian", hfile("1e400*X + 0.5*Z"), "--method", "zeno1", "--t", "1", "--n", "5"])
@@ -396,6 +420,39 @@ class TestCliExitCodes:
         monkeypatch.setattr("zenosim.cli.run_experiment", lambda cfg: fake)
         code = main(["--hamiltonian", hfile(TWO_TERM), "--method", "zeno1", "--t", "1", "--n", "10"])
         assert code == 4
+
+
+@st.composite
+def hamiltonian_texts(draw):
+    """1-3 qubits, up to 8 terms (repeated words merge), coefficients from 1e-15 to 1e308."""
+    num_qubits = draw(st.integers(1, 3))
+    coefficients = st.one_of(st.sampled_from([1e-15, 1e-3, 1.0, 1e300, 1e308]), st.floats(1e-15, 1e308))
+    terms = draw(st.lists(st.tuples(
+        st.sampled_from(["+", "-"]), coefficients, st.text("IXYZ", min_size=num_qubits, max_size=num_qubits)
+    ), min_size=1, max_size=8))
+    return " ".join(f"{sign} {coefficient!r}*{word}" for sign, coefficient, word in terms)
+
+
+class TestCliProperty:
+    """Every in-spec input ends in a documented exit code with at most a one-line message."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        text=hamiltonian_texts(),
+        method=st.sampled_from(list(METHODS)),
+        t=st.sampled_from(["0", "1e-3", "1", "1e10"]),
+        n=st.integers(1, 50),
+    )
+    def test_exit_code_and_one_line_message(self, tmp_path_factory, text, method, t, n):
+        path = tmp_path_factory.mktemp("property") / "h.txt"
+        path.write_text(text + "\n", encoding="utf-8")
+        args = ["--hamiltonian", str(path), "--method", method, "--mode", METHODS[method][0][0], "--t", t, "--n", str(n)]
+        err = io.StringIO()
+        # An escaped exception (a traceback from the command line) fails the test here.
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(args)
+        assert code in range(5)
+        assert len(err.getvalue().splitlines()) <= 1
 
 
 class TestCliBehavior:

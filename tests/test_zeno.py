@@ -243,8 +243,6 @@ class TestRunZeno:
             r = run_zeno(sys3_mub, 1.0, n)
             assert r.epsilon_measured <= width**2 * h3.h_max**2 / n + 1e-12
             assert r.epsilon_bound == pytest.approx(width**2 * h3.h_max**2 / n)
-            # Term-count variant recorded alongside.
-            assert r.epsilon_bound_alt == pytest.approx(h3.num_terms**2 * h3.h_max**2 / n)
 
     def test_custom_initial_state(self, sys2):
         psi = np.array([1.0, 1j]) / np.sqrt(2)
@@ -307,6 +305,19 @@ class TestRunSampled:
         r = run_sampled(sys2, 1.0, 10, order=2, shots=400, seed=3)
         assert abs(r.p_succ_sampled - r.p_succ_exact) <= 4 * np.sqrt(0.25 / 400) + 1e-9
         assert r.fidelity_mean > 0.99
+
+    @pytest.mark.parametrize("order, rotations", [(1, 1), (2, 2)])
+    def test_builds_step_and_propagator_once(self, h3, monkeypatch, order, rotations):
+        import zenosim.zeno as zeno
+
+        calls = []
+        for name in ("exact_evolution", "pauli_rotations"):
+            fn = getattr(zeno, name)
+            monkeypatch.setattr(zeno, name, lambda *args, _fn=fn, _name=name: calls.append(_name) or _fn(*args))
+        r = run_sampled(build_extended(h3), 1.0, 20, order=order, shots=10)
+        assert sorted(calls) == ["exact_evolution"] + ["pauli_rotations"] * rotations
+        reference = run_zeno(build_extended(h3), 1.0, 20, order=order)
+        assert (r.epsilon_measured, r.p_succ_exact) == (reference.epsilon_measured, reference.p_succ_exact)
 
     def test_zero_shots_rejected(self, sys2):
         with pytest.raises(ValueError, match="shots"):
