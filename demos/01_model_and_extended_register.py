@@ -2,8 +2,8 @@
 """Walkthrough: the Hamiltonian text format and the extended register.
 
 Loads a Hamiltonian file, shows the normalized term list, and inspects the
-derived objects: the prepared ancilla state, the prepare unitary, the
-reflection, and the block-diagonal controlled evolution. Ends by checking
+derived objects: the prepared ancilla state, the reflection about it, and
+the block-diagonal controlled evolution. Ends by checking
 the compression identity that makes the whole construction work:
 projecting the (scaled) extended generator onto the prepared ancilla state
 reproduces the physical Hamiltonian.
@@ -34,10 +34,11 @@ print(f"ancilla qubits: {sys.n_ancilla} (register of {sys.ancilla_dim} states, "
       f"{sys.ancilla_dim - h.num_terms} padded)")
 print("prepared ancilla state (square roots of the normalized weights):")
 print(" ", np.round(sys.projector_state.real, 6))
-print("prepare unitary maps |00> to that state:",
-      np.allclose(sys.prepare[:, 0], sys.projector_state))
-print("reflection squares to the identity:",
-      np.allclose(sys.reflection @ sys.reflection, np.eye(sys.ancilla_dim)))
+print("the state is normalized:", np.isclose(np.linalg.norm(sys.projector_state), 1.0))
+p_anc = np.outer(sys.projector_state, sys.projector_state.conj())
+reflection = 2.0 * p_anc - np.eye(sys.ancilla_dim)
+print("reflection 2|phi><phi| - 1 squares to the identity:",
+      np.allclose(reflection @ reflection, np.eye(sys.ancilla_dim)))
 print()
 
 dt = 0.2
@@ -49,7 +50,6 @@ for j, rate in enumerate(sys.block_rates):
 print("select is unitary:", np.allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=1e-12))
 print()
 
-p_anc = np.outer(sys.projector_state, sys.projector_state.conj())
 proj = np.kron(np.eye(sys.target_dim), p_anc)
 compressed = sys.generator_scale * (proj @ extended_hamiltonian(sys) @ proj)
 target = np.kron(hamiltonian_matrix(h), p_anc)

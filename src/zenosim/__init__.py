@@ -1,7 +1,7 @@
 """Dense-matrix toolkit for measurement-driven (Zeno) Hamiltonian simulation.
 
-Builds the extended-register circuits (prepare, controlled short-time
-evolutions, reflection), runs the first-order, second-order, kick, and
+Builds the extended register (the prepared ancilla state and the controlled
+short-time evolutions), runs the first-order, second-order, kick, and
 unbiased-basis projector sequences plus randomized (qdrift) and Trotter
 baselines, and checks every measured error and success probability against
 its closed-form bound.

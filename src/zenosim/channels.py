@@ -12,7 +12,6 @@ every reported value is labeled as a lower bound.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -43,8 +42,9 @@ class ChannelRep:
             )
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Channel output for a density matrix."""
-        return unvec(self.superoperator @ vec(rho))
+        """Channel output for a density matrix (column stacking in and out)."""
+        column = np.asarray(rho, dtype=complex).T.reshape(-1)
+        return (self.superoperator @ column).reshape(self.dim, self.dim).T
 
 
 @dataclass(frozen=True)
@@ -59,20 +59,6 @@ class QdriftTrajectory:
     sampled_indices: tuple[int, ...]
     resulting_unitary: np.ndarray
     seed: int
-
-
-def vec(matrix: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(matrix, dtype=complex).T.reshape(-1)
-
-
-def unvec(vector: np.ndarray) -> np.ndarray:
-    """Inverse of ``vec`` for square matrices."""
-    v = np.asarray(vector, dtype=complex).reshape(-1)
-    d = math.isqrt(v.size)
-    if d * d != v.size:
-        raise ValueError(f"vector of length {v.size} is not a vectorized square matrix")
-    return v.reshape(d, d).T
 
 
 def conjugation_superoperator(u: np.ndarray) -> np.ndarray:
@@ -94,15 +80,19 @@ def trotter_first_order(h: PauliHamiltonian, t: float, n_steps: int) -> np.ndarr
     return np.linalg.matrix_power(step, n_steps)
 
 
-def qdrift_sample(h: PauliHamiltonian, t: float, n_steps: int, seed: int) -> QdriftTrajectory:
-    """Sample one randomized product, deterministic for a fixed seed."""
-    if n_steps < 1:
-        raise ValueError(f"step count must be >= 1, got {n_steps}")
+def _qdrift_ensemble(h: PauliHamiltonian, delta_t: float) -> tuple[np.ndarray, np.ndarray]:
+    """qDRIFT's sampling probabilities h_j / lam and its term rotations at angle lam * dt."""
     lam = h.lam
     probs = np.array([term.coefficient / lam for term in h.terms])
-    rng = np.random.default_rng(seed)
-    picks = rng.choice(h.num_terms, size=n_steps, p=probs)
-    unitaries = pauli_rotations(h, [lam * (t / n_steps)] * h.num_terms)
+    return probs, pauli_rotations(h, [lam * delta_t] * h.num_terms)
+
+
+def qdrift_sample(h: PauliHamiltonian, t: float, n_steps: int, seed: int) -> QdriftTrajectory:
+    """Sample one randomized product of ``n_steps`` factors from ``default_rng(seed)``."""
+    if n_steps < 1:
+        raise ValueError(f"step count must be >= 1, got {n_steps}")
+    probs, unitaries = _qdrift_ensemble(h, t / n_steps)
+    picks = np.random.default_rng(seed).choice(h.num_terms, size=n_steps, p=probs)
     product = np.eye(2**h.num_qubits, dtype=complex)
     for j in picks:
         product = unitaries[int(j)] @ product
@@ -115,10 +105,9 @@ def qdrift_sample(h: PauliHamiltonian, t: float, n_steps: int, seed: int) -> Qdr
 
 def qdrift_step_superoperator(h: PauliHamiltonian, delta_t: float) -> np.ndarray:
     """Superoperator of the single-step randomized mixture."""
-    lam = h.lam
     out = np.zeros((4**h.num_qubits, 4**h.num_qubits), dtype=complex)
-    for term, u in zip(h.terms, pauli_rotations(h, [lam * delta_t] * h.num_terms)):
-        out += (term.coefficient / lam) * conjugation_superoperator(u)
+    for p, u in zip(*_qdrift_ensemble(h, delta_t)):
+        out += p * conjugation_superoperator(u)
     return out
 
 

@@ -7,8 +7,10 @@ below 1 in any mode, a negative seed, a psi0 index outside the target
 register, an empty --compare list, an --out path that cannot be written);
 2 Hamiltonian parse error (including non-finite coefficients and files that
 are not UTF-8); 3 desk-scale limit exceeded (including a step count above
-``MAX_STEPS``, and lam * t or the largest rotation angle overflowing a
-float); 4 at least one measured value violated its analytic bound.
+``MAX_STEPS``, sampled mode with more than ``MAX_SHOTS`` shots or more than
+``MAX_SHOT_STEPS`` shots times steps, and lam * t or the largest rotation
+angle overflowing a float); 4 at least one measured value violated its
+analytic bound.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ def _build_parser() -> _Parser:
     parser.add_argument("--epsilon", type=float, help="target precision (resolves the step count)")
     parser.add_argument("--mode", choices=MODES, default="projected", help="execution mode")
     parser.add_argument("--shots", type=int, help="trajectories for sampled mode")
-    parser.add_argument("--seed", type=int, default=0, help="base seed for sampled/randomized runs")
+    parser.add_argument("--seed", type=int, default=0, help="base seed for sampled mode (shot i uses seed + i)")
     parser.add_argument("--sweep", help="comma-separated step counts, e.g. 10,20,40")
     parser.add_argument("--psi0", type=int, help="initial target state as a basis-state index")
     parser.add_argument("--format", choices=("json", "csv"), default="csv", help="output format")

@@ -6,12 +6,8 @@ resolves to the first-order step formula), or an explicit ``sweep`` list.
 Runs are deterministic: the same config (seed included) produces
 byte-identical output files.
 
-CSV columns are fixed:
-
-    method,N,delta_t,epsilon_measured,epsilon_bound,bound_satisfied,
-    p_succ_exact,p_succ_bound,p_succ_sampled,shots,seed
-
-Floats are printed with 12 significant digits; absent values are empty
+CSV columns are fixed (``CSV_COLUMNS``, one ``ZenoRunResult`` attribute
+each). Floats are printed with 12 significant digits; absent values are empty
 cells (CSV) or null (JSON). JSON output mirrors the same per-point fields
 and adds the resolved config and the fitted log-log slope.
 """
@@ -33,7 +29,6 @@ from .zeno import (
     VARIANT_MUB,
     VARIANT_STANDARD,
     ZenoRunResult,
-    ancilla_qubits,
     build_extended,
     run_kicks,
     run_sampled,
@@ -46,6 +41,8 @@ MODES = ("projected", "sampled", "channel")
 MAX_QUBITS = 6
 MAX_TERMS = 32
 MAX_STEPS = 10**6  # largest step count from --n, --sweep or --epsilon
+MAX_SHOTS = 10**5  # largest --shots in sampled mode
+MAX_SHOT_STEPS = 10**9  # largest shots times step count in sampled mode (one uniform draw each)
 
 SLOPE_FLOOR = 1e-12
 SLOPE_MIN_POINTS = 4
@@ -133,17 +130,15 @@ def _validate_config(config: ExperimentConfig) -> None:
         raise ConfigError(f"unknown output format {config.output_format!r}")
 
 
-def _check_limits(h: PauliHamiltonian, config: ExperimentConfig) -> None:
+def _check_limits(h: PauliHamiltonian, subject, t: float) -> None:
     if h.num_qubits > MAX_QUBITS:
         raise LimitExceededError(f"Hamiltonian acts on {h.num_qubits} qubits, cap is {MAX_QUBITS}")
     if h.num_terms > MAX_TERMS:
         raise LimitExceededError(f"Hamiltonian has {h.num_terms} terms, cap is {MAX_TERMS}")
-    # The exact propagator turns by lam * t; an unbiased-basis block by up to 2^n_a * h_max * t.
-    rate = h.lam
-    if METHODS[config.method][1] == VARIANT_MUB:
-        rate = max(rate, (1 << ancilla_qubits(h.num_terms)) * h.h_max)
-    if not math.isfinite(rate * config.t):
-        raise LimitExceededError(f"largest rotation angle (rate {rate:g} times t {config.t:g}) is not finite")
+    # The exact propagator turns by lam * t and each select block by its rate times t.
+    rate = max((h.lam, *getattr(subject, "block_rates", ())))
+    if not math.isfinite(rate * t):
+        raise LimitExceededError(f"largest rotation angle (rate {rate:g} times t {t:g}) is not finite")
 
 
 def _resolve_ns(config: ExperimentConfig, h: PauliHamiltonian) -> list[int]:
@@ -163,6 +158,12 @@ def _resolve_ns(config: ExperimentConfig, h: PauliHamiltonian) -> list[int]:
             raise LimitExceededError(f"epsilon {config.epsilon} needs more than {MAX_STEPS} steps") from exc
     if ns[-1] > MAX_STEPS:
         raise LimitExceededError(f"step count {ns[-1]} exceeds the cap of {MAX_STEPS}")
+    if config.mode == "sampled" and config.shots > MAX_SHOTS:
+        raise LimitExceededError(f"{config.shots} shots exceed the cap of {MAX_SHOTS}")
+    if config.mode == "sampled" and config.shots * ns[-1] > MAX_SHOT_STEPS:
+        raise LimitExceededError(
+            f"{config.shots} shots of {ns[-1]} steps exceed the cap of {MAX_SHOT_STEPS} sampled steps"
+        )
     return ns
 
 
@@ -228,13 +229,6 @@ def fit_loglog_slope(ns, errors) -> float | None:
     return float(np.polyfit(log_n, log_e, 1)[0])
 
 
-def _point_satisfied(point: ZenoRunResult) -> bool:
-    if point.epsilon_bound is None:
-        return True
-    # Allow a hair of floating-point slack relative to the bound magnitude.
-    return point.epsilon_measured <= point.epsilon_bound + 1e-12
-
-
 def _resolved_config_dict(config: ExperimentConfig, ns: list[int], h: PauliHamiltonian) -> dict:
     return {
         "hamiltonian_path": config.hamiltonian_path,
@@ -259,18 +253,18 @@ def run_experiment(config: ExperimentConfig) -> SweepResult:
     """Execute one config: load, validate limits, run every step count."""
     _validate_config(config)
     h = load_hamiltonian(config.hamiltonian_path)
-    _check_limits(h, config)
-    ns = _resolve_ns(config, h)
-    psi0 = _resolve_psi0(config, 2**h.num_qubits)
     _, variant, point = METHODS[config.method]
     subject = h if variant is None else build_extended(h, variant)
+    _check_limits(h, subject, config.t)
+    ns = _resolve_ns(config, h)
+    psi0 = _resolve_psi0(config, 2**h.num_qubits)
     shots = config.shots if config.mode == "sampled" else None
     points = [point(subject, config.t, n, psi0=psi0, shots=shots, seed=config.seed) for n in ns]
     slope = fit_loglog_slope([p.N for p in points], [p.epsilon_measured for p in points])
     return SweepResult(
         points=tuple(points),
         fitted_slope=slope,
-        all_bounds_satisfied=all(_point_satisfied(p) for p in points),
+        all_bounds_satisfied=all(p.bound_satisfied for p in points),
         resolved_config=_resolved_config_dict(config, ns, h),
     )
 
@@ -322,19 +316,7 @@ def _csv_cell(value) -> str:
 
 
 def _point_record(point: ZenoRunResult) -> dict:
-    return {
-        "method": point.method,
-        "N": point.N,
-        "delta_t": point.delta_t,
-        "epsilon_measured": point.epsilon_measured,
-        "epsilon_bound": point.epsilon_bound,
-        "bound_satisfied": _point_satisfied(point),
-        "p_succ_exact": point.p_succ_exact,
-        "p_succ_bound": point.p_succ_bound,
-        "p_succ_sampled": point.p_succ_sampled,
-        "shots": point.shots,
-        "seed": point.seed,
-    }
+    return {c: getattr(point, c) for c in CSV_COLUMNS}
 
 
 def render_csv(*results: SweepResult) -> str:
@@ -342,8 +324,7 @@ def render_csv(*results: SweepResult) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for result in results:
         for point in result.points:
-            record = _point_record(point)
-            lines.append(",".join(_csv_cell(record[c]) for c in CSV_COLUMNS))
+            lines.append(",".join(_csv_cell(v) for v in _point_record(point).values()))
     return "\n".join(lines) + "\n"
 
 

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
 
 import numpy as np
 
@@ -50,8 +49,6 @@ from .linalg import spectral_norm
 
 VARIANT_STANDARD = "standard"
 VARIANT_MUB = "mub"
-
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -66,9 +63,7 @@ class ExtendedSystem:
     target_dim: int
     n_ancilla: int
     ancilla_dim: int
-    prepare: np.ndarray          # unitary V on the ancilla, V|0..0> = projector_state
     projector_state: np.ndarray  # ancilla state defining the projector
-    reflection: np.ndarray       # R = 2|state><state| - 1 on the ancilla
     generator_scale: float       # lam (standard) or 2^n_ancilla (mub)
     block_rates: tuple[float, ...]  # per ancilla index, angle per unit time (0 when padded)
 
@@ -105,6 +100,11 @@ class ZenoRunResult:
         if self.N < 1:
             raise ValueError("step count must be >= 1")
 
+    @property
+    def bound_satisfied(self) -> bool:
+        """Measured error within the stated bound, up to 1e-12 of slack; true when no bound is stated."""
+        return self.epsilon_bound is None or self.epsilon_measured <= self.epsilon_bound + 1e-12
+
 
 def sweep_point(
     method: str, h: PauliHamiltonian, t: float, n: int, epsilon: float, p_succ: float = 1.0, n_ancilla: int = 0
@@ -115,31 +115,8 @@ def sweep_point(
                          epsilon_bound=eps_bound, p_succ_exact=p_succ, p_succ_bound=p_bound)
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
-def _householder_to(target: np.ndarray) -> np.ndarray:
-    """Unitary mapping |0..0> to ``target`` (real nonnegative amplitudes)."""
-    dim = target.shape[0]
-    e0 = np.zeros(dim)
-    e0[0] = 1.0
-    w = e0 - np.real(target)
-    norm2 = float(np.dot(w, w))
-    if norm2 < 1e-28:
-        return np.eye(dim, dtype=complex)
-    v = np.eye(dim) - 2.0 * np.outer(w, w) / norm2
-    return v.astype(complex)
-
-
-def ancilla_qubits(num_terms: int) -> int:
-    """Size of the ancilla register that labels ``num_terms`` terms (padded to a power of two)."""
-    return (num_terms - 1).bit_length()
-
-
 def build_extended(h: PauliHamiltonian, variant: str = VARIANT_STANDARD) -> ExtendedSystem:
-    """Construct prepare/select/projector data for ``h``.
+    """Construct the projector state and select-block rates for ``h``.
 
     ``variant`` selects the projector: ``standard`` projects onto the
     coefficient-weighted ancilla state, ``mub`` onto the uniform
@@ -148,7 +125,7 @@ def build_extended(h: PauliHamiltonian, variant: str = VARIANT_STANDARD) -> Exte
     if variant not in (VARIANT_STANDARD, VARIANT_MUB):
         raise ValueError(f"unknown variant {variant!r}")
     num_terms = h.num_terms
-    n_ancilla = ancilla_qubits(num_terms)
+    n_ancilla = (num_terms - 1).bit_length()  # labels every term, padded to a power of two
     ancilla_dim = 1 << n_ancilla
     target_dim = 2**h.num_qubits
     lam = h.lam
@@ -156,26 +133,21 @@ def build_extended(h: PauliHamiltonian, variant: str = VARIANT_STANDARD) -> Exte
     if variant == VARIANT_STANDARD:
         state = np.zeros(ancilla_dim, dtype=complex)
         state[:num_terms] = np.sqrt([t.coefficient / lam for t in h.terms])
-        prepare = _householder_to(state)
         scale = lam
         rates = [lam] * num_terms
     else:
         state = np.full(ancilla_dim, 1.0 / math.sqrt(ancilla_dim), dtype=complex)
-        prepare = reduce(np.kron, [_HADAMARD] * n_ancilla, np.eye(1, dtype=complex))
         scale = float(ancilla_dim)
         rates = [scale * t.coefficient for t in h.terms]
     rates.extend(0.0 for _ in range(ancilla_dim - num_terms))
-
-    reflection = 2.0 * np.outer(state, state.conj()) - np.eye(ancilla_dim, dtype=complex)
+    state.setflags(write=False)
     return ExtendedSystem(
         hamiltonian=h,
         variant=variant,
         target_dim=target_dim,
         n_ancilla=n_ancilla,
         ancilla_dim=ancilla_dim,
-        prepare=_freeze(prepare),
-        projector_state=_freeze(state),
-        reflection=_freeze(reflection),
+        projector_state=state,
         generator_scale=scale,
         block_rates=tuple(rates),
     )

@@ -2,14 +2,40 @@
 
 The library runs every sequence on the target register. This module keeps
 the direct construction on the combined register, target (x) ancilla: the
-projector and reflection as full operators, the projected step as a
-product of them with the select unitary, N-fold matrix powers, and the
-shot-by-shot measurement loop. Tests compare the library against it.
+ancilla prepare unitary and reflection, the projector and reflection as
+full operators, the projected step as a product of them with the select
+unitary, N-fold matrix powers, and the shot-by-shot measurement loop.
+Tests compare the library against it.
 """
+
+from functools import reduce
 
 import numpy as np
 
 from zenosim import hamiltonian_matrix, matexp_hermitian, select_unitary, spectral_norm
+
+_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
+
+
+def prepare(sys):
+    """Unitary V on the ancilla with V|0..0> = projector state.
+
+    Standard variant: the Householder reflection taking |0..0> to the
+    (real, nonnegative) weighted state. mub: the Hadamard word.
+    """
+    if sys.variant == "mub":
+        return reduce(np.kron, [_HADAMARD] * sys.n_ancilla, np.eye(1, dtype=complex))
+    w = np.eye(sys.ancilla_dim)[0] - np.real(sys.projector_state)
+    norm2 = float(np.dot(w, w))
+    if norm2 < 1e-28:
+        return np.eye(sys.ancilla_dim, dtype=complex)
+    return (np.eye(sys.ancilla_dim) - 2.0 * np.outer(w, w) / norm2).astype(complex)
+
+
+def reflection(sys):
+    """R = 2|phi><phi| - 1 about the projector state, on the ancilla."""
+    phi = sys.projector_state
+    return 2.0 * np.outer(phi, phi.conj()) - np.eye(sys.ancilla_dim, dtype=complex)
 
 
 def projector_full(sys):
@@ -20,7 +46,7 @@ def projector_full(sys):
 
 def reflection_full(sys):
     """Reflection about the prepared ancilla state, on the combined register."""
-    return np.kron(np.eye(sys.target_dim, dtype=complex), sys.reflection)
+    return np.kron(np.eye(sys.target_dim, dtype=complex), reflection(sys))
 
 
 def zeno_step_operator(sys, delta_t, order=1):
@@ -69,8 +95,8 @@ def sampled_full(sys, t, n_steps, order=1, psi0=None, shots=1000, seed=0):
     """(sampled success fraction, mean fidelity) from per-shot measurement draws."""
     psi = _initial_state(sys, psi0)
     delta_t = t / n_steps
-    prepare = sys.prepare
-    reflection = sys.reflection
+    v = prepare(sys)
+    r = reflection(sys)
     # Order 1 applies one full-width evolution per step; order 2 applies the
     # half-width evolution twice around a reflection.
     evolution = select_unitary(sys, delta_t if order == 1 else delta_t / 2.0)
@@ -85,12 +111,12 @@ def sampled_full(sys, t, n_steps, order=1, psi0=None, shots=1000, seed=0):
         state[:, 0] = psi
         ok = True
         for _ in range(n_steps):
-            state = state @ prepare.T
+            state = state @ v.T
             state = (evolution @ state.reshape(-1)).reshape(d_t, d_a)
             if order == 2:
-                state = state @ reflection.T
+                state = state @ r.T
                 state = (evolution @ state.reshape(-1)).reshape(d_t, d_a)
-            state = state @ prepare.conj()
+            state = state @ v.conj()
             probs = np.sum(np.abs(state) ** 2, axis=0)
             probs = np.clip(probs, 0.0, None)
             probs /= probs.sum()

@@ -81,11 +81,6 @@ class TestStepFormulas:
         assert bounds.steps_for_precision(1, 0, 0.01) == 1
         assert bounds.steps_for_precision(2, 1, 0.1) == 40
 
-    def test_steps_for_success_examples(self):
-        assert bounds.steps_for_success(1, 1, 0.98) == 100
-        assert bounds.steps_for_success(1, 1, 0.0) == 2
-        assert bounds.steps_for_success(1, 2, 0.9) == 80
-
     def test_steps_for_precision_is_least_sufficient(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
@@ -100,20 +95,10 @@ class TestStepFormulas:
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             bounds.steps_for_precision(1, 1, 0.0)
-        with pytest.raises(ValueError):
-            bounds.steps_for_success(1, 1, 1.0)
         with pytest.raises(ValueError, match="step count"):
             error_bound("zeno1", 1, 1, 0)
         with pytest.raises(ValueError, match="time"):
             error_bound("trotter1", 1, -1, 10)
-
-
-class TestCircuitCost:
-    def test_examples(self):
-        assert bounds.circuit_cost_estimate(4, 2, 1, 1, 0.01) == 800
-        # epsilon equal to t^2 lam^2 means a single step.
-        assert bounds.circuit_cost_estimate(4, 2, 1, 1, 1.0) == 8
-        assert bounds.circuit_cost_estimate(1, 3, 1, 1, 0.01) == 300
 
 
 class TestStructure:

@@ -21,7 +21,7 @@ from zenosim import (
     trotter_first_order,
     unitary_channel,
 )
-from zenosim.channels import ChannelRep, conjugation_superoperator, unvec, vec
+from zenosim.channels import ChannelRep, conjugation_superoperator
 from test_linalg import matexp_taylor
 
 
@@ -171,11 +171,6 @@ class TestChoiMatrix:
         )
         assert np.max(np.abs(j - j.conj().T)) < 1e-12
         assert abs(np.trace(j)) < 1e-12
-
-    def test_vec_unvec_roundtrip(self):
-        rng = np.random.default_rng(15)
-        m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        np.testing.assert_array_equal(unvec(vec(m)), m)
 
 
 class TestDiamondLowerBound:

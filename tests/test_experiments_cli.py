@@ -20,6 +20,7 @@ from zenosim import (
     ZenoRunResult,
     compare_methods,
     fit_loglog_slope,
+    parse_hamiltonian,
     run_experiment,
     to_text,
 )
@@ -344,6 +345,8 @@ class TestCliExitCodes:
          "is not finite"),
         (["--hamiltonian", "0.5*XXXXXX", "--method", "qdrift", "--mode", "channel", "--t", "1", "--n", "2"], 3,
          "channel mode supports at most 5 qubits"),
+        # (lam * t)^2 / epsilon = 2.56e18 steps, though t * t underflows to 0.
+        (["--hamiltonian", "8e307*XX + 8e307*YY", "--t", "1e-300", "--epsilon", "0.01"], 3, "exceeds the cap of 1000000"),
     ])
     def test_non_finite_and_extreme_inputs(self, hfile, capsys, flags, code, message):
         # A repeated flag overrides the defaults below; --hamiltonian values are expressions.
@@ -386,6 +389,31 @@ class TestCliExitCodes:
             row = dict(zip(CSV_COLUMNS, capsys.readouterr().out.splitlines()[1].split(",")))
             assert row["epsilon_bound"] == "inf" and row["p_succ_bound"] == "0"
 
+    @pytest.mark.parametrize("more,bound", [
+        (["--method", "zeno1"], 1.6e8 * 1.6e8 / 10),
+        (["--method", "mub"], 1.6e8 * 1.6e8 / 10),
+        (["--method", "kicks"], 0.2 * (2**-0.5 + 1.0) * 1.6e8 * (1.0 + 3.2e8)),
+        (["--method", "qdrift", "--mode", "channel"], 4.0 * 1.6e8 * 1.6e8 / 10),
+    ], ids=["zeno1", "mub", "kicks", "qdrift"])
+    def test_bound_at_tiny_t_and_huge_lam(self, hfile, capsys, more, bound):
+        # lam * t = 1.6e8 (and 2^n_a * h_max * t for mub), though t * t underflows and lam * lam overflows.
+        code = main(["--hamiltonian", hfile("8e307*XX + 8e307*YY"), "--t", "1e-300", "--n", "10", *more])
+        row = dict(zip(CSV_COLUMNS, capsys.readouterr().out.splitlines()[1].split(",")))
+        assert code == 0 and row["bound_satisfied"] == "true"
+        assert float(row["epsilon_bound"]) == pytest.approx(bound, rel=1e-11)
+
+    @pytest.mark.parametrize("shots,steps,message", [
+        ("1000000", ["--n", "1000000"], "1000000 shots exceed the cap of 100000"),
+        ("1000000000", ["--n", "1"], "1000000000 shots exceed the cap of 100000"),
+        ("100000", ["--n", "10001"], "100000 shots of 10001 steps exceed the cap of 1000000000"),
+        ("2000", ["--sweep", "10,500001"], "2000 shots of 500001 steps exceed the cap of 1000000000"),
+    ], ids=["shots-and-steps", "shots", "product", "product-sweep"])
+    def test_sampled_work_caps(self, hfile, capsys, shots, steps, message):
+        args = ["--hamiltonian", hfile(TWO_TERM), "--method", "zeno1", "--mode", "sampled", "--t", "1"]
+        assert main([*args, "--shots", shots, *steps]) == 3
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1
+
     def test_non_finite_coefficient_is_parse_error(self, hfile, capsys):
         code = main(["--hamiltonian", hfile("1e400*X + 0.5*Z"), "--method", "zeno1", "--t", "1", "--n", "5"])
         assert code == 2
@@ -423,36 +451,66 @@ class TestCliExitCodes:
 
 
 @st.composite
-def hamiltonian_texts(draw):
-    """1-3 qubits, up to 8 terms (repeated words merge), coefficients from 1e-15 to 1e308."""
-    num_qubits = draw(st.integers(1, 3))
+def cli_runs(draw):
+    """A Hamiltonian text and command-line flags: every method and mode, or --compare, at up to 6 qubits.
+
+    Coefficients run from 1e-15 to 1e308 over up to 32 terms (repeated words
+    merge); t from 0 to 1e10, 1e-300 included. The step counts come from
+    --n, --sweep or --epsilon, and --psi0 may be outside the register.
+    """
+    if draw(st.booleans()):
+        methods = draw(st.lists(st.sampled_from(list(METHODS)), min_size=1, max_size=3, unique=True))
+        flags = ["--compare", ",".join(methods)]
+        sampled = False
+    else:
+        methods = [draw(st.sampled_from(list(METHODS)))]
+        mode = draw(st.sampled_from(METHODS[methods[0]][0]))
+        flags = ["--method", methods[0], "--mode", mode]
+        sampled = mode == "sampled"
+        if sampled:
+            flags += ["--shots", str(draw(st.integers(1, 20))), "--seed", str(draw(st.integers(0, 2**32)))]
+    # A 5-qubit channel point takes seconds (TestCeiling runs one); 6 qubits exit 3 before any work.
+    num_qubits = draw(st.sampled_from([1, 2, 3, 4, 6]) if "qdrift" in methods else st.integers(1, 6))
     coefficients = st.one_of(st.sampled_from([1e-15, 1e-3, 1.0, 1e300, 1e308]), st.floats(1e-15, 1e308))
     terms = draw(st.lists(st.tuples(
         st.sampled_from(["+", "-"]), coefficients, st.text("IXYZ", min_size=num_qubits, max_size=num_qubits)
-    ), min_size=1, max_size=8))
-    return " ".join(f"{sign} {coefficient!r}*{word}" for sign, coefficient, word in terms)
+    ), min_size=1, max_size=32))
+    text = " ".join(f"{sign} {coefficient!r}*{word}" for sign, coefficient, word in terms)
+    selectors = [
+        st.integers(1, 50).map(lambda n: ["--n", str(n)]),
+        st.lists(st.integers(1, 50), min_size=1, max_size=3).map(lambda ns: ["--sweep", ",".join(map(str, ns))]),
+    ]
+    # kicks and sampled shots take N steps one by one, the other runs a matrix power, so only those
+    # resolve --epsilon (up to the 10**6 step cap).
+    if not sampled and "kicks" not in methods:
+        selectors.append(st.sampled_from(["1e-6", "1e-2", "1", "1e3"]).map(lambda e: ["--epsilon", e]))
+    flags += ["--t", draw(st.sampled_from(["0", "1e-300", "1e-3", "1", "1e10"])), *draw(st.one_of(selectors))]
+    if draw(st.booleans()):
+        flags += ["--psi0", str(draw(st.integers(0, 2**num_qubits)))]
+    return text, flags
 
 
 class TestCliProperty:
     """Every in-spec input ends in a documented exit code with at most a one-line message."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(
-        text=hamiltonian_texts(),
-        method=st.sampled_from(list(METHODS)),
-        t=st.sampled_from(["0", "1e-3", "1", "1e10"]),
-        n=st.integers(1, 50),
-    )
-    def test_exit_code_and_one_line_message(self, tmp_path_factory, text, method, t, n):
+    @given(run=cli_runs())
+    def test_exit_code_and_one_line_message(self, tmp_path_factory, run):
+        text, flags = run
         path = tmp_path_factory.mktemp("property") / "h.txt"
         path.write_text(text + "\n", encoding="utf-8")
-        args = ["--hamiltonian", str(path), "--method", method, "--mode", METHODS[method][0][0], "--t", t, "--n", str(n)]
-        err = io.StringIO()
+        out, err = io.StringIO(), io.StringIO()
         # An escaped exception (a traceback from the command line) fails the test here.
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(args)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--hamiltonian", str(path), *flags])
         assert code in range(5)
         assert len(err.getvalue().splitlines()) <= 1
+        if code in (0, 4):
+            # Every stated bound is a positive power of lam * t (or of 2^n_a * h_max * t >= lam * t) over N <= 10**6.
+            angle = parse_hamiltonian(text).lam * float(flags[flags.index("--t") + 1])
+            for line in out.getvalue().splitlines()[1:]:
+                row = dict(zip(CSV_COLUMNS, line.split(",")))
+                assert not (angle >= 1 and row["epsilon_bound"] == "0"), row
 
 
 class TestCliBehavior:

@@ -1,9 +1,11 @@
 """Extended-system construction and the measured sequences."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import random_hamiltonian
-from full_register import kicks_full, projector_full, sampled_full, zeno_full, zeno_step_operator
+from full_register import kicks_full, prepare, projector_full, reflection, sampled_full, zeno_full, zeno_step_operator
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,8 +32,8 @@ class TestBuildExtended:
         sys = build_extended(h1)
         assert sys.n_ancilla == 0
         assert sys.ancilla_dim == 1
-        np.testing.assert_allclose(sys.prepare, [[1.0]])
-        np.testing.assert_allclose(sys.reflection, [[1.0]])
+        np.testing.assert_allclose(prepare(sys), [[1.0]])
+        np.testing.assert_allclose(reflection(sys), [[1.0]])
         expected = matexp_hermitian(hamiltonian_matrix(h1), 0.3)
         np.testing.assert_allclose(select_unitary(sys, 0.3), expected, atol=1e-12)
 
@@ -57,12 +59,13 @@ class TestBuildExtended:
         sys = build_extended(h3)
         e0 = np.zeros(sys.ancilla_dim)
         e0[0] = 1.0
-        assert np.linalg.norm(sys.prepare @ e0 - sys.projector_state) < 1e-12
-        assert np.max(np.abs(sys.prepare.conj().T @ sys.prepare - np.eye(4))) < 1e-10
+        v = prepare(sys)
+        assert np.linalg.norm(v @ e0 - sys.projector_state) < 1e-12
+        assert np.max(np.abs(v.conj().T @ v - np.eye(4))) < 1e-10
 
     def test_reflection_properties(self, h3):
         sys = build_extended(h3)
-        r = sys.reflection
+        r = reflection(sys)
         assert np.max(np.abs(r @ r - np.eye(4))) < 1e-10
         assert np.linalg.norm(r @ sys.projector_state - sys.projector_state) < 1e-12
 
@@ -71,7 +74,7 @@ class TestBuildExtended:
         np.testing.assert_allclose(sys.projector_state, np.full(4, 0.5), atol=1e-15)
         e0 = np.zeros(4)
         e0[0] = 1.0
-        assert np.linalg.norm(sys.prepare @ e0 - sys.projector_state) < 1e-12
+        assert np.linalg.norm(prepare(sys) @ e0 - sys.projector_state) < 1e-12
 
     def test_unknown_variant(self, h2):
         with pytest.raises(ValueError, match="variant"):
@@ -252,6 +255,13 @@ class TestRunZeno:
     def test_unnormalized_initial_state_rejected(self, sys2):
         with pytest.raises(ValueError, match="normalized"):
             run_zeno(sys2, 1.0, 5, psi0=np.array([1.0, 1.0]))
+
+    def test_bound_satisfied_rule(self, sys2):
+        r = run_zeno(sys2, 1.0, 10)
+        assert r.bound_satisfied
+        assert replace(r, epsilon_measured=r.epsilon_bound + 1e-12).bound_satisfied
+        assert not replace(r, epsilon_measured=r.epsilon_bound + 1e-11).bound_satisfied
+        assert replace(r, epsilon_measured=1e300, epsilon_bound=None).bound_satisfied
 
 
 class TestRunKicks:
