@@ -8,6 +8,11 @@ The Choi matrix is unnormalized, ``J = sum_{i,k} E(|i><k|) kron |i><k|``
 norm divided by d is a lower bound on the diamond distance; the exact
 diamond norm (a semidefinite program) is intentionally out of scope and
 every reported value is labeled as a lower bound.
+
+The qdrift channel is composed as a real Pauli transfer matrix, built in
+O(L d^2), and its N-th power is converted to a superoperator once. Choi
+differences of Hermiticity-preserving maps are Hermitian, so their trace
+norm is the sum of |eigenvalues|.
 """
 
 from __future__ import annotations
@@ -18,13 +23,18 @@ from functools import reduce
 import numpy as np
 
 from .errors import LimitExceededError
-from .hamiltonian import PauliHamiltonian, pauli_rotations
-from .linalg import is_unitary, trace_norm
+from .hamiltonian import PAULI_AXES, PAULI_MATRICES, PauliHamiltonian, pauli_rotations
+from .linalg import hermitian_trace_norm, is_unitary
 
 CHANNEL_MAX_QUBITS = 5
 
 CP_TOL = 1e-9
 TP_TOL = 1e-9
+
+# sigma_w sigma_b = _PAULI_PHASES[w, b] sigma_(w ^ b), with I, X, Y, Z numbered 0-3.
+_PAULI_PHASES = np.array([[1, 1, 1, 1], [1, 1, 1j, -1j], [1, -1j, 1, 1j], [1, 1j, -1j, 1]])
+# _PAULI_VEC[2 r + c, w] = sigma_w[r, c] / sqrt(2): one qubit's leg of the Pauli basis change.
+_PAULI_VEC = np.stack([PAULI_MATRICES[axis].reshape(-1) for axis in PAULI_AXES], axis=1) / np.sqrt(2)
 
 
 @dataclass(frozen=True)
@@ -80,18 +90,17 @@ def trotter_first_order(h: PauliHamiltonian, t: float, n_steps: int) -> np.ndarr
     return np.linalg.matrix_power(step, n_steps)
 
 
-def _qdrift_ensemble(h: PauliHamiltonian, delta_t: float) -> tuple[np.ndarray, np.ndarray]:
-    """qDRIFT's sampling probabilities h_j / lam and its term rotations at angle lam * dt."""
-    lam = h.lam
-    probs = np.array([term.coefficient / lam for term in h.terms])
-    return probs, pauli_rotations(h, [lam * delta_t] * h.num_terms)
+def _qdrift_ensemble(h: PauliHamiltonian, delta_t: float) -> tuple[np.ndarray, float]:
+    """qDRIFT's sampling probabilities h_j / lam and its rotation angle lam * dt."""
+    return np.array([term.coefficient for term in h.terms]) / h.lam, h.lam * delta_t
 
 
 def qdrift_sample(h: PauliHamiltonian, t: float, n_steps: int, seed: int) -> QdriftTrajectory:
     """Sample one randomized product of ``n_steps`` factors from ``default_rng(seed)``."""
     if n_steps < 1:
         raise ValueError(f"step count must be >= 1, got {n_steps}")
-    probs, unitaries = _qdrift_ensemble(h, t / n_steps)
+    probs, angle = _qdrift_ensemble(h, t / n_steps)
+    unitaries = pauli_rotations(h, [angle] * h.num_terms)
     picks = np.random.default_rng(seed).choice(h.num_terms, size=n_steps, p=probs)
     product = np.eye(2**h.num_qubits, dtype=complex)
     for j in picks:
@@ -103,12 +112,37 @@ def qdrift_sample(h: PauliHamiltonian, t: float, n_steps: int, seed: int) -> Qdr
     )
 
 
-def qdrift_step_superoperator(h: PauliHamiltonian, delta_t: float) -> np.ndarray:
-    """Superoperator of the single-step randomized mixture."""
-    out = np.zeros((4**h.num_qubits, 4**h.num_qubits), dtype=complex)
-    for p, u in zip(*_qdrift_ensemble(h, delta_t)):
-        out += p * conjugation_superoperator(u)
-    return out
+def _qdrift_step_ptm(h: PauliHamiltonian, delta_t: float) -> np.ndarray:
+    """Real Pauli transfer matrix Tr(sigma_a E(sigma_b)) / d of one qDRIFT step.
+
+    Pauli strings are in kron order (qubit 0 is the most significant base-4 digit). With
+    c, s = cos, sin(lam * dt), term j maps sigma_b to c^2 sigma_b + s^2 P_j sigma_b P_j
+    - i c s [P_j, sigma_b]: a diagonal part, plus 2 P_j sigma_b where they anticommute.
+    """
+    probs, angle = _qdrift_ensemble(h, delta_t)
+    c, s = np.cos(angle), np.sin(angle)
+    b = np.arange(4**h.num_qubits)
+    ptm = np.zeros((b.size, b.size))
+    for p, term in zip(probs, h.terms):
+        digits = [PAULI_AXES.index(axis) for axis in term.axes]
+        phase = reduce(np.kron, _PAULI_PHASES[digits])  # word_j sigma_b = phase[b] sigma_(b ^ w_j)
+        ptm[b, b] += p * (c * c + s * s * (phase * phase).real)  # phase^2 is -1 where they anticommute
+        ptm[b ^ int("".join(map(str, digits)), 4), b] += 2.0 * p * c * s * term.sign * phase.imag
+    return ptm
+
+
+def _ptm_to_superoperator(ptm: np.ndarray) -> np.ndarray:
+    """Column-stacking superoperator B R B^dagger, where column a of B is vec(sigma_a) / sqrt(d).
+
+    B is applied one qubit leg at a time, turning each Pauli digit into a (row,
+    column) index pair; one transpose regroups the pairs into column-stacked order.
+    """
+    n = ptm.shape[0].bit_length() // 2
+    out = ptm.reshape((4,) * 2 * n)
+    for k in range(2 * n):
+        out = np.tensordot(out, _PAULI_VEC if k < n else _PAULI_VEC.conj(), axes=([0], [1]))
+    order = [*range(1, 2 * n, 2), *range(0, 2 * n, 2)]  # column digits, then row digits
+    return out.reshape((2,) * 4 * n).transpose(order + [2 * n + i for i in order]).reshape(ptm.shape)
 
 
 def qdrift_channel(h: PauliHamiltonian, t: float, n_steps: int) -> ChannelRep:
@@ -119,9 +153,8 @@ def qdrift_channel(h: PauliHamiltonian, t: float, n_steps: int) -> ChannelRep:
         raise LimitExceededError(
             f"channel mode supports at most {CHANNEL_MAX_QUBITS} qubits, got {h.num_qubits}"
         )
-    step = qdrift_step_superoperator(h, t / n_steps)
-    total = np.linalg.matrix_power(step, n_steps)
-    return ChannelRep(dim=2**h.num_qubits, superoperator=total)
+    ptm = np.linalg.matrix_power(_qdrift_step_ptm(h, t / n_steps), n_steps)
+    return ChannelRep(dim=2**h.num_qubits, superoperator=_ptm_to_superoperator(ptm))
 
 
 def unitary_channel(u: np.ndarray) -> ChannelRep:
@@ -158,4 +191,6 @@ def diamond_lower_bound(c1: ChannelRep, c2: ChannelRep) -> float:
     """Trace norm of the Choi difference over d: lower-bounds the diamond distance."""
     if c1.dim != c2.dim:
         raise ValueError(f"channel dimensions differ: {c1.dim} vs {c2.dim}")
-    return trace_norm(choi_matrix(c1) - choi_matrix(c2)) / c1.dim
+    j = choi_matrix(ChannelRep(c1.dim, c1.superoperator - c2.superoperator))
+    j += j.conj().T  # both maps preserve Hermiticity, so J is Hermitian up to roundoff
+    return hermitian_trace_norm(j) / (2 * c1.dim)

@@ -4,8 +4,9 @@ Exit codes: 0 all bounds satisfied; 1 usage error (bad flags, a Hamiltonian
 path that is missing or a directory, a method and mode the method table does
 not pair, non-finite or negative t, epsilon not finite and positive, shots
 below 1 in any mode, a negative seed, a psi0 index outside the target
-register, an empty --compare list, an --out path that cannot be written);
-2 Hamiltonian parse error (including non-finite coefficients and files that
+register, an empty --compare list, an --out path that cannot be written)
+or numerical failure (a LAPACK decomposition that did not converge); 2
+Hamiltonian parse error (including non-finite coefficients and files that
 are not UTF-8); 3 desk-scale limit exceeded (including a step count above
 ``MAX_STEPS``, sampled mode with more than ``MAX_SHOTS`` shots or more than
 ``MAX_SHOT_STEPS`` shots times steps, and lam * t or the largest rotation
@@ -19,7 +20,7 @@ import argparse
 import sys
 from functools import partial
 
-from .errors import ConfigError, HamiltonianParseError, LimitExceededError
+from .errors import ConfigError, ConvergenceError, HamiltonianParseError, LimitExceededError
 from .experiments import (
     METHODS,
     MODES,
@@ -143,6 +144,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ConfigError as exc:
         print(f"zenosim: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ConvergenceError as exc:
+        print(f"zenosim: numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except HamiltonianParseError as exc:
         print(f"zenosim: parse error: {exc}", file=sys.stderr)

@@ -3,7 +3,8 @@
 All operators are plain ``numpy.ndarray`` objects with dtype ``complex128``;
 state vectors are 1-D arrays. Matrices stay dense throughout: the measured
 sequences run on the target register (dimension at most 2^6 = 64) and the
-largest matrices are the 5-qubit qdrift superoperators (dimension 4^5).
+largest matrices are the 5-qubit qdrift channels (dimension 4^5): a real
+Pauli transfer matrix, its superoperator and the Hermitian Choi difference.
 
 Tolerances are centralized here. Unless an operation states otherwise,
 Hermiticity and unitarity are checked to 1e-10 and equality assertions in
@@ -69,7 +70,7 @@ def matexp_hermitian(h, theta: float) -> np.ndarray:
 def _singular_values(a: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.svd(a, compute_uv=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
+    except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"singular value decomposition did not converge: {exc}") from exc
 
 
@@ -77,6 +78,14 @@ def spectral_norm(a) -> float:
     """Largest singular value, from a LAPACK singular value decomposition."""
     a = as_matrix(a)
     return float(_singular_values(a)[0]) if a.size else 0.0
+
+
+def hermitian_trace_norm(a: np.ndarray) -> float:
+    """Sum of |eigenvalues| of a Hermitian matrix (LAPACK reads its lower triangle)."""
+    try:
+        return float(np.sum(np.abs(np.linalg.eigvalsh(a))))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"Hermitian eigenvalue decomposition did not converge: {exc}") from exc
 
 
 def trace_norm(a) -> float:

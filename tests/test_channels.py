@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from conftest import random_hamiltonian
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zenosim import (
     LimitExceededError,
@@ -21,7 +24,8 @@ from zenosim import (
     trotter_first_order,
     unitary_channel,
 )
-from zenosim.channels import ChannelRep, conjugation_superoperator
+from zenosim.channels import ChannelRep, _ptm_to_superoperator, _qdrift_step_ptm, conjugation_superoperator
+from zenosim.hamiltonian import pauli_rotations
 from test_linalg import matexp_taylor
 
 
@@ -35,6 +39,21 @@ def choi_by_direct_loop(channel):
             unit[i, k] = 1.0
             j += np.kron(channel.apply(unit), unit)
     return j
+
+
+def qdrift_step_by_kron_sum(h, delta_t):
+    """Oracle: the one-step mixture sum_j (h_j / lam) conj(U_j) kron U_j, U_j at angle lam * dt."""
+    unitaries = pauli_rotations(h, [h.lam * delta_t] * h.num_terms)
+    return sum(t.coefficient / h.lam * conjugation_superoperator(u) for t, u in zip(h.terms, unitaries))
+
+
+@st.composite
+def small_hamiltonians(draw):
+    """1-3 qubits, 1-8 distinct words (the identity word included), mixed signs."""
+    n = draw(st.integers(1, 3))
+    words = draw(st.lists(st.text("IXYZ", min_size=n, max_size=n), min_size=1, max_size=8, unique=True))
+    terms = [(draw(st.sampled_from("+-")), draw(st.floats(1e-3, 10.0))) for _ in words]
+    return parse_hamiltonian(" ".join(f"{sign} {c!r}*{w}" for (sign, c), w in zip(terms, words)))
 
 
 class TestExactEvolution:
@@ -123,6 +142,26 @@ class TestQdriftChannel:
         h = parse_hamiltonian("0.5*XIXIXI + 0.5*ZZZZZZ")
         with pytest.raises(LimitExceededError, match="channel"):
             qdrift_channel(h, 1.0, 2)
+
+
+class TestQdriftPtm:
+    """The real Pauli-transfer-matrix step against the Kronecker-sum oracle."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(h=small_hamiltonians(), dt=st.floats(0.0, 1.0))
+    def test_step_matches_kron_sum(self, h, dt):
+        step = _ptm_to_superoperator(_qdrift_step_ptm(h, dt))
+        assert np.max(np.abs(step - qdrift_step_by_kron_sum(h, dt))) <= 1e-12
+
+    def test_ceiling_channel_matches_cubed_kron_sum(self):
+        h = random_hamiltonian(np.random.default_rng(0), 32, 5)
+        expected = np.linalg.matrix_power(qdrift_step_by_kron_sum(h, 1.0 / 3), 3)
+        assert np.max(np.abs(qdrift_channel(h, 1.0, 3).superoperator - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3])
+    def test_identity_ptm_is_identity_superoperator(self, num_qubits):
+        d2 = 4**num_qubits
+        assert np.max(np.abs(_ptm_to_superoperator(np.eye(d2)) - np.eye(d2))) <= 1e-15
 
 
 class TestUnitaryChannel:

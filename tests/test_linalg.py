@@ -4,13 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from conftest import random_hamiltonian
 
 from zenosim import (
+    ConvergenceError,
+    choi_matrix,
+    exact_evolution,
     hermitian_eigen,
     matexp_hermitian,
+    qdrift_channel,
     spectral_norm,
     trace_norm,
+    unitary_channel,
 )
+from zenosim.linalg import hermitian_trace_norm
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -152,6 +159,32 @@ class TestTraceNorm:
                 e[i, k] = 1.0
                 j += np.kron(u @ e @ u.conj().T, e)
         assert trace_norm(j) == pytest.approx(2.0, abs=1e-10)
+
+
+class TestHermitianTraceNorm:
+    def test_matches_singular_values_on_random_hermitian(self):
+        rng = np.random.default_rng(12)
+        for dim in (1, 2, 7, 64, 256):
+            a = random_hermitian(rng, dim)
+            assert hermitian_trace_norm(a) == pytest.approx(trace_norm(a), rel=1e-10)
+
+    def test_matches_singular_values_on_qdrift_choi_difference(self):
+        h = random_hamiltonian(np.random.default_rng(0), 8, 4)
+        j = choi_matrix(qdrift_channel(h, 1.0, 1000)) - choi_matrix(unitary_channel(exact_evolution(h, 1.0)))
+        j = (j + j.conj().T) / 2.0
+        assert hermitian_trace_norm(j) == pytest.approx(trace_norm(j), rel=1e-10)
+
+    def test_orthogonal_unitary_channels(self):
+        j = choi_matrix(unitary_channel(np.eye(2))) - choi_matrix(unitary_channel(X))
+        assert hermitian_trace_norm(j) / 2 == pytest.approx(2.0, abs=1e-10)
+
+    def test_lapack_failure_is_convergence_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            hermitian_trace_norm(np.eye(2))
 
 
 class TestHermitianEigen:
