@@ -55,7 +55,7 @@ def hermitian_eigen(h) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("matrix is not Hermitian within tolerance 1e-10")
     try:
         w, u = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
+    except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
     return w, u
 

@@ -31,7 +31,9 @@ prepare unitary; its probability over a run is the success probability.
 
 The runs stay on the target register: with ``P = 1 (x) |phi><phi|`` (``phi``
 the prepared ancilla state), ``P select(dt) P = A(dt) (x) |phi><phi|`` where
-``A(dt) = sum_k |phi_k|^2 U_k(dt)``. Only ``select_unitary`` and
+``A(dt) = sum_k |phi_k|^2 U_k(dt)``. The kick sequence leaves that range but
+splits into one invariant plane per eigenvalue of H, where it is a 2x2
+unitary (``run_kicks``). Only ``select_unitary`` and
 ``extended_hamiltonian`` build combined-register matrices.
 """
 
@@ -44,8 +46,8 @@ import numpy as np
 
 from . import bounds
 from .errors import ZenosimError
-from .hamiltonian import PauliHamiltonian, exact_evolution, pauli_rotations, term_matrix
-from .linalg import spectral_norm
+from .hamiltonian import PauliHamiltonian, exact_evolution, hamiltonian_matrix, pauli_rotations, term_matrix
+from .linalg import hermitian_eigen, spectral_norm
 
 VARIANT_STANDARD = "standard"
 VARIANT_MUB = "mub"
@@ -261,9 +263,16 @@ def run_kicks(sys: ExtendedSystem, t: float, n_steps: int) -> ZenoRunResult:
     The reported error restricts the difference to the projected subspace,
     where the kick sequence converges to the target evolution; the
     orthogonal block evolves under a different effective Hamiltonian and is
-    not part of the contract. Kicks leave the range of the projector, so
-    (R select)^N is applied to the d_t columns 1 (x) |phi>, held as the
-    stack of their d_a ancilla blocks.
+    not part of the contract. On the ancilla states that label a term,
+    select(dt) is c - i s Q with c, s = cos, sin(lam dt),
+    Q = sum_k |k><k| (x) P_k and Q^2 = 1; phi vanishes on the padded states,
+    which are never populated. So the kick R select(dt) is a qubitization
+    walk: for each eigenpair (E_j, psi_j) of H it keeps the plane of
+    |phi> (x) psi_j and its orthogonal partner, where it is
+    [[c - i s a_j, -i s b_j], [i s b_j, -c - i s a_j]] with a_j = E_j / lam
+    and b_j = sqrt(1 - a_j^2). The planes are mutually orthogonal, so the
+    error is the largest per-plane distance between the first column of the
+    N-th power and (exp(-i E_j t), 0).
     """
     if sys.variant != VARIANT_STANDARD:
         raise ValueError("kick sequence requires the standard projector variant")
@@ -273,16 +282,14 @@ def run_kicks(sys: ExtendedSystem, t: float, n_steps: int) -> ZenoRunResult:
         raise ValueError(f"time must be nonnegative, got {t}")
 
     h = sys.hamiltonian
-    delta_t = t / n_steps
-    blocks = _blocks(sys, delta_t)
-    phi = sys.projector_state
-    column = phi[:, None, None]
-    slab = column * np.eye(sys.target_dim, dtype=complex)
-    for _ in range(n_steps):
-        slab = blocks @ slab
-        slab = 2.0 * column * np.tensordot(phi.conj(), slab, axes=1) - slab
-
-    epsilon = spectral_norm((slab - column * exact_evolution(h, t)).reshape(-1, sys.target_dim))
+    energies = hermitian_eigen(hamiltonian_matrix(h))[0]
+    a = energies / h.lam
+    b = np.sqrt(np.maximum(0.0, 1.0 - a**2))
+    theta = h.lam * (t / n_steps)
+    c, s = math.cos(theta), math.sin(theta)
+    kick = np.array([[c - 1j * s * a, -1j * s * b], [1j * s * b, -c - 1j * s * a]]).transpose(2, 0, 1)
+    alpha, beta = np.linalg.matrix_power(kick, n_steps)[:, :, 0].T
+    epsilon = float(np.max(np.hypot(np.abs(alpha - np.exp(-1j * t * energies)), np.abs(beta))))
     return sweep_point("kicks", h, t, n_steps, epsilon)
 
 

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -281,6 +282,12 @@ class TestCeiling:
         )
         self.check(run_experiment(cfg), (10,))
 
+    def test_kicks_at_step_cap(self, ceiling_file):
+        cfg = ExperimentConfig(hamiltonian_path=ceiling_file(6), method="kicks", t=1.0, n=10**6)
+        start = time.perf_counter()
+        self.check(run_experiment(cfg), (10**6,))
+        assert time.perf_counter() - start < 1.0
+
 
 class TestCliExitCodes:
     def test_success(self, hfile, capsys):
@@ -435,7 +442,8 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("routine,flags", [
         ("eigvalsh", ["--method", "qdrift", "--mode", "channel"]),
         ("svd", ["--method", "zeno1"]),
-    ], ids=["qdrift-channel-eigvalsh", "zeno1-projected-svd"])
+        ("eigh", ["--method", "kicks"]),
+    ], ids=["qdrift-channel-eigvalsh", "zeno1-projected-svd", "kicks-projected-eigh"])
     def test_numerical_failure_is_one_line_exit_1(self, hfile, monkeypatch, capsys, routine, flags):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError(f"{routine} did not converge")
@@ -496,9 +504,9 @@ def cli_runs(draw):
         st.integers(1, 50).map(lambda n: ["--n", str(n)]),
         st.lists(st.integers(1, 50), min_size=1, max_size=3).map(lambda ns: ["--sweep", ",".join(map(str, ns))]),
     ]
-    # kicks and sampled shots take N steps one by one, the other runs a matrix power, so only those
-    # resolve --epsilon (up to the 10**6 step cap).
-    if not sampled and "kicks" not in methods:
+    # Sampled shots take N steps one by one; every other run takes a matrix power or the kicks'
+    # closed form, so all but sampled runs resolve --epsilon (up to the 10**6 step cap).
+    if not sampled:
         selectors.append(st.sampled_from(["1e-6", "1e-2", "1", "1e3"]).map(lambda e: ["--epsilon", e]))
     flags += ["--t", draw(st.sampled_from(["0", "1e-300", "1e-3", "1", "1e10"])), *draw(st.one_of(selectors))]
     if draw(st.booleans()):

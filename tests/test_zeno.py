@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import random_hamiltonian
+from conftest import THREE_TERM, TWO_TERM, random_hamiltonian
 from full_register import kicks_full, prepare, projector_full, reflection, sampled_full, zeno_full, zeno_step_operator
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -287,6 +287,33 @@ class TestRunKicks:
     def test_mub_variant_rejected(self, sys3_mub):
         with pytest.raises(ValueError, match="standard"):
             run_kicks(sys3_mub, 1.0, 10)
+
+    @pytest.mark.parametrize("text,n,reference", [
+        (TWO_TERM, 80, 0.00571777870289485),
+        (TWO_TERM, 1000, 0.000457413172967414),
+        (THREE_TERM, 1000, 0.000455224157357917),
+    ])
+    def test_matches_high_precision_reference(self, text, n, reference):
+        # Each reference is (R select(dt))^N applied step by step to the columns of
+        # 1 (x) |phi> in 50-digit mpmath arithmetic, minus phi (x) exp(-iHt) at t = 1,
+        # and the largest singular value of that difference (mpmath.svd_c).
+        r = run_kicks(build_extended(parse_hamiltonian(text)), 1.0, n)
+        assert r.epsilon_measured == pytest.approx(reference, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("text", [
+        "0.7*XZ",                                           # a = +-1, b = 0: no partner state
+        "0.5*XI + 0.5*IX",                                  # degenerate spectrum
+        "0.4*II + 0.6*XZ + 0.3*YY",                         # identity word among the terms
+        THREE_TERM,                                         # one padded ancilla state
+        "0.3*XI + 0.2*ZZ + 0.25*YX + 0.15*IZ + 0.1*XY",     # three padded ancilla states
+    ])
+    @pytest.mark.parametrize("t,n", [(0.0, 3), (0.7, 1), (1.3, 17), (2.0, 50)])
+    def test_edge_cases_match_full_register(self, text, t, n):
+        sys = build_extended(parse_hamiltonian(text))
+        epsilon = run_kicks(sys, t, n).epsilon_measured
+        assert abs(epsilon - kicks_full(sys, t, n)) <= 1e-9
+        if t == 0.0 or sys.hamiltonian.num_terms == 1:
+            assert epsilon < 1e-12
 
 
 class TestRunSampled:
