@@ -1,17 +1,18 @@
 """Command-line front end.
 
-Exit codes: 0 all bounds satisfied; 1 usage error (bad flags, a Hamiltonian
-path that is missing or a directory, a method and mode the method table does
-not pair, non-finite or negative t, epsilon not finite and positive, shots
-below 1 in any mode, a negative seed, a psi0 index outside the target
-register, an empty --compare list, an --out path that cannot be written)
-or numerical failure (a LAPACK decomposition that did not converge); 2
-Hamiltonian parse error (including non-finite coefficients and files that
-are not UTF-8); 3 desk-scale limit exceeded (including a step count above
-``MAX_STEPS``, sampled mode with more than ``MAX_SHOTS`` shots or more than
+Exit codes: 0 all bounds satisfied; 1 usage error (bad flags, neither or both
+of --method and --compare, a Hamiltonian path that cannot be read, a method
+and mode the method table does not pair, non-finite or negative t, epsilon
+not finite and positive, shots below 1 in any mode, a negative seed, a psi0
+index outside the target register, an empty --compare list, an --out path
+that cannot be written) or numerical failure (a LAPACK decomposition that did
+not converge); 2 Hamiltonian parse error (including non-finite coefficients
+and files that are not UTF-8); 3 desk-scale limit exceeded (a step count
+above ``MAX_STEPS``, a sweep of more than ``MAX_SWEEP_POINTS`` step counts,
+sampled mode with more than ``MAX_SHOTS`` shots or more than
 ``MAX_SHOT_STEPS`` shots times steps, and lam * t or the largest rotation
 angle overflowing a float); 4 at least one measured value violated its
-analytic bound.
+analytic bound. The error classes in ``errors`` carry these codes.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import argparse
 import sys
 from functools import partial
 
-from .errors import ConfigError, ConvergenceError, HamiltonianParseError, LimitExceededError
+from .errors import ConfigError, ZenosimError
 from .experiments import (
     METHODS,
     MODES,
@@ -34,8 +35,6 @@ from .experiments import (
 
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_PARSE = 2
-EXIT_LIMITS = 3
 EXIT_BOUND_VIOLATION = 4
 
 
@@ -54,8 +53,14 @@ def _build_parser() -> _Parser:
             "against its analytic bound."
         ),
     )
-    parser.add_argument("--hamiltonian", required=True, help="path to the Hamiltonian text file")
-    parser.add_argument("--method", choices=tuple(METHODS), help="sequence or baseline to run")
+    # Dests name ExperimentConfig fields (compare aside). --method and --compare are added apart,
+    # so the usage line still shows both as optional flags.
+    parser.add_argument(
+        "--hamiltonian", dest="hamiltonian_path", metavar="HAMILTONIAN", required=True,
+        help="path to the Hamiltonian text file",
+    )
+    runs = parser.add_mutually_exclusive_group(required=True)
+    runs.add_argument("--method", choices=tuple(METHODS), help="sequence or baseline to run")
     parser.add_argument("--t", type=float, required=True, help="evolution time")
     parser.add_argument("--n", type=int, help="fixed step count")
     parser.add_argument("--epsilon", type=float, help="target precision (resolves the step count)")
@@ -64,9 +69,13 @@ def _build_parser() -> _Parser:
     parser.add_argument("--seed", type=int, default=0, help="base seed for sampled mode (shot i uses seed + i)")
     parser.add_argument("--sweep", help="comma-separated step counts, e.g. 10,20,40")
     parser.add_argument("--psi0", type=int, help="initial target state as a basis-state index")
-    parser.add_argument("--format", choices=("json", "csv"), default="csv", help="output format")
-    parser.add_argument("--out", help="output file path (defaults to stdout)")
-    parser.add_argument("--compare", help="comma-separated method list to run side by side")
+    parser.add_argument(
+        "--format", dest="output_format", choices=("json", "csv"), default="csv", help="output format"
+    )
+    parser.add_argument(
+        "--out", dest="output_path", metavar="OUT", help="output file path (defaults to stdout)"
+    )
+    runs.add_argument("--compare", help="comma-separated method list to run side by side")
     return parser
 
 
@@ -81,32 +90,15 @@ def _parse_sweep(text: str) -> tuple[int, ...]:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    flags = vars(_build_parser().parse_args(argv))
+    compare = flags.pop("compare")
 
     try:
-        sweep = _parse_sweep(args.sweep) if args.sweep else None
-        if args.compare is None and args.method is None:
-            raise ConfigError("either --method or --compare is required")
-
-        config = ExperimentConfig(
-            hamiltonian_path=args.hamiltonian,
-            method=args.method,
-            t=args.t,
-            n=args.n,
-            epsilon=args.epsilon,
-            sweep=sweep,
-            mode=args.mode,
-            shots=args.shots,
-            seed=args.seed,
-            psi0=args.psi0,
-            output_format=args.format,
-            output_path=args.out,
-        )
+        config = ExperimentConfig(**flags | {"sweep": _parse_sweep(flags["sweep"]) if flags["sweep"] else None})
 
         # The branches differ only in what they run, their JSON renderer, --out summary and notes.
-        if args.compare is not None:
-            comparison = compare_methods(config, [m.strip() for m in args.compare.split(",") if m.strip()])
+        if compare is not None:
+            comparison = compare_methods(config, [m.strip() for m in compare.split(",") if m.strip()])
             results = tuple(comparison.results.values())
             to_json = partial(render_comparison_json, comparison)
             summary, notes = comparison.render(), comparison.notes
@@ -116,19 +108,18 @@ def main(argv=None) -> int:
             to_json = partial(render_json, result)
             slope = "n/a" if result.fitted_slope is None else f"{result.fitted_slope:.4f}"
             summary = (
-                f"{config.method}: {len(result.points)} point(s) written to {args.out} "
+                f"{config.method}: {len(result.points)} point(s) written to {config.output_path} "
                 f"(slope {slope}, bounds {'ok' if result.all_bounds_satisfied else 'VIOLATED'})"
             )
             notes = ()
 
-        rendered = render_csv(*results) if args.format == "csv" else to_json()
-        if args.out:
+        rendered = render_csv(*results) if config.output_format == "csv" else to_json()
+        if config.output_path:
             try:
-                with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                with open(config.output_path, "w", encoding="utf-8", newline="\n") as fh:
                     fh.write(rendered)
             except OSError as exc:
-                print(f"zenosim: cannot write output: {exc}", file=sys.stderr)
-                return EXIT_USAGE
+                raise ConfigError(f"cannot write output: {exc}") from exc
             print(summary)
         else:
             sys.stdout.write(rendered)
@@ -136,24 +127,9 @@ def main(argv=None) -> int:
                 print(f"note: {note}", file=sys.stderr)
         return EXIT_OK if all(r.all_bounds_satisfied for r in results) else EXIT_BOUND_VIOLATION
 
-    except FileNotFoundError as exc:
-        print(f"zenosim: file not found: {exc.filename or exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except IsADirectoryError as exc:
-        print(f"zenosim: is a directory, not a file: {exc.filename or exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ConfigError as exc:
-        print(f"zenosim: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ConvergenceError as exc:
-        print(f"zenosim: numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except HamiltonianParseError as exc:
-        print(f"zenosim: parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except LimitExceededError as exc:
-        print(f"zenosim: limit exceeded: {exc}", file=sys.stderr)
-        return EXIT_LIMITS
+    except ZenosimError as exc:
+        print(f"zenosim: {exc.label}{exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

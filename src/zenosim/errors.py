@@ -1,12 +1,16 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package; each class carries its exit status and message prefix."""
 
 
 class ZenosimError(Exception):
     """Base class for all package-specific errors."""
 
+    exit_code, label = 1, ""
+
 
 class HamiltonianParseError(ZenosimError, ValueError):
     """Raised when a Hamiltonian expression violates the text grammar."""
+
+    exit_code, label = 2, "parse error: "
 
 
 class CancellationError(HamiltonianParseError):
@@ -20,9 +24,13 @@ class CancellationError(HamiltonianParseError):
 class ConvergenceError(ZenosimError, RuntimeError):
     """Raised when a LAPACK decomposition does not converge."""
 
+    label = "numerical failure: ConvergenceError: "
+
 
 class LimitExceededError(ZenosimError, ValueError):
     """Raised when a request exceeds the supported desk-scale problem size."""
+
+    exit_code, label = 3, "limit exceeded: "
 
 
 class ConfigError(ZenosimError, ValueError):

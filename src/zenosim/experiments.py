@@ -7,16 +7,17 @@ Runs are deterministic: the same config (seed included) produces
 byte-identical output files.
 
 CSV columns are fixed (``CSV_COLUMNS``, one ``ZenoRunResult`` attribute
-each). Floats are printed with 12 significant digits; absent values are empty
-cells (CSV) or null (JSON). JSON output mirrors the same per-point fields
-and adds the resolved config and the fitted log-log slope.
+each). Floats are printed with 12 significant digits, a non-finite one as
+``inf`` (a string in JSON); absent values are empty cells (CSV) or null
+(JSON). JSON output mirrors the same per-point fields and adds the resolved
+config and the fitted log-log slope.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -41,6 +42,7 @@ MODES = ("projected", "sampled", "channel")
 MAX_QUBITS = 6
 MAX_TERMS = 32
 MAX_STEPS = 10**6  # largest step count from --n, --sweep or --epsilon
+MAX_SWEEP_POINTS = 64  # most distinct step counts in one --sweep
 MAX_SHOTS = 10**5  # largest --shots in sampled mode
 MAX_SHOT_STEPS = 10**9  # largest shots times step count in sampled mode (one uniform draw each)
 
@@ -147,6 +149,8 @@ def _resolve_ns(config: ExperimentConfig, h: PauliHamiltonian) -> list[int]:
         if not ns or any(n < 1 for n in ns):
             raise ConfigError("sweep values must be positive integers")
         ns = sorted(set(ns))
+        if len(ns) > MAX_SWEEP_POINTS:
+            raise LimitExceededError(f"sweep of {len(ns)} step counts exceeds the cap of {MAX_SWEEP_POINTS}")
     elif config.n is not None:
         if config.n < 1:
             raise ConfigError("n must be >= 1")
@@ -230,23 +234,10 @@ def fit_loglog_slope(ns, errors) -> float | None:
 
 
 def _resolved_config_dict(config: ExperimentConfig, ns: list[int], h: PauliHamiltonian) -> dict:
-    return {
-        "hamiltonian_path": config.hamiltonian_path,
-        "method": config.method,
-        "t": config.t,
-        "epsilon": config.epsilon,
-        "n_values": list(ns),
-        "mode": config.mode,
-        "shots": config.shots,
-        "seed": config.seed,
-        "psi0": config.psi0,
-        "output_format": config.output_format,
-        "output_path": config.output_path,
-        "lam": h.lam,
-        "h_max": h.h_max,
-        "num_terms": h.num_terms,
-        "num_qubits": h.num_qubits,
-    }
+    """The config's fields in order, with the resolved step counts as ``n_values`` in place of n and sweep."""
+    resolved = {("n_values" if k == "sweep" else k): v for k, v in asdict(config).items() if k != "n"}
+    resolved["n_values"] = list(ns)
+    return resolved | {"lam": h.lam, "h_max": h.h_max, "num_terms": h.num_terms, "num_qubits": h.num_qubits}
 
 
 def run_experiment(config: ExperimentConfig) -> SweepResult:
@@ -330,7 +321,7 @@ def render_csv(*results: SweepResult) -> str:
 
 def _round_floats(obj):
     if isinstance(obj, float):
-        return float(_fmt(obj))
+        return float(_fmt(obj)) if math.isfinite(obj) else _fmt(obj)
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -345,7 +336,7 @@ def render_json(result: SweepResult) -> str:
         "all_bounds_satisfied": result.all_bounds_satisfied,
         "points": [_point_record(p) for p in result.points],
     }
-    return json.dumps(_round_floats(payload), indent=2) + "\n"
+    return json.dumps(_round_floats(payload), indent=2, allow_nan=False) + "\n"
 
 
 def render_comparison_json(comparison: MethodComparison) -> str:
@@ -361,4 +352,4 @@ def render_comparison_json(comparison: MethodComparison) -> str:
             for name, sweep in comparison.results.items()
         },
     }
-    return json.dumps(_round_floats(payload), indent=2) + "\n"
+    return json.dumps(_round_floats(payload), indent=2, allow_nan=False) + "\n"

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CancellationError, HamiltonianParseError
+from .errors import CancellationError, ConfigError, HamiltonianParseError
 from .linalg import matexp_hermitian
 
 PAULI_AXES = "IXYZ"
@@ -213,7 +213,7 @@ def to_text(h: PauliHamiltonian) -> str:
 
 
 def load_hamiltonian(*paths) -> PauliHamiltonian:
-    """Load and parse one or more Hamiltonian files (joined by '+')."""
+    """Load and parse one or more Hamiltonian files (joined by '+'); an unreadable path raises ConfigError."""
     if not paths:
         raise HamiltonianParseError("no Hamiltonian file given")
     expressions = []
@@ -222,6 +222,12 @@ def load_hamiltonian(*paths) -> PauliHamiltonian:
             raw = Path(path).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise HamiltonianParseError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+        except FileNotFoundError as exc:
+            raise ConfigError(f"file not found: {exc.filename or path}") from exc
+        except IsADirectoryError as exc:
+            raise ConfigError(f"is a directory, not a file: {exc.filename or path}") from exc
+        except OSError as exc:
+            raise ConfigError(f"cannot read {exc.filename or path}: {exc.strerror}") from exc
         lines = [line.split("#", 1)[0] for line in raw.splitlines()]
         body = " ".join(line for line in lines if line.strip())
         if not body.strip():

@@ -155,22 +155,24 @@ def build_extended(h: PauliHamiltonian, variant: str = VARIANT_STANDARD) -> Exte
     )
 
 
+def _combined(sys: ExtendedSystem, blocks) -> np.ndarray:
+    """sum_k blocks[k] (x) |k><k| for a (k, d_t, d_t) stack of target blocks; missing blocks are zero."""
+    dim = sys.target_dim * sys.ancilla_dim
+    out = np.zeros((dim, dim), dtype=complex)
+    for k, block in enumerate(blocks):
+        out[k :: sys.ancilla_dim, k :: sys.ancilla_dim] = block
+    return out
+
+
 def extended_hamiltonian(sys: ExtendedSystem) -> np.ndarray:
     """Block-diagonal combined-register generator, without the overall scale.
 
-    Standard variant blocks are the bare signed Pauli strings; mub blocks
-    carry the term coefficients. Padded blocks are zero. ``select(dt)``
+    Block k is term k's signed Pauli string times block_rates[k] / generator_scale
+    (1 for standard, the coefficient for mub); padded blocks are zero. ``select(dt)``
     equals ``exp(-i * generator_scale * dt * extended_hamiltonian)``.
     """
-    h = sys.hamiltonian
-    dim = sys.target_dim * sys.ancilla_dim
-    out = np.zeros((dim, dim), dtype=complex)
-    for j, term in enumerate(h.terms):
-        block = term_matrix(term)
-        if sys.variant == VARIANT_MUB:
-            block = term.coefficient * block
-        out[j :: sys.ancilla_dim, j :: sys.ancilla_dim] = block
-    return out
+    scales = np.array(sys.block_rates[: sys.hamiltonian.num_terms]) / sys.generator_scale
+    return _combined(sys, [s * term_matrix(term) for s, term in zip(scales, sys.hamiltonian.terms)])
 
 
 def _blocks(sys: ExtendedSystem, delta_t: float) -> np.ndarray:
@@ -184,11 +186,7 @@ def _blocks(sys: ExtendedSystem, delta_t: float) -> np.ndarray:
 
 def select_unitary(sys: ExtendedSystem, delta_t: float) -> np.ndarray:
     """Controlled short-time evolution, analytic per block."""
-    dim = sys.target_dim * sys.ancilla_dim
-    out = np.zeros((dim, dim), dtype=complex)
-    for k, block in enumerate(_blocks(sys, delta_t)):
-        out[k :: sys.ancilla_dim, k :: sys.ancilla_dim] = block
-    return out
+    return _combined(sys, _blocks(sys, delta_t))
 
 
 def _corner(sys: ExtendedSystem, delta_t: float) -> np.ndarray:

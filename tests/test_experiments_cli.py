@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 import time
@@ -20,6 +21,7 @@ from zenosim import (
     SweepResult,
     ZenoRunResult,
     compare_methods,
+    errors,
     fit_loglog_slope,
     parse_hamiltonian,
     run_experiment,
@@ -30,6 +32,14 @@ from zenosim.experiments import CSV_COLUMNS, METHODS, MODES, render_csv, render_
 
 TWO_TERM = "0.6*X + 0.4*Z"
 TWO_TERM_FILE = str(Path(__file__).resolve().parent.parent / "demos" / "hamiltonians" / "two_term.txt")
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+# README's exit-code table: every error class named in a row's last cell, mapped to the row's code.
+README_EXIT_CODES = {
+    name: int(code)
+    for code, classes in re.findall(r"^\| `(\d)` \|.*\| (.*) \|$", README, re.MULTILINE)
+    for name in re.findall(r"`(\w+)`", classes)
+}
+ERROR_CLASSES = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.ZenosimError)]
 
 
 def config(hfile, text=TWO_TERM, **kwargs):
@@ -354,6 +364,8 @@ class TestCliExitCodes:
          "channel mode supports at most 5 qubits"),
         # (lam * t)^2 / epsilon = 2.56e18 steps, though t * t underflows to 0.
         (["--hamiltonian", "8e307*XX + 8e307*YY", "--t", "1e-300", "--epsilon", "0.01"], 3, "exceeds the cap of 1000000"),
+        # A CancellationError is a parse error.
+        (["--hamiltonian", "0.5*X - 0.5*X", "--t", "1", "--n", "5"], 2, "zenosim: parse error: terms with word 'X'"),
     ])
     def test_non_finite_and_extreme_inputs(self, hfile, capsys, flags, code, message):
         # A repeated flag overrides the defaults below; --hamiltonian values are expressions.
@@ -374,19 +386,55 @@ class TestCliExitCodes:
     def test_unreadable_inputs(self, tmp_path, capsys):
         binary = tmp_path / "latin1.txt"
         binary.write_bytes("0.5*X # \xe9t\xe9\n".encode("latin-1"))
+        (tmp_path / "loop").symlink_to(tmp_path / "loop")
         flags = ["--method", "zeno1", "--t", "1", "--n", "5"]
         for path, code, message in [
-            (tmp_path, 1, "is a directory"),
-            (binary, 2, "not UTF-8"),
+            (tmp_path, 1, "zenosim: is a directory, not a file: "),
+            (binary, 2, "zenosim: parse error: "),
+            (tmp_path / "missing.txt", 1, "zenosim: file not found: "),
+            # Not a directory, a symlink loop and a name over 255 bytes: each OSError is one line.
+            (Path(TWO_TERM_FILE) / "x", 1, "zenosim: cannot read "),
+            (tmp_path / "loop", 1, "zenosim: cannot read "),
+            (tmp_path / ("h" * 300), 1, "zenosim: cannot read "),
         ]:
             assert main(["--hamiltonian", str(path), *flags]) == code
             err = capsys.readouterr().err
-            assert message in err and len(err.splitlines()) == 1
+            assert err.startswith(message) and len(err.splitlines()) == 1
+
+    def test_method_and_compare_together(self, hfile, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--hamiltonian", hfile(TWO_TERM), "--method", "zeno1", "--compare", "zeno1", "--t", "1", "--n", "5"])
+        assert info.value.code == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda c: c.__name__)
+    def test_error_class_exit_codes_match_readme(self, error):
+        assert README_EXIT_CODES[error.__name__] == error.exit_code
+
+    def test_sweep_point_cap(self, hfile, capsys):
+        args = ["--hamiltonian", hfile(TWO_TERM), "--method", "zeno1", "--t", "1", "--sweep"]
+        assert main([*args, ",".join(map(str, range(1, 66)))]) == 3
+        err = capsys.readouterr().err
+        assert err == "zenosim: limit exceeded: sweep of 65 step counts exceeds the cap of 64\n"
+        assert main([*args, ",".join(map(str, range(1, 65))) + ",64"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 64
 
     def test_empty_compare_list(self, hfile, capsys):
         assert main(["--hamiltonian", hfile(TWO_TERM), "--compare", ",", "--t", "1", "--n", "5"]) == 1
         err = capsys.readouterr().err
         assert "compare needs at least one method" in err and len(err.splitlines()) == 1
+
+    def test_overflowing_bound_is_inf_in_json(self, hfile, capsys):
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        args = ["--hamiltonian", hfile("1e200*X + 1e200*Z"), "--t", "1", "--n", "10", "--format", "json"]
+        assert main([*args, "--method", "zeno2"]) == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert payload["points"][0]["epsilon_bound"] == "inf"
+        assert main([*args, "--compare", "zeno1,zeno2"]) == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert payload["methods"]["zeno2"]["points"][0]["epsilon_bound"] == "inf"
 
     def test_overflowing_zeno2_bound_is_inf(self, hfile, capsys):
         # lam * t is finite in both, so they run; only the bound overflows.
