@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import bounds
-from .errors import ZenosimError
+from .errors import LimitExceededError, ZenosimError
 from .hamiltonian import PauliHamiltonian, exact_evolution, hamiltonian_matrix, pauli_rotations, term_matrix
 from .linalg import hermitian_eigen, spectral_norm
 
@@ -129,7 +129,6 @@ def build_extended(h: PauliHamiltonian, variant: str = VARIANT_STANDARD) -> Exte
     num_terms = h.num_terms
     n_ancilla = (num_terms - 1).bit_length()  # labels every term, padded to a power of two
     ancilla_dim = 1 << n_ancilla
-    target_dim = 2**h.num_qubits
     lam = h.lam
 
     if variant == VARIANT_STANDARD:
@@ -146,7 +145,7 @@ def build_extended(h: PauliHamiltonian, variant: str = VARIANT_STANDARD) -> Exte
     return ExtendedSystem(
         hamiltonian=h,
         variant=variant,
-        target_dim=target_dim,
+        target_dim=2**h.num_qubits,
         n_ancilla=n_ancilla,
         ancilla_dim=ancilla_dim,
         projector_state=state,
@@ -168,9 +167,11 @@ def extended_hamiltonian(sys: ExtendedSystem) -> np.ndarray:
     """Block-diagonal combined-register generator, without the overall scale.
 
     Block k is term k's signed Pauli string times block_rates[k] / generator_scale
-    (1 for standard, the coefficient for mub); padded blocks are zero. ``select(dt)``
-    equals ``exp(-i * generator_scale * dt * extended_hamiltonian)``.
+    (1 for standard, the coefficient for mub; an overflowed mub rate raises LimitExceededError);
+    padded blocks are zero. ``select(dt)`` equals ``exp(-i * generator_scale * dt * extended_hamiltonian)``.
     """
+    if not math.isfinite(max(sys.block_rates)):
+        raise LimitExceededError(f"select block rate {max(sys.block_rates):g} is not finite")
     scales = np.array(sys.block_rates[: sys.hamiltonian.num_terms]) / sys.generator_scale
     return _combined(sys, [s * term_matrix(term) for s, term in zip(scales, sys.hamiltonian.terms)])
 

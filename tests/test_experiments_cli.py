@@ -390,7 +390,7 @@ class TestCliExitCodes:
         flags = ["--method", "zeno1", "--t", "1", "--n", "5"]
         for path, code, message in [
             (tmp_path, 1, "zenosim: is a directory, not a file: "),
-            (binary, 2, "zenosim: parse error: "),
+            (binary, 2, f"zenosim: parse error: {binary}: not UTF-8 text (byte 8)\n"),
             (tmp_path / "missing.txt", 1, "zenosim: file not found: "),
             # Not a directory, a symlink loop and a name over 255 bytes: each OSError is one line.
             (Path(TWO_TERM_FILE) / "x", 1, "zenosim: cannot read "),

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zenosim import (
+    LimitExceededError,
     block_encoding_matrix,
     build_extended,
     extended_hamiltonian,
@@ -110,6 +111,12 @@ class TestSelectUnitary:
         generator = sys.generator_scale * extended_hamiltonian(sys)
         expected = matexp_hermitian(generator, 0.41)
         assert np.max(np.abs(select_unitary(sys, 0.41) - expected)) < 1e-10
+
+    def test_overflowed_mub_rate_is_rejected(self):
+        # d_a * c = 4 * 5e307 overflows, so the generator block would be inf * term.
+        sys = build_extended(parse_hamiltonian("5e307*XI + 5e307*ZI + 5e307*IY"), "mub")
+        with pytest.raises(LimitExceededError, match="select block rate inf is not finite"):
+            extended_hamiltonian(sys)
 
     def test_negative_time_is_adjoint(self, sys2):
         u = select_unitary(sys2, 0.3)
