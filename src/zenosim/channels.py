@@ -10,9 +10,10 @@ diamond norm (a semidefinite program) is intentionally out of scope and
 every reported value is labeled as a lower bound.
 
 The qdrift channel is composed as a real Pauli transfer matrix, built in
-O(L d^2), and its N-th power is converted to a superoperator once. Choi
-differences of Hermiticity-preserving maps are Hermitian, so their trace
-norm is the sum of |eigenvalues|.
+O(L d^2); one basis change turns its N-th power into the Choi matrix, from
+which the exact channel's Choi matrix, the rank-one w w^dagger, is subtracted
+without a superoperator. Choi differences of Hermiticity-preserving maps are
+Hermitian, so their trace norm is the sum of |eigenvalues|.
 """
 
 from __future__ import annotations
@@ -131,37 +132,48 @@ def _qdrift_step_ptm(h: PauliHamiltonian, delta_t: float) -> np.ndarray:
     return ptm
 
 
-def _ptm_to_superoperator(ptm: np.ndarray) -> np.ndarray:
-    """Column-stacking superoperator B R B^dagger, where column a of B is vec(sigma_a) / sqrt(d).
+def _ptm_to_choi(ptm: np.ndarray) -> np.ndarray:
+    """Choi matrix of B R B^dagger, where column a of B is vec(sigma_a) / sqrt(d), for a real PTM R.
 
-    B is applied one qubit leg at a time, turning each Pauli digit into a (row,
-    column) index pair; one transpose regroups the pairs into column-stacked order.
+    Each qubit leg of B is one matmul on a transposed view, which BLAS reads without a copy, turning a
+    Pauli digit into a (row, column) pair; one transpose then puts all row digits before all column digits.
     """
     n = ptm.shape[0].bit_length() // 2
-    out = ptm.reshape((4,) * 2 * n)
+    out = ptm
     for k in range(2 * n):
-        out = np.tensordot(out, _PAULI_VEC if k < n else _PAULI_VEC.conj(), axes=([0], [1]))
-    order = [*range(1, 2 * n, 2), *range(0, 2 * n, 2)]  # column digits, then row digits
-    return out.reshape((2,) * 4 * n).transpose(order + [2 * n + i for i in order]).reshape(ptm.shape)
+        out = out.reshape(4, -1).T @ (_PAULI_VEC if k < n else _PAULI_VEC.conj()).T
+    order = [*range(0, 4 * n, 2), *range(1, 4 * n, 2)]  # output factor first in rows and in columns
+    return out.reshape((2,) * 4 * n).transpose(order).reshape(ptm.shape)
 
 
-def qdrift_channel(h: PauliHamiltonian, t: float, n_steps: int) -> ChannelRep:
-    """The N-fold composition of the randomized mixture channel."""
+def _qdrift_choi(h: PauliHamiltonian, t: float, n_steps: int) -> np.ndarray:
+    """Choi matrix of the N-fold composition of the randomized mixture channel."""
     if n_steps < 1:
         raise ValueError(f"step count must be >= 1, got {n_steps}")
     if h.num_qubits > CHANNEL_MAX_QUBITS:
         raise LimitExceededError(
             f"channel mode supports at most {CHANNEL_MAX_QUBITS} qubits, got {h.num_qubits}"
         )
-    ptm = np.linalg.matrix_power(_qdrift_step_ptm(h, t / n_steps), n_steps)
-    return ChannelRep(dim=2**h.num_qubits, superoperator=_ptm_to_superoperator(ptm))
+    return _ptm_to_choi(np.linalg.matrix_power(_qdrift_step_ptm(h, t / n_steps), n_steps))
 
 
-def unitary_channel(u: np.ndarray) -> ChannelRep:
-    """Channel of conjugation by a unitary."""
+def qdrift_channel(h: PauliHamiltonian, t: float, n_steps: int) -> ChannelRep:
+    """The N-fold composition of the randomized mixture channel."""
+    d = 2**h.num_qubits
+    j4 = _qdrift_choi(h, t, n_steps).reshape(d, d, d, d)
+    return ChannelRep(dim=d, superoperator=j4.transpose(2, 0, 3, 1).reshape(d * d, d * d))  # undoes choi_matrix
+
+
+def _checked_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if not is_unitary(u):
         raise ValueError("input is not unitary within tolerance 1e-10")
+    return u
+
+
+def unitary_channel(u: np.ndarray) -> ChannelRep:
+    """Channel of conjugation by a unitary, whose Choi matrix is w w^dagger with w = u.reshape(-1)."""
+    u = _checked_unitary(u)
     return ChannelRep(dim=u.shape[0], superoperator=conjugation_superoperator(u))
 
 
@@ -187,10 +199,14 @@ def is_completely_positive(channel: ChannelRep) -> bool:
     return float(evals[0]) >= -CP_TOL
 
 
+def _choi_distance(j: np.ndarray, d: int) -> float:
+    """Trace norm over d of the Choi difference ``j`` of two Hermiticity-preserving maps (overwrites ``j``)."""
+    j += j.conj().T  # J is Hermitian up to roundoff
+    return hermitian_trace_norm(j) / (2 * d)
+
+
 def diamond_lower_bound(c1: ChannelRep, c2: ChannelRep) -> float:
     """Trace norm of the Choi difference over d: lower-bounds the diamond distance."""
     if c1.dim != c2.dim:
         raise ValueError(f"channel dimensions differ: {c1.dim} vs {c2.dim}")
-    j = choi_matrix(ChannelRep(c1.dim, c1.superoperator - c2.superoperator))
-    j += j.conj().T  # both maps preserve Hermiticity, so J is Hermitian up to roundoff
-    return hermitian_trace_norm(j) / (2 * c1.dim)
+    return _choi_distance(choi_matrix(ChannelRep(c1.dim, c1.superoperator - c2.superoperator)), c1.dim)

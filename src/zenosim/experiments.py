@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import bounds
-from .channels import diamond_lower_bound, qdrift_channel, trotter_first_order, unitary_channel
+from .channels import _checked_unitary, _choi_distance, _qdrift_choi, trotter_first_order
 from .errors import ConfigError, LimitExceededError
 from .hamiltonian import PauliHamiltonian, exact_evolution, load_hamiltonian
 from .linalg import spectral_norm
@@ -195,8 +195,10 @@ def _kicks_point(system, t: float, n: int, **_) -> ZenoRunResult:
 
 
 def _qdrift_point(h: PauliHamiltonian, t: float, n: int, **_) -> ZenoRunResult:
-    lower = diamond_lower_bound(qdrift_channel(h, t, n), unitary_channel(exact_evolution(h, t)))
-    return sweep_point("qdrift", h, t, n, lower)
+    w = _checked_unitary(exact_evolution(h, t)).reshape(-1)
+    j = _qdrift_choi(h, t, n)
+    j -= np.outer(w, w.conj())  # the exact channel's Choi matrix is rank one: no superoperator needed
+    return sweep_point("qdrift", h, t, n, _choi_distance(j, 2**h.num_qubits))
 
 
 def _trotter_point(h: PauliHamiltonian, t: float, n: int, **_) -> ZenoRunResult:

@@ -17,9 +17,9 @@ signed summation; a merged magnitude at or below 1e-15 is reported as a
 cancellation error rather than silently dropped. A coefficient that is not
 finite, as written (``1e400``) or after merging, is a parse error.
 
-File format: UTF-8 text holding one expression; ``#`` starts a comment that
-runs to end of line; blank lines are ignored; several files are joined into
-one expression with '+'.
+File format: UTF-8 text, at most ``MAX_FILE_BYTES`` bytes, holding one
+expression; ``#`` starts a comment that runs to end of line; blank lines are
+ignored; several files are joined into one expression with '+'.
 """
 
 from __future__ import annotations
@@ -28,11 +28,10 @@ import math
 import re
 from dataclasses import dataclass
 from functools import reduce
-from pathlib import Path
 
 import numpy as np
 
-from .errors import CancellationError, ConfigError, HamiltonianParseError
+from .errors import CancellationError, ConfigError, HamiltonianParseError, LimitExceededError
 from .linalg import matexp_hermitian
 
 PAULI_AXES = "IXYZ"
@@ -45,6 +44,7 @@ PAULI_MATRICES = {
 }
 
 COEFFICIENT_THRESHOLD = 1e-15
+MAX_FILE_BYTES = 64 * 1024  # a 6-qubit, 32-term expression takes under 2 KB
 
 _FLOAT = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _TERM_RE = re.compile(rf"(?P<sep>[+-])?(?:(?P<coef>-?{_FLOAT})\*)?(?P<word>[IXYZ]+)")
@@ -219,7 +219,11 @@ def load_hamiltonian(*paths) -> PauliHamiltonian:
     expressions = []
     for path in paths:
         try:
-            raw = Path(path).read_text(encoding="utf-8")
+            with open(path, "rb") as f:
+                data = f.read(MAX_FILE_BYTES + 1)  # one byte over the cap marks a larger file
+            if len(data) > MAX_FILE_BYTES:
+                raise LimitExceededError(f"{path}: file exceeds the cap of {MAX_FILE_BYTES} bytes")
+            raw = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise HamiltonianParseError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
         except FileNotFoundError as exc:

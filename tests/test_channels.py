@@ -1,5 +1,7 @@
 """Baselines, superoperators, Choi matrices, and the diamond lower bound."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import random_hamiltonian
@@ -24,7 +26,8 @@ from zenosim import (
     trotter_first_order,
     unitary_channel,
 )
-from zenosim.channels import ChannelRep, _ptm_to_superoperator, _qdrift_step_ptm, conjugation_superoperator
+from zenosim.channels import ChannelRep, _ptm_to_choi, _qdrift_step_ptm, conjugation_superoperator
+from zenosim.experiments import _qdrift_point
 from zenosim.hamiltonian import pauli_rotations
 from test_linalg import matexp_taylor
 
@@ -150,8 +153,8 @@ class TestQdriftPtm:
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(h=small_hamiltonians(), dt=st.floats(0.0, 1.0))
     def test_step_matches_kron_sum(self, h, dt):
-        step = _ptm_to_superoperator(_qdrift_step_ptm(h, dt))
-        assert np.max(np.abs(step - qdrift_step_by_kron_sum(h, dt))) <= 1e-12
+        expected = choi_matrix(ChannelRep(2**h.num_qubits, qdrift_step_by_kron_sum(h, dt)))
+        assert np.max(np.abs(_ptm_to_choi(_qdrift_step_ptm(h, dt)) - expected)) <= 1e-12
 
     def test_ceiling_channel_matches_cubed_kron_sum(self):
         h = random_hamiltonian(np.random.default_rng(0), 32, 5)
@@ -159,9 +162,38 @@ class TestQdriftPtm:
         assert np.max(np.abs(qdrift_channel(h, 1.0, 3).superoperator - expected)) <= 1e-12
 
     @pytest.mark.parametrize("num_qubits", [1, 2, 3])
-    def test_identity_ptm_is_identity_superoperator(self, num_qubits):
-        d2 = 4**num_qubits
-        assert np.max(np.abs(_ptm_to_superoperator(np.eye(d2)) - np.eye(d2))) <= 1e-15
+    def test_identity_ptm_is_identity_choi(self, num_qubits):
+        omega = np.eye(2**num_qubits).reshape(-1)  # sum_i |i>|i>, unnormalized
+        choi = _ptm_to_choi(np.eye(4**num_qubits))
+        assert np.max(np.abs(choi - np.outer(omega, omega))) <= 1e-15
+
+
+class TestQdriftPoint:
+    """The command-line qdrift point: Choi matrices only, the exact channel as a rank-one term."""
+
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    def test_bit_equal_to_diamond_lower_bound(self, num_qubits, n):
+        h = random_hamiltonian(np.random.default_rng(num_qubits), 2 * num_qubits, num_qubits)
+        expected = diamond_lower_bound(qdrift_channel(h, 0.8, n), unitary_channel(exact_evolution(h, 0.8)))
+        assert _qdrift_point(h, 0.8, n).epsilon_measured == expected
+
+    def test_ceiling_bit_equal_to_diamond_lower_bound(self):
+        h = random_hamiltonian(np.random.default_rng(0), 32, 5)
+        expected = diamond_lower_bound(qdrift_channel(h, 1.0, 10), unitary_channel(exact_evolution(h, 1.0)))
+        assert _qdrift_point(h, 1.0, 10).epsilon_measured == expected
+
+    def test_ceiling_point_memory(self):
+        # The Choi path peaks at 40 MiB; a superoperator, kron(conj(U), U) or another Choi copy
+        # alive at the same time adds 16 MiB each at 5 qubits.
+        h = random_hamiltonian(np.random.default_rng(0), 32, 5)
+        tracemalloc.start()
+        try:
+            _qdrift_point(h, 1.0, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * 2**20
 
 
 class TestUnitaryChannel:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import random_hamiltonian
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zenosim import (
@@ -29,9 +29,11 @@ from zenosim import (
 )
 from zenosim.cli import _build_parser, main
 from zenosim.experiments import CSV_COLUMNS, METHODS, MODES, render_csv, render_json
+from zenosim.hamiltonian import MAX_FILE_BYTES
 
 TWO_TERM = "0.6*X + 0.4*Z"
 TWO_TERM_FILE = str(Path(__file__).resolve().parent.parent / "demos" / "hamiltonians" / "two_term.txt")
+CEILING_5Q32 = to_text(random_hamiltonian(np.random.default_rng(0), 32, 5))  # the channel-mode ceiling
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 # README's exit-code table: every error class named in a row's last cell, mapped to the row's code.
 README_EXIT_CODES = {
@@ -401,6 +403,19 @@ class TestCliExitCodes:
             err = capsys.readouterr().err
             assert err.startswith(message) and len(err.splitlines()) == 1
 
+    def test_hamiltonian_file_size_cap(self, tmp_path, capsys):
+        flags = ["--method", "zeno1", "--t", "1", "--n", "5"]
+        over = f"file exceeds the cap of {MAX_FILE_BYTES} bytes"
+        head = TWO_TERM + "\n#"  # the expression, then one comment line padding the file to size
+        for size, code, err in [(MAX_FILE_BYTES, 0, ""), (MAX_FILE_BYTES + 1, 3, "zenosim: limit exceeded: ")]:
+            path = tmp_path / f"{size}.txt"
+            path.write_bytes((head + "x" * (size - len(head) - 1) + "\n").encode("ascii"))
+            assert path.stat().st_size == size
+            assert main(["--hamiltonian", str(path), *flags]) == code
+            assert capsys.readouterr().err == (err and f"{err}{path}: {over}\n")
+        assert main(["--hamiltonian", "/dev/zero", *flags]) == 3
+        assert capsys.readouterr().err == f"zenosim: limit exceeded: /dev/zero: {over}\n"
+
     def test_method_and_compare_together(self, hfile, capsys):
         with pytest.raises(SystemExit) as info:
             main(["--hamiltonian", hfile(TWO_TERM), "--method", "zeno1", "--compare", "zeno1", "--t", "1", "--n", "5"])
@@ -540,8 +555,8 @@ def cli_runs(draw):
         sampled = mode == "sampled"
         if sampled:
             flags += ["--shots", str(draw(st.integers(1, 20))), "--seed", str(draw(st.integers(0, 2**32)))]
-    # A 5-qubit channel point takes 0.5-0.8 s at N <= 50 and 1.3 s at N = 10**6 on 2 cores (TestCeiling
-    # runs one), too slow for 150 examples; 6 qubits exit 3 before any work.
+    # A 5-qubit channel point takes 0.45-0.5 s at N <= 50 and 0.8-0.9 s at N = 10**6 on 2 cores, too slow
+    # for 150 examples: the explicit examples on TestCliProperty run it; 6 qubits exit 3 before any work.
     num_qubits = draw(st.sampled_from([1, 2, 3, 4, 6]) if "qdrift" in methods else st.integers(1, 6))
     coefficients = st.one_of(st.sampled_from([1e-15, 1e-3, 1.0, 1e300, 1e308]), st.floats(1e-15, 1e308))
     terms = draw(st.lists(st.tuples(
@@ -567,6 +582,8 @@ class TestCliProperty:
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(run=cli_runs())
+    @example(run=(CEILING_5Q32, ["--method", "qdrift", "--mode", "channel", "--t", "1", "--sweep", "10,1000000"]))
+    @example(run=(CEILING_5Q32, ["--compare", "zeno1,qdrift", "--t", "1e-3", "--n", "7", "--psi0", "31"]))
     def test_exit_code_and_one_line_message(self, tmp_path_factory, run):
         text, flags = run
         path = tmp_path_factory.mktemp("property") / "h.txt"
