@@ -10,14 +10,16 @@ diamond norm (a semidefinite program) is intentionally out of scope and
 every reported value is labeled as a lower bound.
 
 The qdrift channel is composed as a real Pauli transfer matrix, built in
-O(L d^2); one basis change turns its N-th power into the Choi matrix, from
-which the exact channel's Choi matrix, the rank-one w w^dagger, is subtracted
-without a superoperator. Choi differences of Hermiticity-preserving maps are
-Hermitian, so their trace norm is the sum of |eigenvalues|.
+O(L d^2); one basis change turns its N-th power into the Choi matrix J. The
+exact channel's Choi matrix is the rank-one w w^dagger (w = vec(exp(-iHt))),
+so the difference J - w w^dagger has trace 0 and, J being positive
+semidefinite, at most one negative eigenvalue lam_1 (Weyl interlacing): its
+trace norm is 2 |lam_1|, and every other eigenvalue lies in [0, |lam_1|].
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -25,7 +27,7 @@ import numpy as np
 
 from .errors import LimitExceededError
 from .hamiltonian import PAULI_AXES, PAULI_MATRICES, PauliHamiltonian, pauli_rotations
-from .linalg import hermitian_trace_norm, is_unitary
+from .linalg import hermitian_eigen, hermitian_trace_norm, is_unitary
 
 CHANNEL_MAX_QUBITS = 5
 
@@ -199,14 +201,37 @@ def is_completely_positive(channel: ChannelRep) -> bool:
     return float(evals[0]) >= -CP_TOL
 
 
-def _choi_distance(j: np.ndarray, d: int) -> float:
-    """Trace norm over d of the Choi difference ``j`` of two Hermiticity-preserving maps (overwrites ``j``)."""
-    j += j.conj().T  # J is Hermitian up to roundoff
-    return hermitian_trace_norm(j) / (2 * d)
-
-
 def diamond_lower_bound(c1: ChannelRep, c2: ChannelRep) -> float:
-    """Trace norm of the Choi difference over d: lower-bounds the diamond distance."""
+    """Trace norm of the Choi difference over d (the sum of its |eigenvalues|): lower-bounds the diamond distance."""
     if c1.dim != c2.dim:
         raise ValueError(f"channel dimensions differ: {c1.dim} vs {c2.dim}")
-    return _choi_distance(choi_matrix(ChannelRep(c1.dim, c1.superoperator - c2.superoperator)), c1.dim)
+    j = choi_matrix(ChannelRep(c1.dim, c1.superoperator - c2.superoperator))
+    j += j.conj().T  # J is Hermitian up to roundoff
+    return hermitian_trace_norm(j) / (2 * c1.dim)
+
+
+def _distance_to_unitary(j: np.ndarray, w: np.ndarray) -> float:
+    """Trace norm over d of J - w w^dagger, for the Choi matrix J of a CPTP map and w = vec(U) of a unitary U.
+
+    That is 2 |lam_1| / d. Lanczos with full reorthogonalisation, started at w / sqrt(d) (whose overlap with the
+    lam_1 eigenvector is at least |lam_1| / d), applies (J + J^dagger) / 2 - w w^dagger without forming it. It
+    stops once the Ritz residual rho is at most 1e-8 |theta| or a roundoff floor (exact channels), else when the
+    Krylov space is exhausted. As lam_2 >= 0, Kato-Temple gives |lam_1| <= |theta| + rho^2 / |theta|, so the
+    reading is never low; at the floor, where rho may exceed |theta|, rho stands in for that term.
+    """
+    d = math.isqrt(w.size)
+    basis, alpha, beta = [w / np.linalg.norm(w)], [], []
+    for _ in range(w.size):
+        x = basis[-1]
+        v = (j @ x + (x.conj() @ j).conj()) / 2 - w * np.vdot(w, x)
+        alpha.append(np.vdot(x, v).real)
+        q = np.array(basis)
+        v -= q.T @ (q.conj() @ v)
+        v -= q.T @ (q.conj() @ v)  # full reorthogonalisation: twice is enough
+        beta.append(np.linalg.norm(v))
+        ritz, vectors = hermitian_eigen(np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1))
+        theta, rho = abs(ritz[0]), beta[-1] * abs(vectors[-1, 0])
+        if rho <= max(1e-8 * theta, 4 * np.finfo(float).eps * d):
+            break
+        basis.append(v / beta[-1])
+    return float(2 * (theta + (rho * rho / max(theta, rho) if rho else 0.0)) / d)

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import bounds
-from .channels import _checked_unitary, _choi_distance, _qdrift_choi, trotter_first_order
+from .channels import _checked_unitary, _distance_to_unitary, _qdrift_choi, trotter_first_order
 from .errors import ConfigError, LimitExceededError
 from .hamiltonian import PauliHamiltonian, exact_evolution, load_hamiltonian
 from .linalg import spectral_norm
@@ -195,10 +195,8 @@ def _kicks_point(system, t: float, n: int, **_) -> ZenoRunResult:
 
 
 def _qdrift_point(h: PauliHamiltonian, t: float, n: int, **_) -> ZenoRunResult:
-    w = _checked_unitary(exact_evolution(h, t)).reshape(-1)
-    j = _qdrift_choi(h, t, n)
-    j -= np.outer(w, w.conj())  # the exact channel's Choi matrix is rank one: no superoperator needed
-    return sweep_point("qdrift", h, t, n, _choi_distance(j, 2**h.num_qubits))
+    w = _checked_unitary(exact_evolution(h, t)).reshape(-1)  # the exact channel's Choi matrix is w w^dagger
+    return sweep_point("qdrift", h, t, n, _distance_to_unitary(_qdrift_choi(h, t, n), w))
 
 
 def _trotter_point(h: PauliHamiltonian, t: float, n: int, **_) -> ZenoRunResult:

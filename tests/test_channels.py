@@ -1,10 +1,11 @@
 """Baselines, superoperators, Choi matrices, and the diamond lower bound."""
 
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import random_hamiltonian
+from conftest import THREE_TERM, TWO_TERM, random_hamiltonian
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +27,7 @@ from zenosim import (
     trotter_first_order,
     unitary_channel,
 )
-from zenosim.channels import ChannelRep, _ptm_to_choi, _qdrift_step_ptm, conjugation_superoperator
+from zenosim.channels import ChannelRep, _ptm_to_choi, _qdrift_choi, _qdrift_step_ptm, conjugation_superoperator
 from zenosim.experiments import _qdrift_point
 from zenosim.hamiltonian import pauli_rotations
 from test_linalg import matexp_taylor
@@ -168,20 +169,94 @@ class TestQdriftPtm:
         assert np.max(np.abs(choi - np.outer(omega, omega))) <= 1e-15
 
 
+# (generator seed, terms, qubits, t, N) of random_hamiltonian instances: 1-3 qubits and the 5q/32 ceiling.
+CHOI_CASES = [(q, 2 * q, q, 0.8, n) for q in (1, 2, 3) for n in (1, 7, 1000)] + [(0, 32, 5, 1.0, 10)]
+CHOI_IDS = [f"{q}q{terms}-N{n}" for _, terms, q, _, n in CHOI_CASES]
+CHOI_ROUNDOFF = 8 * np.finfo(float).eps  # 4 ulps of a reading near 2, the largest; the cases reach 2 eps
+
+
+@functools.cache
+def choi_readings(seed, num_terms, num_qubits, t, n):
+    """The Hamiltonian, the point's reading, the eigvalsh reading of the same Choi difference, its spectrum, its trace.
+
+    The eigvalsh reading is the one diamond_lower_bound takes, the sum of |eigenvalues| of J_D + J_D^dagger
+    over 2d for J_D = J - w w^dagger; mu and the trace are those of (J + J^dagger) / 2 - w w^dagger.
+    """
+    h = random_hamiltonian(np.random.default_rng(seed), num_terms, num_qubits)
+    w = exact_evolution(h, t).reshape(-1)
+    j = _qdrift_choi(h, t, n) - np.outer(w, w.conj())
+    j += j.conj().T
+    mu = np.linalg.eigvalsh(j)
+    eigvalsh_reading = float(np.sum(np.abs(mu))) / (2 * 2**num_qubits)
+    return h, _qdrift_point(h, t, n).epsilon_measured, eigvalsh_reading, mu / 2, np.trace(j).real / 2
+
+
 class TestQdriftPoint:
-    """The command-line qdrift point: Choi matrices only, the exact channel as a rank-one term."""
+    """The command-line qdrift point: the Choi matrix of the PTM power, the exact channel as a rank-one term.
+
+    Its reading is 2 |mu_1| / d from Lanczos, where eigvalsh sums every |mu_i| / d. The two differ by exactly
+    (tr + 2 sum_{i >= 2} |min(mu_i, 0)|) / d: roundoff of the computed difference, which is traceless and has
+    one negative eigenvalue in exact arithmetic. Both readings carry about u d of roundoff from forming it.
+    """
+
+    def assert_readings_agree(self, h, t, n, point, eigvalsh_reading, mu, trace):
+        expected = diamond_lower_bound(qdrift_channel(h, t, n), unitary_channel(exact_evolution(h, t)))
+        assert eigvalsh_reading == expected
+        noise = (trace + 2 * np.sum(np.abs(np.minimum(mu[1:], 0.0)))) / 2**h.num_qubits
+        assert abs(eigvalsh_reading - point - noise) <= CHOI_ROUNDOFF
 
     @pytest.mark.parametrize("num_qubits", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 7, 1000])
     def test_bit_equal_to_diamond_lower_bound(self, num_qubits, n):
-        h = random_hamiltonian(np.random.default_rng(num_qubits), 2 * num_qubits, num_qubits)
-        expected = diamond_lower_bound(qdrift_channel(h, 0.8, n), unitary_channel(exact_evolution(h, 0.8)))
-        assert _qdrift_point(h, 0.8, n).epsilon_measured == expected
+        # diamond_lower_bound reads the command-line Choi difference bit for bit; the point reads it by Lanczos.
+        h, *readings = choi_readings(num_qubits, 2 * num_qubits, num_qubits, 0.8, n)
+        self.assert_readings_agree(h, 0.8, n, *readings)
 
     def test_ceiling_bit_equal_to_diamond_lower_bound(self):
-        h = random_hamiltonian(np.random.default_rng(0), 32, 5)
-        expected = diamond_lower_bound(qdrift_channel(h, 1.0, 10), unitary_channel(exact_evolution(h, 1.0)))
-        assert _qdrift_point(h, 1.0, 10).epsilon_measured == expected
+        h, *readings = choi_readings(0, 32, 5, 1.0, 10)
+        self.assert_readings_agree(h, 1.0, 10, *readings)
+
+    @pytest.mark.parametrize("case", CHOI_CASES, ids=CHOI_IDS)
+    def test_one_negative_eigenvalue(self, case):
+        mu = choi_readings(*case)[3]
+        assert np.sum(mu < -1e-12) <= 1
+
+    @pytest.mark.parametrize("case", CHOI_CASES, ids=CHOI_IDS)
+    def test_reading_at_least_lowest_eigenvalue(self, case):
+        # The Kato-Temple term keeps the reading at or above |mu_1|, up to the roundoff both readings carry.
+        h, point, _, mu, _ = choi_readings(*case)
+        assert point >= 2 * abs(mu[0]) / 2**h.num_qubits - CHOI_ROUNDOFF
+
+    @pytest.mark.parametrize("h,t", [
+        (parse_hamiltonian("0.5*XZ + 0.3*ZI + 0.2*IY"), 0.0),
+        (parse_hamiltonian("0.7*XYZ"), 1.0),
+        (random_hamiltonian(np.random.default_rng(0), 32, 5), 0.0),
+        (parse_hamiltonian("-0.7*ZZXYZ"), 1.0),
+    ], ids=["2q-t0", "3q-single-term", "5q32-t0", "5q-single-term"])
+    def test_exact_channels_read_zero(self, h, t):
+        # The Choi difference is zero up to roundoff: Lanczos stops at its roundoff floor.
+        for n in (1, 1000):
+            assert _qdrift_point(h, t, n).epsilon_measured <= 1e-12
+
+    def test_ceiling_roundoff_is_not_a_violation(self):
+        # At N = 10**6 the PTM power leaves hundreds of eigenvalues below -1e-12 in the computed difference.
+        # Summing every |eigenvalue| read 2.2e-9, above the 1.62e-9 bound; the error itself falls as 1/N
+        # (7.8e-9 at N = 10**5), and the one negative eigenvalue reads 8.7e-10.
+        point = _qdrift_point(random_hamiltonian(np.random.default_rng(0), 32, 5), 1e-3, 10**6)
+        assert point.bound_satisfied
+
+    @pytest.mark.parametrize("text,n,reference", [
+        (TWO_TERM, 10, 0.092247538644738020),
+        (TWO_TERM, 100, 0.0095600905149138543),
+        (THREE_TERM, 10, 0.11857159226858036),
+        (THREE_TERM, 100, 0.012342239426394799),
+    ])
+    def test_matches_high_precision_reference(self, text, n, reference):
+        # The golden qdrift points at t = 1. Each reference is the N-th power of the one-step superoperator
+        # sum_j (h_j / lam) conj(U_j) kron U_j in 50-digit mpmath, less conj(U) kron U for U = exp(-iH),
+        # reshuffled to the Choi matrix: the sum of |eigenvalues| of its Hermitian part (mpmath.eighe) over d.
+        point = _qdrift_point(parse_hamiltonian(text), 1.0, n)
+        assert point.epsilon_measured == pytest.approx(reference, rel=1e-12, abs=0.0)
 
     def test_ceiling_point_memory(self):
         # The Choi path peaks at 40 MiB; a superoperator, kron(conj(U), U) or another Choi copy

@@ -503,10 +503,10 @@ class TestCliExitCodes:
         assert "cannot write" in capsys.readouterr().err
 
     @pytest.mark.parametrize("routine,flags", [
-        ("eigvalsh", ["--method", "qdrift", "--mode", "channel"]),
+        ("eigh", ["--method", "qdrift", "--mode", "channel"]),
         ("svd", ["--method", "zeno1"]),
         ("eigh", ["--method", "kicks"]),
-    ], ids=["qdrift-channel-eigvalsh", "zeno1-projected-svd", "kicks-projected-eigh"])
+    ], ids=["qdrift-channel-eigh", "zeno1-projected-svd", "kicks-projected-eigh"])
     def test_numerical_failure_is_one_line_exit_1(self, hfile, monkeypatch, capsys, routine, flags):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError(f"{routine} did not converge")
@@ -517,6 +517,31 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("zenosim: numerical failure: ConvergenceError: ") and len(err.splitlines()) == 1
+
+    def test_lanczos_failure_is_one_line_exit_1(self, hfile, monkeypatch, capsys):
+        eigh = np.linalg.eigh
+
+        def fail_on_first_tridiagonal(a, *args, **kwargs):
+            if len(a) == 1:  # the exact propagator's H is 2 x 2; the Lanczos solve starts from a 1 x 1 matrix
+                raise np.linalg.LinAlgError("eigh did not converge")
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", fail_on_first_tridiagonal)
+        code = main(["--hamiltonian", hfile(TWO_TERM), "--method", "qdrift", "--mode", "channel",
+                     "--t", "1", "--n", "10"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("zenosim: numerical failure: ConvergenceError: ") and len(err.splitlines()) == 1
+
+    def test_channel_point_calls_no_eigvalsh(self, hfile, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("eigvalsh did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        code = main(["--hamiltonian", hfile(TWO_TERM), "--method", "qdrift", "--mode", "channel",
+                     "--t", "1", "--n", "10"])
+        assert code == 0
+        assert capsys.readouterr().err == ""
 
     def test_bound_violation_exit_code(self, hfile, monkeypatch, capsys):
         # The physics paths never violate their bounds, so exercise the exit
@@ -555,9 +580,9 @@ def cli_runs(draw):
         sampled = mode == "sampled"
         if sampled:
             flags += ["--shots", str(draw(st.integers(1, 20))), "--seed", str(draw(st.integers(0, 2**32)))]
-    # A 5-qubit channel point takes 0.45-0.5 s at N <= 50 and 0.8-0.9 s at N = 10**6 on 2 cores, too slow
-    # for 150 examples: the explicit examples on TestCliProperty run it; 6 qubits exit 3 before any work.
-    num_qubits = draw(st.sampled_from([1, 2, 3, 4, 6]) if "qdrift" in methods else st.integers(1, 6))
+    # Every method draws 5 qubits too: a 5-qubit channel point takes 0.2-0.3 s at N <= 50 on 2 cores, most
+    # of it the transfer-matrix power and the Choi basis change. 6 qubits exit 3 before any channel work.
+    num_qubits = draw(st.integers(1, 6))
     coefficients = st.one_of(st.sampled_from([1e-15, 1e-3, 1.0, 1e300, 1e308]), st.floats(1e-15, 1e308))
     terms = draw(st.lists(st.tuples(
         st.sampled_from(["+", "-"]), coefficients, st.text("IXYZ", min_size=num_qubits, max_size=num_qubits)
