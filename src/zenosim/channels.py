@@ -9,10 +9,11 @@ norm divided by d is a lower bound on the diamond distance; the exact
 diamond norm (a semidefinite program) is intentionally out of scope and
 every reported value is labeled as a lower bound.
 
-The qdrift channel is composed as a real Pauli transfer matrix, built in
-O(L d^2); one basis change turns its N-th power into the Choi matrix J. The
-exact channel's Choi matrix is the rank-one w w^dagger (w = vec(exp(-iHt))),
-so the difference J - w w^dagger has trace 0 and, J being positive
+The qdrift channel is a real Pauli transfer matrix, built in O(L d^2) and
+powered in three buffers of its size; Walsh-Hadamard transforms in (x, z)
+Pauli coordinates turn its N-th power into the Choi matrix J, one X part at
+a time. The exact channel's Choi matrix is the rank-one w w^dagger (w =
+vec(exp(-iHt))), so J - w w^dagger has trace 0 and, J being positive
 semidefinite, at most one negative eigenvalue lam_1 (Weyl interlacing): its
 trace norm is 2 |lam_1|, and every other eigenvalue lies in [0, |lam_1|].
 """
@@ -21,12 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
 from .errors import LimitExceededError
-from .hamiltonian import PAULI_AXES, PAULI_MATRICES, PauliHamiltonian, pauli_rotations
+from .hamiltonian import PAULI_AXES, PauliHamiltonian, pauli_rotations
 from .linalg import hermitian_eigen, hermitian_trace_norm, is_unitary
 
 CHANNEL_MAX_QUBITS = 5
@@ -36,8 +37,6 @@ TP_TOL = 1e-9
 
 # sigma_w sigma_b = _PAULI_PHASES[w, b] sigma_(w ^ b), with I, X, Y, Z numbered 0-3.
 _PAULI_PHASES = np.array([[1, 1, 1, 1], [1, 1, 1j, -1j], [1, -1j, 1, 1j], [1, 1j, -1j, 1]])
-# _PAULI_VEC[2 r + c, w] = sigma_w[r, c] / sqrt(2): one qubit's leg of the Pauli basis change.
-_PAULI_VEC = np.stack([PAULI_MATRICES[axis].reshape(-1) for axis in PAULI_AXES], axis=1) / np.sqrt(2)
 
 
 @dataclass(frozen=True)
@@ -134,18 +133,60 @@ def _qdrift_step_ptm(h: PauliHamiltonian, delta_t: float) -> np.ndarray:
     return ptm
 
 
-def _ptm_to_choi(ptm: np.ndarray) -> np.ndarray:
-    """Choi matrix of B R B^dagger, where column a of B is vec(sigma_a) / sqrt(d), for a real PTM R.
+def _ptm_power(step: np.ndarray, n_steps: int) -> np.ndarray:
+    """step^N by numpy.linalg.matrix_power's schedule, bit for bit: N <= 3 by its short cuts, else LSB first.
 
-    Each qubit leg of B is one matmul on a transposed view, which BLAS reads without a copy, turning a
-    Pauli digit into a (row, column) pair; one transpose then puts all row digits before all column digits.
+    Three buffers: step, which is overwritten, so nothing else may hold it, and two more.
     """
-    n = ptm.shape[0].bit_length() // 2
-    out = ptm
-    for k in range(2 * n):
-        out = out.reshape(4, -1).T @ (_PAULI_VEC if k < n else _PAULI_VEC.conj()).T
-    order = [*range(0, 4 * n, 2), *range(1, 4 * n, 2)]  # output factor first in rows and in columns
-    return out.reshape((2,) * 4 * n).transpose(order).reshape(ptm.shape)
+    if n_steps <= 3:
+        return np.linalg.matrix_power(step, n_steps)  # at most step, its square and their product
+    buffers, z, result = (step, np.empty_like(step), np.empty_like(step)), None, None
+
+    def spare():
+        return next(b for b in buffers if b is not z and b is not result)
+
+    while n_steps:
+        z = step if z is None else np.matmul(z, z, out=spare())
+        n_steps, bit = divmod(n_steps, 2)
+        if bit:
+            result = z if result is None else np.matmul(result, z, out=spare())
+    return result
+
+
+@cache
+def _xz_tables(num_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Tables of the (x, z) Pauli coordinates: I, X, Y, Z are (0,0), (1,0), (1,1), (0,1), qubit 0 the top bit.
+
+    index[x, z] numbers that Pauli in kron order, phase[x, z] = (-i)^|x & z|, hadamard[r, z] = (-1)^|r & z|,
+    and scatter[r, x', r'] is the flat position of J[(r, r'), (0, r' ^ x')].
+    """
+    d = 2**num_qubits
+    r, x = np.arange(d), np.arange(d)[:, None]
+    index = overlap = 0
+    for bit in reversed(range(num_qubits)):
+        xb, zb = (x >> bit) & 1, (r >> bit) & 1
+        index, overlap = 4 * index + np.array([[0, 3], [1, 2]])[xb, zb], overlap + (xb & zb)
+    tables = index, (-1j) ** overlap, (-1.0) ** overlap, (r * d**3)[:, None, None] + r * d * d + (x ^ r)
+    for table in tables:
+        table.flags.writeable = False  # every call for this register size gets the same arrays
+    return tables
+
+
+def _choi_of_ptm(ptm: np.ndarray) -> np.ndarray:
+    """Choi matrix (1/d) sum_(a,b) R[a, b] sigma_a kron conj(sigma_b) of a real PTM R, one x-block at a time.
+
+    As sigma_(x,z)[r, r ^ x] = (-i)^|x & z| (-1)^(z.r), J[(r, r'), (r ^ x, r' ^ x')] comes from the d rows (x, z)
+    of R, phased and Walsh-Hadamard transformed over z' and then z. Only R and J are full size.
+    """
+    index, phase, hadamard, scatter = _xz_tables(ptm.shape[0].bit_length() // 2)
+    d, r = index.shape[0], np.arange(index.shape[0])
+    choi = np.empty((d * d, d * d), dtype=complex)  # each entry is written by exactly one block
+    for x in range(d):
+        block = ptm[np.ix_(index[x], index.reshape(-1))].reshape(d, d, d) * (phase[x] / d)[:, None, None]
+        block = ((block * phase.conj()).reshape(d * d, d) @ hadamard).reshape(d, d * d)
+        block = (hadamard @ block.view(float)).view(complex)  # z on the real view: H is real
+        choi.reshape(-1)[scatter + ((r ^ x) * d)[:, None, None]] = block.reshape(d, d, d)
+    return choi
 
 
 def _qdrift_choi(h: PauliHamiltonian, t: float, n_steps: int) -> np.ndarray:
@@ -156,7 +197,7 @@ def _qdrift_choi(h: PauliHamiltonian, t: float, n_steps: int) -> np.ndarray:
         raise LimitExceededError(
             f"channel mode supports at most {CHANNEL_MAX_QUBITS} qubits, got {h.num_qubits}"
         )
-    return _ptm_to_choi(np.linalg.matrix_power(_qdrift_step_ptm(h, t / n_steps), n_steps))
+    return _choi_of_ptm(_ptm_power(_qdrift_step_ptm(h, t / n_steps), n_steps))
 
 
 def qdrift_channel(h: PauliHamiltonian, t: float, n_steps: int) -> ChannelRep:
