@@ -31,16 +31,23 @@ prepare unitary; its probability over a run is the success probability.
 
 The runs stay on the target register: with ``P = 1 (x) |phi><phi|`` (``phi``
 the prepared ancilla state), ``P select(dt) P = A(dt) (x) |phi><phi|`` where
-``A(dt) = sum_k |phi_k|^2 U_k(dt)``. The kick sequence leaves that range but
-splits into one invariant plane per eigenvalue of H, where it is a 2x2
-unitary (``run_kicks``). Only ``select_unitary`` and
-``extended_hamiltonian`` build combined-register matrices.
+``A(dt) = sum_k |phi_k|^2 U_k(dt)``. For the standard projector every block
+turns by ``theta = lam dt``, so ``A(dt) = cos(theta) - i sin(theta) H / lam``
+is a function of H, and so is the second-order step ``2 A(dt/2)^2 - A(dt)``:
+zeno1 and zeno2 act on each eigenvector of H as a scalar, and all their
+points, projected and sampled, read the system's one ``spectrum`` of H.
+mub's blocks turn at different angles, so it powers the matrix A(dt). The
+kick sequence leaves the range of P but splits into one invariant plane per
+eigenvalue of H, where it is a 2x2 unitary (``run_kicks``), on the same
+spectrum. Only ``select_unitary`` and ``extended_hamiltonian`` build
+combined-register matrices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +58,8 @@ from .linalg import hermitian_eigen, spectral_norm
 
 VARIANT_STANDARD = "standard"
 VARIANT_MUB = "mub"
+
+_CHUNK = 1024  # steps per block of survival probabilities and of uniform draws
 
 
 @dataclass(frozen=True)
@@ -68,6 +77,11 @@ class ExtendedSystem:
     projector_state: np.ndarray  # ancilla state defining the projector
     generator_scale: float       # lam (standard) or 2^n_ancilla (mub)
     block_rates: tuple[float, ...]  # per ancilla index, angle per unit time (0 when padded)
+
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues (ascending) and eigenvectors of H, taken on first use and kept: one ``eigh`` per system."""
+        return hermitian_eigen(hamiltonian_matrix(self.hamiltonian))
 
 
 @dataclass(frozen=True)
@@ -195,19 +209,6 @@ def _corner(sys: ExtendedSystem, delta_t: float) -> np.ndarray:
     return np.tensordot(np.abs(sys.projector_state) ** 2, _blocks(sys, delta_t), axes=1)
 
 
-def _step(sys: ExtendedSystem, delta_t: float, order: int) -> np.ndarray:
-    """Target-register operator of one projected step (spectral norm at most 1).
-
-    Order 1 is project, evolve, project: A(dt). Order 2 inserts the
-    reflection R = 2|phi><phi| - 1 between two half-steps, which compresses
-    to 2 A(dt/2)^2 - A(dt) because U_k(dt/2)^2 = U_k(dt).
-    """
-    if order == 1:
-        return _corner(sys, delta_t)
-    half = _corner(sys, delta_t / 2.0)
-    return 2.0 * half @ half - _corner(sys, delta_t)
-
-
 def _initial_state(sys: ExtendedSystem, psi0: np.ndarray | None) -> np.ndarray:
     """The checked initial target state; |0..0> when ``psi0`` is None."""
     psi = np.asarray(np.eye(sys.target_dim)[0] if psi0 is None else psi0, dtype=complex).reshape(-1)
@@ -218,10 +219,110 @@ def _initial_state(sys: ExtendedSystem, psi0: np.ndarray | None) -> np.ndarray:
     return psi
 
 
+def _sine_gap(a: np.ndarray, gap: np.ndarray, theta: float) -> np.ndarray:
+    """sin(a theta) - a sin(theta), given gap = 1 - a^2.
+
+    Up to theta = 1 this sums a (1 - a^2) sum_k (-1)^(k+1) theta^(2k+1) (1 + a^2 + ... + a^(2k-2)) / (2k+1)!,
+    which has no cancellation; ten terms leave under 1e-18 of the first.
+    """
+    if theta > 1.0:
+        return np.sin(a * theta) - a * math.sin(theta)
+    b = a * a
+    term, geometric, total = theta, np.zeros_like(a), np.zeros_like(a)
+    for k in range(1, 11):
+        term *= -theta * theta / (2 * k * (2 * k + 1))  # (-1)^k theta^(2k+1) / (2k+1)!
+        geometric = 1.0 + b * geometric
+        total -= term * geometric
+    return a * gap * total
+
+
+def _survival(log_r: np.ndarray, weights: np.ndarray, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each step's survival probability, and the weights of the state that survives all N steps.
+
+    With w_j the (positive) weights of psi0 on the eigenvectors of H and S_k = sum_j w_j |mu_j|^(2k), step k
+    survives with q_k = S_k / S_(k-1), and the state after N steps has weights w_j |mu_j|^(2N) / S_N. Both
+    are computed _CHUNK steps at a time, relative to the slowest-decaying component, so nothing underflows.
+    """
+    q = np.zeros(n_steps)
+    w = weights / weights.sum()
+    for start in range(0, n_steps, _CHUNK):
+        top = log_r.max()
+        if top == -math.inf:  # every component is annihilated: no step survives
+            break
+        steps = np.arange(1, min(_CHUNK, n_steps - start) + 1)
+        terms = w * np.exp(np.multiply.outer(steps, log_r - top))
+        totals = terms.sum(axis=1)
+        q[start : start + len(steps)] = math.exp(top) * totals / np.concatenate(([w.sum()], totals[:-1]))
+        w = terms[-1] / totals[-1]
+    return q, w
+
+
+def _standard(sys: ExtendedSystem, t: float, n_steps: int, order: int, psi: np.ndarray, sampled: bool):
+    """(error, success probability, survival, fidelity) from the spectrum of H; the last two only when ``sampled``.
+
+    On the eigenvector psi_j of H, with a = E_j / lam, theta = lam dt and u = 1 - cos(theta), the step is
+    mu_j = cos(theta) - i a sin(theta) (order 1) or 1 - a^2 u - i a sin(theta) (order 2). The step is
+    normal, so the error is max_j |mu_j^N - e^(-i E_j t)| = sqrt((r^N - 1)^2 + 4 r^N sin^2(delta_j / 2))
+    with r = |mu_j| and delta_j = N arg(mu_j) + E_j t, and the success probability is sum_j w_j r^(2N)
+    with w_j = |<psi_j|psi>|^2. Nothing is formed by cancellation: |mu|^2 - 1 is -sin(theta)^2 (1 - a^2)
+    or -a^2 (1 - a^2) u^2, and as E_j t = N a theta, delta_j is N arg(mu_j e^(i a theta)), whose O(theta)
+    terms cancel exactly. The surviving state's fidelity with e^(-iHt) psi is |sum_j sqrt(w_j w'_j) e^(i delta_j)|^2,
+    w'_j its weights.
+    """
+    energies, vectors = sys.spectrum
+    lam = sys.hamiltonian.lam
+    a = energies / lam
+    gap = np.maximum(0.0, (1.0 - a) * (1.0 + a))  # 1 - a^2; eigh may put |a| a rounding above 1
+    theta = lam * (t / n_steps)
+    sin_t, u = math.sin(theta), 2.0 * math.sin(theta / 2.0) ** 2
+    if order == 1:
+        drop, modulus = u, -sin_t * sin_t * gap
+    else:
+        drop, modulus = a * a * u, -((a * u) ** 2) * gap
+    # mu = (1 - drop) - i a sin(theta); Im(mu e^(i a theta)) = (1 - drop) sin(a theta) - a sin(theta) cos(a theta).
+    sin_at = np.sin(a * theta)
+    im = _sine_gap(a, gap, theta) - drop * sin_at + 2.0 * a * sin_t * np.sin(a * theta / 2.0) ** 2
+    re = (1.0 - drop) * np.cos(a * theta) + a * sin_t * sin_at
+    phase = n_steps * np.arctan2(im, re)
+    with np.errstate(divide="ignore"):  # mu = 0 for a = 0 at theta = pi / 2
+        log_r = np.log1p(modulus)
+    weights = np.abs(vectors.conj().T @ psi) ** 2
+
+    half = 0.5 * n_steps * log_r  # log r^N
+    epsilon = float(np.max(np.hypot(np.expm1(half), 2.0 * np.exp(0.5 * half) * np.sin(0.5 * phase))))
+    p_succ = float(min(1.0, np.dot(weights, np.exp(n_steps * log_r))))
+    if not sampled:
+        return epsilon, p_succ, None, None
+    keep = weights > 0
+    survival, final = _survival(log_r[keep], weights[keep], n_steps)
+    fidelity = float(abs(np.sum(np.sqrt(weights[keep] * final) * np.exp(1j * phase[keep]))) ** 2)
+    return epsilon, p_succ, survival, fidelity
+
+
+def _mub(sys: ExtendedSystem, t: float, n_steps: int, psi: np.ndarray, sampled: bool):
+    """``_standard``'s tuple for the mub projector, whose blocks turn at different angles: A(dt) is no function of H."""
+    step = _corner(sys, t / n_steps)
+    exact = exact_evolution(sys.hamiltonian, t)
+    repeated = np.linalg.matrix_power(step, n_steps)
+    epsilon = spectral_norm(repeated - exact)
+    p_succ = float(min(1.0, np.linalg.norm(repeated @ psi) ** 2))
+    if not sampled:
+        return epsilon, p_succ, None, None
+    psi_exact = exact @ psi
+    survival = np.zeros(n_steps)  # every surviving shot follows the path step^k psi0 / ||.||
+    for k in range(n_steps):
+        psi = step @ psi
+        survival[k] = np.vdot(psi, psi).real
+        if survival[k] == 0.0:
+            break
+        psi = psi / math.sqrt(survival[k])
+    return epsilon, p_succ, survival, float(abs(np.vdot(psi_exact, psi)) ** 2)
+
+
 def _projected(
-    sys: ExtendedSystem, t: float, n_steps: int, order: int, psi0: np.ndarray | None
-) -> tuple[ZenoRunResult, np.ndarray, np.ndarray]:
-    """``run_zeno``'s point, plus the step operator and the exact propagator it was measured with."""
+    sys: ExtendedSystem, t: float, n_steps: int, order: int, psi0: np.ndarray | None, sampled: bool = False
+) -> tuple[ZenoRunResult, np.ndarray | None, float | None]:
+    """``run_zeno``'s point; when ``sampled``, also each step's survival probability and the final fidelity."""
     if n_steps < 1:
         raise ValueError(f"step count must be >= 1, got {n_steps}")
     if t < 0:
@@ -231,13 +332,14 @@ def _projected(
     if sys.variant == VARIANT_MUB and order != 1:
         raise ValueError("the second-order sequence is defined for the standard projector only")
 
-    step = _step(sys, t / n_steps, order)
-    exact = exact_evolution(sys.hamiltonian, t)
-    repeated = np.linalg.matrix_power(step, n_steps)
-    epsilon = spectral_norm(repeated - exact)
-    p_succ = float(min(1.0, np.linalg.norm(repeated @ _initial_state(sys, psi0)) ** 2))
+    psi = _initial_state(sys, psi0)
+    if sys.variant == VARIANT_STANDARD:
+        epsilon, p_succ, survival, fidelity = _standard(sys, t, n_steps, order, psi, sampled)
+    else:
+        epsilon, p_succ, survival, fidelity = _mub(sys, t, n_steps, psi, sampled)
     method = "mub" if sys.variant == VARIANT_MUB else f"zeno{order}"
-    return sweep_point(method, sys.hamiltonian, t, n_steps, epsilon, p_succ, sys.n_ancilla), step, exact
+    point = sweep_point(method, sys.hamiltonian, t, n_steps, epsilon, p_succ, sys.n_ancilla)
+    return point, survival, fidelity
 
 
 def run_zeno(
@@ -251,7 +353,9 @@ def run_zeno(
 
     The run is (step (x) |phi><phi|)^N, so the error is the spectral norm of
     step^N minus the exact evolution, and the success probability is
-    ||step^N psi0||^2 (exact post-selection, no sampling).
+    ||step^N psi0||^2 (exact post-selection, no sampling). For the standard
+    projector both come from the system's spectrum of H; for mub, from the
+    N-th matrix power of A(dt).
     """
     return _projected(sys, t, n_steps, order, psi0)[0]
 
@@ -281,7 +385,7 @@ def run_kicks(sys: ExtendedSystem, t: float, n_steps: int) -> ZenoRunResult:
         raise ValueError(f"time must be nonnegative, got {t}")
 
     h = sys.hamiltonian
-    energies = hermitian_eigen(hamiltonian_matrix(h))[0]
+    energies = sys.spectrum[0]
     a = energies / h.lam
     b = np.sqrt(np.maximum(0.0, 1.0 - a**2))
     theta = h.lam * (t / n_steps)
@@ -314,32 +418,30 @@ def run_sampled(
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    point, step, exact = _projected(sys, t, n_steps, order, psi0)
-
-    psi = _initial_state(sys, psi0)
-    psi_exact = exact @ psi
-    # Every surviving shot follows the same path step^k psi0 / ||.||, so the
-    # per-step survival probabilities are computed once.
-    survival = np.zeros(n_steps)
-    for k in range(n_steps):
-        psi = step @ psi
-        survival[k] = np.vdot(psi, psi).real
-        if survival[k] == 0.0:
-            break
-        psi = psi / math.sqrt(survival[k])
-    # A step's measurement is one uniform draw u that picks the all-zeros
-    # outcome iff u < its probability, as in Generator.choice.
-    successes = sum(
-        bool(np.all(np.random.default_rng(seed + shot).random(n_steps) < survival))
-        for shot in range(shots)
-    )
-
+    point, survival, fidelity = _projected(sys, t, n_steps, order, psi0, sampled=True)
+    successes = _successes(survival, shots, seed)
     return replace(
         point,
         p_succ_sampled=successes / shots,
         shots=shots,
         seed=seed,
-        fidelity_mean=float(abs(np.vdot(psi_exact, psi)) ** 2) if successes else None,
+        fidelity_mean=fidelity if successes else None,
+    )
+
+
+def _successes(survival: np.ndarray, shots: int, seed: int) -> int:
+    """The shots of ``default_rng(seed + shot)`` that survive every step.
+
+    A step's measurement is one uniform draw u that picks the all-zeros
+    outcome iff u < its survival probability, as in Generator.choice. A shot
+    draws _CHUNK steps at a time and stops at the first chunk holding a
+    failed step; PCG64 gives the same draws in chunks as in one call, so the
+    verdicts do not depend on _CHUNK.
+    """
+    chunks = [survival[start : start + _CHUNK] for start in range(0, len(survival), _CHUNK)]
+    return sum(
+        all(np.all(rng.random(len(chunk)) < chunk) for chunk in chunks)
+        for rng in map(np.random.default_rng, range(seed, seed + shots))
     )
 
 

@@ -256,22 +256,37 @@ class TestQdriftPoint:
     one negative eigenvalue in exact arithmetic. Both readings carry about u d of roundoff from forming it.
     """
 
-    def assert_readings_agree(self, h, t, n, point, eigvalsh_reading, mu, trace):
+    @staticmethod
+    def assert_bit_equal(h, t, n, eigvalsh_reading):
         expected = diamond_lower_bound(qdrift_channel(h, t, n), unitary_channel(exact_evolution(h, t)))
         assert eigvalsh_reading == expected
-        noise = (trace + 2 * np.sum(np.abs(np.minimum(mu[1:], 0.0)))) / 2**h.num_qubits
-        assert abs(eigvalsh_reading - point - noise) <= CHOI_ROUNDOFF
 
     @pytest.mark.parametrize("num_qubits", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 7, 1000])
     def test_bit_equal_to_diamond_lower_bound(self, num_qubits, n):
         # diamond_lower_bound reads the command-line Choi difference bit for bit; the point reads it by Lanczos.
-        h, *readings = choi_readings(num_qubits, 2 * num_qubits, num_qubits, 0.8, n)
-        self.assert_readings_agree(h, 0.8, n, *readings)
+        h, point, eigvalsh_reading, mu, trace = choi_readings(num_qubits, 2 * num_qubits, num_qubits, 0.8, n)
+        self.assert_bit_equal(h, 0.8, n, eigvalsh_reading)
+        noise = (trace + 2 * np.sum(np.abs(np.minimum(mu[1:], 0.0)))) / 2**h.num_qubits
+        assert abs(eigvalsh_reading - point - noise) <= CHOI_ROUNDOFF
 
     def test_ceiling_bit_equal_to_diamond_lower_bound(self):
-        h, *readings = choi_readings(0, 32, 5, 1.0, 10)
-        self.assert_readings_agree(h, 1.0, 10, *readings)
+        h, _, eigvalsh_reading, _, _ = choi_readings(0, 32, 5, 1.0, 10)
+        self.assert_bit_equal(h, 1.0, 10, eigvalsh_reading)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("n", [10, 1000])
+    def test_ceiling_reads_lowest_eigenvalue(self, seed, n):
+        # At 5 qubits the trace-and-noise identity of the smaller cases sits below eigvalsh's own roundoff, so
+        # the point is compared with 2 |mu_1| / d alone. eigvalsh is backward stable: its eigenvalues are exact
+        # for J_D + E with ||E||_2 <= p(m) u ||J_D||_2, p(m) a modestly growing function of the order m = d^2,
+        # taken as m. Lanczos reads the same J_D through matrix-vector products under the same bound. Each
+        # reading of 2 |mu_1| / d is then within 2 m u ||J_D||_2 / d, or about 1000 eps; these cases reach 29 eps.
+        h, point, _, mu, _ = choi_readings(seed, 32, 5, 1.0, n)
+        d = 2**h.num_qubits
+        m, u = d * d, np.finfo(float).eps / 2
+        tolerance = 2 * (2 * m * u * np.max(np.abs(mu)) / d)  # the bound for each of the two readings
+        assert abs(point - 2 * abs(mu[0]) / d) <= tolerance
 
     @pytest.mark.parametrize("case", CHOI_CASES, ids=CHOI_IDS)
     def test_one_negative_eigenvalue(self, case):

@@ -30,10 +30,12 @@ from zenosim import (
 from zenosim.cli import _build_parser, main
 from zenosim.experiments import CSV_COLUMNS, METHODS, MODES, render_csv, render_json
 from zenosim.hamiltonian import MAX_FILE_BYTES
+from zeno_references import REFERENCES
 
 TWO_TERM = "0.6*X + 0.4*Z"
 TWO_TERM_FILE = str(Path(__file__).resolve().parent.parent / "demos" / "hamiltonians" / "two_term.txt")
 CEILING_5Q32 = to_text(random_hamiltonian(np.random.default_rng(0), 32, 5))  # the channel-mode ceiling
+ZENO_REFERENCES = json.loads(REFERENCES.read_text(encoding="utf-8"))
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 # README's exit-code table: every error class named in a row's last cell, mapped to the row's code.
 README_EXIT_CODES = {
@@ -300,6 +302,20 @@ class TestCeiling:
         self.check(run_experiment(cfg), (10**6,))
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("method", ["zeno1", "zeno2"])
+    def test_zeno_at_step_cap(self, ceiling_file, method):
+        # One eigendecomposition of H, then O(d) per point. The 40-digit per-eigenvalue zeno2 error is
+        # 3.602e-10 (tests/zeno_references.py), against a bound of 2.24e-9; an N-fold power of the step
+        # read 1.18e-9, its roundoff floor.
+        cfg = ExperimentConfig(hamiltonian_path=ceiling_file(6), method=method, t=1.0, n=10**6)
+        start = time.perf_counter()
+        result = run_experiment(cfg)
+        assert time.perf_counter() - start < 1.0
+        self.check(result, (10**6,))
+        if method == "zeno2":
+            reference = float(ZENO_REFERENCES["ceiling_6q32 zeno2 1000000"]["epsilon"])
+            assert result.points[0].epsilon_measured == pytest.approx(reference, rel=1e-6, abs=0.0)
+
 
 class TestCliExitCodes:
     def test_success(self, hfile, capsys):
@@ -504,9 +520,10 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("routine,flags", [
         ("eigh", ["--method", "qdrift", "--mode", "channel"]),
-        ("svd", ["--method", "zeno1"]),
+        ("eigh", ["--method", "zeno1"]),
+        ("svd", ["--method", "mub"]),
         ("eigh", ["--method", "kicks"]),
-    ], ids=["qdrift-channel-eigh", "zeno1-projected-svd", "kicks-projected-eigh"])
+    ], ids=["qdrift-channel-eigh", "zeno1-projected-eigh", "mub-projected-svd", "kicks-projected-eigh"])
     def test_numerical_failure_is_one_line_exit_1(self, hfile, monkeypatch, capsys, routine, flags):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError(f"{routine} did not converge")

@@ -8,12 +8,16 @@ review the diff.
 """
 
 import contextlib
+import csv
 import io
+import json
 import os
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from zeno_references import REFERENCES
 
 from zenosim.cli import main
 
@@ -63,6 +67,28 @@ def test_golden_output(name, args):
     code, out = run_config(args)
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+def zeno_golden_files():
+    return [name for name, args in golden_configs() if {"zeno1", "zeno2", "--compare"} & set(args)]
+
+
+@pytest.mark.parametrize("name", zeno_golden_files())
+def test_zeno_digits(name):
+    # Every printed zeno1/zeno2 error and success probability is its 40-digit per-eigenvalue reference
+    # (tests/zeno_references.py), rounded to the 12 significant digits the CLI prints.
+    references = json.loads(REFERENCES.read_text(encoding="utf-8"))
+    text = (GOLDEN / name).read_text(encoding="utf-8")
+    rows = json.loads(text)["points"] if name.endswith(".json") else list(csv.DictReader(io.StringIO(text)))
+    instance, psi_index = name.split("-")[0], 1 if "psi1" in name else 0
+    checked = 0
+    for row in rows:
+        if row["method"] in ("zeno1", "zeno2"):
+            reference = references[f"{instance} {row['method']} {row['N']}"]
+            for column, value in (("epsilon_measured", reference["epsilon"]), ("p_succ_exact", reference["p_succ"][psi_index])):
+                assert float(row[column]) == float(format(Decimal(value), ".12g")), (row["N"], column)
+                checked += 1
+    assert checked >= 4
 
 
 if __name__ == "__main__":

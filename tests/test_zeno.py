@@ -1,5 +1,6 @@
 """Extended-system construction and the measured sequences."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -350,22 +351,86 @@ class TestRunSampled:
         assert abs(r.p_succ_sampled - r.p_succ_exact) <= 4 * np.sqrt(0.25 / 400) + 1e-9
         assert r.fidelity_mean > 0.99
 
-    @pytest.mark.parametrize("order, rotations", [(1, 1), (2, 2)])
-    def test_builds_step_and_propagator_once(self, h3, monkeypatch, order, rotations):
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_reads_one_spectrum(self, h3, monkeypatch, order):
+        # A standard-projector sweep, projected, sampled and kicks alike, takes one eigendecomposition of H
+        # and builds neither a step matrix nor the exact propagator.
         import zenosim.zeno as zeno
 
         calls = []
-        for name in ("exact_evolution", "pauli_rotations"):
+        for name in ("exact_evolution", "pauli_rotations", "hermitian_eigen"):
             fn = getattr(zeno, name)
             monkeypatch.setattr(zeno, name, lambda *args, _fn=fn, _name=name: calls.append(_name) or _fn(*args))
-        r = run_sampled(build_extended(h3), 1.0, 20, order=order, shots=10)
-        assert sorted(calls) == ["exact_evolution"] + ["pauli_rotations"] * rotations
-        reference = run_zeno(build_extended(h3), 1.0, 20, order=order)
-        assert (r.epsilon_measured, r.p_succ_exact) == (reference.epsilon_measured, reference.p_succ_exact)
+        sys = build_extended(h3)
+        for n in (10, 20):
+            r = run_sampled(sys, 1.0, n, order=order, shots=10)
+            reference = run_zeno(sys, 1.0, n, order=order)
+            assert (r.epsilon_measured, r.p_succ_exact) == (reference.epsilon_measured, reference.p_succ_exact)
+            run_kicks(sys, 1.0, n)
+        assert calls == ["hermitian_eigen"]
+
+    @pytest.mark.parametrize("t,n", [(1.0, 10), (3**0.5, 3000)], ids=["low-survival", "high-survival"])
+    def test_early_exit_matches_full_draws(self, t, n):
+        # A shot draws its uniforms _CHUNK steps at a time and stops at the first chunk with a failed step;
+        # its verdict equals that of drawing all N uniforms at once. 6q/32 zeno1 survives N = 10 steps with
+        # probability 2.3e-8, and N = 3000 > _CHUNK steps at t = sqrt(3) with probability 0.71.
+        from zenosim.zeno import _CHUNK, _projected, _successes
+
+        sys = build_extended(random_hamiltonian(np.random.default_rng(0), 32, 6))
+        survival = _projected(sys, t, n, 1, None, sampled=True)[1]
+        shots, seed = 200, 5
+        full = [bool(np.all(np.random.default_rng(seed + s).random(n) < survival)) for s in range(shots)]
+        assert _successes(survival, shots, seed) == sum(full)
+        if n > _CHUNK:
+            assert 0 < sum(full) < shots  # both verdicts occur
 
     def test_zero_shots_rejected(self, sys2):
         with pytest.raises(ValueError, match="shots"):
             run_sampled(sys2, 1.0, 5, shots=0)
+
+
+class TestSpectralForm:
+    """Standard-projector runs from one spectrum of H: each step eigenvalue mu_j as a scalar."""
+
+    def test_zeno1_error_tends_to_asymptote(self):
+        # At large N the zeno1 error is (lam t)^2 max_j (1 - a_j^2) / (2N), at most half the (lam t)^2 / N
+        # bound. The leading correction is expm1's second term, a relative (lam t)^2 (1 - a_j^2) / (4N).
+        h = random_hamiltonian(np.random.default_rng(0), 32, 6)
+        sys = build_extended(h)
+        a = np.linalg.eigvalsh(hamiltonian_matrix(h)) / h.lam
+        asymptote = h.lam**2 * np.max(1.0 - a * a) / 2.0
+        for n in (10**4, 10**5, 10**6):
+            r = run_zeno(sys, 1.0, n)
+            assert abs(r.epsilon_measured * n / asymptote - 1.0) <= h.lam**2 / (2.0 * n)
+            assert r.epsilon_measured <= r.epsilon_bound / 2.0
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_ceiling_point_memory(self, order):
+        # A 6q/32 point, its eigendecomposition of H included, traces about 0.27 MiB: the 64 x 64 matrix of H,
+        # its eigenvectors and a few length-64 vectors. A (L, d, d) rotation stack or an N-fold matrix power
+        # of the step (6.2 MiB) breaks 1 MiB.
+        sys = build_extended(random_hamiltonian(np.random.default_rng(0), 32, 6))
+        tracemalloc.start()
+        try:
+            run_zeno(sys, 1.0, 1000, order=order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_annihilated_component(self, order, n):
+        # 0.5 XX + 0.5 ZZ has a = 1, 0, 0, -1, and |00> lies half on a = 1 and half on a = 0. At
+        # theta = lam t / N = pi / 2 the zeno1 step annihilates the a = 0 component, leaving a fidelity of 1/2.
+        sys = build_extended(parse_hamiltonian("0.5*XX + 0.5*ZZ"))
+        for theta in (np.pi / 2, np.pi):
+            r = run_sampled(sys, theta * n, n, order=order, shots=20, seed=1)
+            epsilon, p_succ = zeno_full(sys, theta * n, n, order=order)
+            assert abs(r.epsilon_measured - epsilon) <= 1e-9 and abs(r.p_succ_exact - p_succ) <= 1e-9
+            p_sampled, fidelity = sampled_full(sys, theta * n, n, order=order, shots=20, seed=1)
+            assert r.p_succ_sampled == p_sampled
+            assert (r.fidelity_mean, fidelity) == (None, None) or abs(r.fidelity_mean - fidelity) <= 1e-9
 
 
 class TestBlockEncoding:
