@@ -10,12 +10,13 @@ diamond norm (a semidefinite program) is intentionally out of scope and
 every reported value is labeled as a lower bound.
 
 The qdrift channel is a real Pauli transfer matrix, built in O(L d^2) and
-powered in three buffers of its size; Walsh-Hadamard transforms in (x, z)
-Pauli coordinates turn its N-th power into the Choi matrix J, one X part at
-a time. The exact channel's Choi matrix is the rank-one w w^dagger (w =
-vec(exp(-iHt))), so J - w w^dagger has trace 0 and, J being positive
-semidefinite, at most one negative eigenvalue lam_1 (Weyl interlacing): its
-trace norm is 2 |lam_1|, and every other eigenvalue lies in [0, |lam_1|].
+powered in its own buffer with two spares of its size; Walsh-Hadamard
+transforms in (x, z) Pauli coordinates turn its N-th power into the Choi
+matrix J, one X part at a time, written into the spares' memory. The exact
+channel's Choi matrix is the rank-one w w^dagger (w = vec(exp(-iHt))), so
+J - w w^dagger has trace 0 and, J being positive semidefinite, at most one
+negative eigenvalue lam_1 (Weyl interlacing): its trace norm is 2 |lam_1|,
+and every other eigenvalue lies in [0, |lam_1|].
 """
 
 from __future__ import annotations
@@ -133,24 +134,27 @@ def _qdrift_step_ptm(h: PauliHamiltonian, delta_t: float) -> np.ndarray:
     return ptm
 
 
-def _ptm_power(step: np.ndarray, n_steps: int) -> np.ndarray:
-    """step^N by numpy.linalg.matrix_power's schedule, bit for bit: N <= 3 by its short cuts, else LSB first.
+def _ptm_power(step: np.ndarray, n_steps: int, spares: np.ndarray) -> None:
+    """Overwrite step with step^N in numpy.linalg.matrix_power's product order, bit for bit (N = 3 by its short cut).
 
-    Three buffers: step, which is overwritten, so nothing else may hold it, and two more.
+    ``spares`` holds two more buffers of step's shape; the products go there and into step, and nothing else is
+    written. A power that ends in a spare is copied back into step.
     """
-    if n_steps <= 3:
-        return np.linalg.matrix_power(step, n_steps)  # at most step, its square and their product
-    buffers, z, result = (step, np.empty_like(step), np.empty_like(step)), None, None
+    if n_steps == 3:  # matrix_power's (step @ step) @ step; the loop would take step @ (step @ step)
+        power = np.matmul(np.matmul(step, step, out=spares[0]), step, out=spares[1])
+    else:  # for N = 1 and 2 the loop takes matrix_power's step and step @ step
+        buffers, z, power = (step, *spares), None, None
 
-    def spare():
-        return next(b for b in buffers if b is not z and b is not result)
+        def spare():
+            return next(b for b in buffers if b is not z and b is not power)
 
-    while n_steps:
-        z = step if z is None else np.matmul(z, z, out=spare())
-        n_steps, bit = divmod(n_steps, 2)
-        if bit:
-            result = z if result is None else np.matmul(result, z, out=spare())
-    return result
+        while n_steps:
+            z = step if z is None else np.matmul(z, z, out=spare())
+            n_steps, bit = divmod(n_steps, 2)
+            if bit:
+                power = z if power is None else np.matmul(power, z, out=spare())
+    if power is not step:
+        np.copyto(step, power)
 
 
 @cache
@@ -172,32 +176,40 @@ def _xz_tables(num_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     return tables
 
 
-def _choi_of_ptm(ptm: np.ndarray) -> np.ndarray:
-    """Choi matrix (1/d) sum_(a,b) R[a, b] sigma_a kron conj(sigma_b) of a real PTM R, one x-block at a time.
+def _choi_of_ptm(ptm: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the Choi matrix (1/d) sum_(a,b) R[a, b] sigma_a kron conj(sigma_b) of a real PTM R into ``out``.
 
     As sigma_(x,z)[r, r ^ x] = (-i)^|x & z| (-1)^(z.r), J[(r, r'), (r ^ x, r' ^ x')] comes from the d rows (x, z)
-    of R, phased and Walsh-Hadamard transformed over z' and then z. Only R and J are full size.
+    of R, phased and Walsh-Hadamard transformed over z' and then z, one x-block at a time. ``out`` is a
+    C-contiguous complex array of R's shape that shares no memory with R; a block's temporaries are d x d^2.
     """
     index, phase, hadamard, scatter = _xz_tables(ptm.shape[0].bit_length() // 2)
     d, r = index.shape[0], np.arange(index.shape[0])
-    choi = np.empty((d * d, d * d), dtype=complex)  # each entry is written by exactly one block
-    for x in range(d):
-        block = ptm[np.ix_(index[x], index.reshape(-1))].reshape(d, d, d) * (phase[x] / d)[:, None, None]
+    for x in range(d):  # each entry of out is written by exactly one block
+        block = ptm.take(index[x], axis=0).take(index.reshape(-1), axis=1).reshape(d, d, d)
+        block = block * (phase[x] / d)[:, None, None]
         block = ((block * phase.conj()).reshape(d * d, d) @ hadamard).reshape(d, d * d)
         block = (hadamard @ block.view(float)).view(complex)  # z on the real view: H is real
-        choi.reshape(-1)[scatter + ((r ^ x) * d)[:, None, None]] = block.reshape(d, d, d)
-    return choi
+        out.reshape(-1)[scatter + ((r ^ x) * d)[:, None, None]] = block.reshape(d, d, d)
+    return out
 
 
 def _qdrift_choi(h: PauliHamiltonian, t: float, n_steps: int) -> np.ndarray:
-    """Choi matrix of the N-fold composition of the randomized mixture channel."""
+    """Choi matrix of the N-fold composition of the randomized mixture channel.
+
+    A point allocates two arrays: the step's PTM, which the power overwrites, and a pair of PTM-sized buffers
+    that holds the power's spares and then, viewed as one complex matrix, the Choi matrix.
+    """
     if n_steps < 1:
         raise ValueError(f"step count must be >= 1, got {n_steps}")
     if h.num_qubits > CHANNEL_MAX_QUBITS:
         raise LimitExceededError(
             f"channel mode supports at most {CHANNEL_MAX_QUBITS} qubits, got {h.num_qubits}"
         )
-    return _choi_of_ptm(_ptm_power(_qdrift_step_ptm(h, t / n_steps), n_steps))
+    ptm = _qdrift_step_ptm(h, t / n_steps)
+    pair = np.empty((2, *ptm.shape))
+    _ptm_power(ptm, n_steps, pair)
+    return _choi_of_ptm(ptm, pair.reshape(ptm.shape[0], -1).view(complex))
 
 
 def qdrift_channel(h: PauliHamiltonian, t: float, n_steps: int) -> ChannelRep:

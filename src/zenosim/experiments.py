@@ -242,10 +242,22 @@ def _resolved_config_dict(config: ExperimentConfig, ns: list[int], h: PauliHamil
 
 def run_experiment(config: ExperimentConfig) -> SweepResult:
     """Execute one config: load, validate limits, run every step count."""
-    _validate_config(config)
-    h = load_hamiltonian(config.hamiltonian_path)
-    _, variant, point = METHODS[config.method]
-    subject = h if variant is None else build_extended(h, variant)
+    return _run_configs([config])[0]
+
+
+def _run_configs(configs: list[ExperimentConfig]) -> list[SweepResult]:
+    """Run configs on one Hamiltonian file, loaded once; methods of one projector variant share its system."""
+    for config in configs:
+        _validate_config(config)
+    h = load_hamiltonian(configs[0].hamiltonian_path)
+    variants = {METHODS[config.method][1] for config in configs}
+    subjects = {variant: h if variant is None else build_extended(h, variant) for variant in variants}
+    return [_sweep(config, h, subjects[METHODS[config.method][1]]) for config in configs]
+
+
+def _sweep(config: ExperimentConfig, h: PauliHamiltonian, subject) -> SweepResult:
+    """Run every step count of a validated config on ``h`` or its system for the method's projector variant."""
+    point = METHODS[config.method][2]
     _check_limits(h, subject, config.t)
     ns = _resolve_ns(config, h)
     psi0 = _resolve_psi0(config, 2**h.num_qubits)
@@ -263,14 +275,16 @@ def run_experiment(config: ExperimentConfig) -> SweepResult:
 def compare_methods(config: ExperimentConfig, methods) -> MethodComparison:
     """Run several methods on the shared Hamiltonian, time, and sweep.
 
-    Each method runs in the first of its modes; ``config.mode`` is ignored.
+    Each method runs in the first of its modes; ``config.mode`` is ignored. zeno1, zeno2 and kicks share one
+    system, so they take one ``eigh`` of H.
     """
     methods = list(methods)
     if not methods:
         raise ConfigError("compare needs at least one method")
     if len(set(methods)) != len(methods):
         raise ConfigError("compare methods must be distinct")
-    results = {m: run_experiment(replace(config, method=m, mode=_modes(m)[0])) for m in methods}
+    configs = [replace(config, method=m, mode=_modes(m)[0]) for m in methods]
+    results = dict(zip(methods, _run_configs(configs)))
     ns = tuple(p.N for p in results[methods[0]].points)
     notes = []
     if "qdrift" in results:

@@ -3,9 +3,10 @@
 All operators are plain ``numpy.ndarray`` objects with dtype ``complex128``;
 state vectors are 1-D arrays. Matrices stay dense throughout: the measured
 sequences run on the target register (dimension at most 2^6 = 64); the
-largest are 5-qubit qdrift's 4^5 x 4^5: three real Pauli transfer matrices
-during the power, then the power and the complex Choi matrix J. Lanczos
-finds the one negative eigenvalue of J - w w^dagger without forming it.
+largest are 5-qubit qdrift's 4^5 x 4^5: a real Pauli transfer matrix and
+its power's two spares, whose memory then holds the complex Choi matrix J.
+Lanczos finds the one negative eigenvalue of J - w w^dagger without forming
+it.
 
 Tolerances are centralized here. Unless an operation states otherwise,
 Hermiticity and unitarity are checked to 1e-10 and equality assertions in

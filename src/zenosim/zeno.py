@@ -46,6 +46,7 @@ combined-register matrices.
 from __future__ import annotations
 
 import math
+from collections.abc import Generator
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -236,29 +237,33 @@ def _sine_gap(a: np.ndarray, gap: np.ndarray, theta: float) -> np.ndarray:
     return a * gap * total
 
 
-def _survival(log_r: np.ndarray, weights: np.ndarray, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each step's survival probability, and the weights of the state that survives all N steps.
+def _survival(
+    log_r: np.ndarray, weights: np.ndarray, phase: np.ndarray, n_steps: int
+) -> Generator[np.ndarray, None, float]:
+    """Yield each step's survival probability, _CHUNK steps at a time; return the fidelity of the state surviving N.
 
     With w_j the (positive) weights of psi0 on the eigenvectors of H and S_k = sum_j w_j |mu_j|^(2k), step k
     survives with q_k = S_k / S_(k-1), and the state after N steps has weights w_j |mu_j|^(2N) / S_N. Both
-    are computed _CHUNK steps at a time, relative to the slowest-decaying component, so nothing underflows.
+    are computed relative to the slowest-decaying component, so nothing underflows. A chunk is computed when
+    it is asked for, and the final weights and ``_standard``'s fidelity (phase holding its delta_j) only when
+    the generator is resumed after the last chunk.
     """
-    q = np.zeros(n_steps)
     w = weights / weights.sum()
+    top = log_r.max()
     for start in range(0, n_steps, _CHUNK):
-        top = log_r.max()
-        if top == -math.inf:  # every component is annihilated: no step survives
-            break
         steps = np.arange(1, min(_CHUNK, n_steps - start) + 1)
+        if top == -math.inf:  # every component is annihilated: no step survives
+            yield np.zeros(len(steps))
+            continue
         terms = w * np.exp(np.multiply.outer(steps, log_r - top))
         totals = terms.sum(axis=1)
-        q[start : start + len(steps)] = math.exp(top) * totals / np.concatenate(([w.sum()], totals[:-1]))
+        yield math.exp(top) * totals / np.concatenate(([w.sum()], totals[:-1]))
         w = terms[-1] / totals[-1]
-    return q, w
+    return float(abs(np.sum(np.sqrt(weights * w) * np.exp(1j * phase))) ** 2)
 
 
 def _standard(sys: ExtendedSystem, t: float, n_steps: int, order: int, psi: np.ndarray, sampled: bool):
-    """(error, success probability, survival, fidelity) from the spectrum of H; the last two only when ``sampled``.
+    """(error, success probability, survival) from the spectrum of H; survival is None unless ``sampled``.
 
     On the eigenvector psi_j of H, with a = E_j / lam, theta = lam dt and u = 1 - cos(theta), the step is
     mu_j = cos(theta) - i a sin(theta) (order 1) or 1 - a^2 u - i a sin(theta) (order 2). The step is
@@ -292,11 +297,9 @@ def _standard(sys: ExtendedSystem, t: float, n_steps: int, order: int, psi: np.n
     epsilon = float(np.max(np.hypot(np.expm1(half), 2.0 * np.exp(0.5 * half) * np.sin(0.5 * phase))))
     p_succ = float(min(1.0, np.dot(weights, np.exp(n_steps * log_r))))
     if not sampled:
-        return epsilon, p_succ, None, None
+        return epsilon, p_succ, None
     keep = weights > 0
-    survival, final = _survival(log_r[keep], weights[keep], n_steps)
-    fidelity = float(abs(np.sum(np.sqrt(weights[keep] * final) * np.exp(1j * phase[keep]))) ** 2)
-    return epsilon, p_succ, survival, fidelity
+    return epsilon, p_succ, _survival(log_r[keep], weights[keep], phase[keep], n_steps)
 
 
 def _mub(sys: ExtendedSystem, t: float, n_steps: int, psi: np.ndarray, sampled: bool):
@@ -306,23 +309,29 @@ def _mub(sys: ExtendedSystem, t: float, n_steps: int, psi: np.ndarray, sampled: 
     repeated = np.linalg.matrix_power(step, n_steps)
     epsilon = spectral_norm(repeated - exact)
     p_succ = float(min(1.0, np.linalg.norm(repeated @ psi) ** 2))
-    if not sampled:
-        return epsilon, p_succ, None, None
-    psi_exact = exact @ psi
-    survival = np.zeros(n_steps)  # every surviving shot follows the path step^k psi0 / ||.||
-    for k in range(n_steps):
-        psi = step @ psi
-        survival[k] = np.vdot(psi, psi).real
-        if survival[k] == 0.0:
-            break
-        psi = psi / math.sqrt(survival[k])
-    return epsilon, p_succ, survival, float(abs(np.vdot(psi_exact, psi)) ** 2)
+    return epsilon, p_succ, _path_survival(step, psi, exact @ psi, n_steps) if sampled else None
+
+
+def _path_survival(
+    step: np.ndarray, psi: np.ndarray, psi_exact: np.ndarray, n_steps: int
+) -> Generator[np.ndarray, None, float]:
+    """``_survival`` along the path step^k psi0 / ||.|| that every surviving shot follows, one step at a time."""
+    for start in range(0, n_steps, _CHUNK):
+        chunk = np.zeros(min(_CHUNK, n_steps - start))
+        for k in range(len(chunk)):
+            psi = step @ psi
+            chunk[k] = np.vdot(psi, psi).real
+            if chunk[k] == 0.0:  # no shot survives this step
+                break
+            psi = psi / math.sqrt(chunk[k])
+        yield chunk
+    return float(abs(np.vdot(psi_exact, psi)) ** 2)
 
 
 def _projected(
     sys: ExtendedSystem, t: float, n_steps: int, order: int, psi0: np.ndarray | None, sampled: bool = False
-) -> tuple[ZenoRunResult, np.ndarray | None, float | None]:
-    """``run_zeno``'s point; when ``sampled``, also each step's survival probability and the final fidelity."""
+) -> tuple[ZenoRunResult, Generator[np.ndarray, None, float] | None]:
+    """``run_zeno``'s point; when ``sampled``, also the generator of its survival probabilities and fidelity."""
     if n_steps < 1:
         raise ValueError(f"step count must be >= 1, got {n_steps}")
     if t < 0:
@@ -334,12 +343,11 @@ def _projected(
 
     psi = _initial_state(sys, psi0)
     if sys.variant == VARIANT_STANDARD:
-        epsilon, p_succ, survival, fidelity = _standard(sys, t, n_steps, order, psi, sampled)
+        epsilon, p_succ, survival = _standard(sys, t, n_steps, order, psi, sampled)
     else:
-        epsilon, p_succ, survival, fidelity = _mub(sys, t, n_steps, psi, sampled)
+        epsilon, p_succ, survival = _mub(sys, t, n_steps, psi, sampled)
     method = "mub" if sys.variant == VARIANT_MUB else f"zeno{order}"
-    point = sweep_point(method, sys.hamiltonian, t, n_steps, epsilon, p_succ, sys.n_ancilla)
-    return point, survival, fidelity
+    return sweep_point(method, sys.hamiltonian, t, n_steps, epsilon, p_succ, sys.n_ancilla), survival
 
 
 def run_zeno(
@@ -418,31 +426,38 @@ def run_sampled(
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    point, survival, fidelity = _projected(sys, t, n_steps, order, psi0, sampled=True)
-    successes = _successes(survival, shots, seed)
-    return replace(
-        point,
-        p_succ_sampled=successes / shots,
-        shots=shots,
-        seed=seed,
-        fidelity_mean=fidelity if successes else None,
-    )
+    point, survival = _projected(sys, t, n_steps, order, psi0, sampled=True)
+    successes, fidelity = _successes(survival, shots, seed)
+    return replace(point, p_succ_sampled=successes / shots, shots=shots, seed=seed, fidelity_mean=fidelity)
 
 
-def _successes(survival: np.ndarray, shots: int, seed: int) -> int:
-    """The shots of ``default_rng(seed + shot)`` that survive every step.
+def _successes(survival: Generator[np.ndarray, None, float], shots: int, seed: int) -> tuple[int, float | None]:
+    """The shots of ``default_rng(seed + shot)`` that survive every step, and the survivors' fidelity (None if none).
 
-    A step's measurement is one uniform draw u that picks the all-zeros
-    outcome iff u < its survival probability, as in Generator.choice. A shot
-    draws _CHUNK steps at a time and stops at the first chunk holding a
-    failed step; PCG64 gives the same draws in chunks as in one call, so the
-    verdicts do not depend on _CHUNK.
+    ``survival`` yields the steps' survival probabilities _CHUNK at a time and returns the fidelity of the state
+    that survives them all. A step's measurement is one uniform draw u that picks the all-zeros outcome iff u <
+    its survival probability, as in Generator.choice. A shot draws a chunk at a time and stops at the first
+    chunk holding a failed step; PCG64 gives the same draws in chunks as in one call, so the verdicts do not
+    depend on _CHUNK. A chunk is taken from ``survival`` when the first shot reaches it and kept for the next
+    shots; the fidelity, when a shot survives the last chunk.
     """
-    chunks = [survival[start : start + _CHUNK] for start in range(0, len(survival), _CHUNK)]
-    return sum(
-        all(np.all(rng.random(len(chunk)) < chunk) for chunk in chunks)
+    reached, returned = [], []
+
+    def chunks():
+        yield from reached
+        while not returned:
+            try:
+                reached.append(next(survival))
+            except StopIteration as stop:
+                returned.append(stop.value)
+            else:
+                yield reached[-1]
+
+    successes = sum(
+        all(np.all(rng.random(len(chunk)) < chunk) for chunk in chunks())
         for rng in map(np.random.default_rng, range(seed, seed + shots))
     )
+    return successes, returned[0] if returned else None
 
 
 def block_encoding_matrix(sys: ExtendedSystem, delta_t: float) -> np.ndarray:

@@ -1,7 +1,11 @@
 """Baselines, superoperators, Choi matrices, and the diamond lower bound."""
 
 import functools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from conftest import THREE_TERM, TWO_TERM, random_hamiltonian
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zenosim
 from zenosim import (
     LimitExceededError,
     build_extended,
@@ -73,6 +78,11 @@ def choi_by_pauli_legs(ptm):
         out = out.reshape(4, -1).T @ (PAULI_VEC if k < n else PAULI_VEC.conj()).T
     order = [*range(0, 4 * n, 2), *range(1, 4 * n, 2)]  # output factor first in rows and in columns
     return out.reshape((2,) * 4 * n).transpose(order).reshape(ptm.shape)
+
+
+def choi_of(ptm):
+    """The Choi matrix of a PTM, written into a fresh buffer that starts as NaN so an entry left unwritten shows."""
+    return _choi_of_ptm(ptm, np.full(ptm.shape, np.nan, dtype=complex))
 
 
 @st.composite
@@ -179,7 +189,7 @@ class TestQdriftPtm:
     @given(h=small_hamiltonians(), dt=st.floats(0.0, 1.0))
     def test_step_matches_kron_sum(self, h, dt):
         expected = choi_matrix(ChannelRep(2**h.num_qubits, qdrift_step_by_kron_sum(h, dt)))
-        assert np.max(np.abs(_choi_of_ptm(_qdrift_step_ptm(h, dt)) - expected)) <= 1e-12
+        assert np.max(np.abs(choi_of(_qdrift_step_ptm(h, dt)) - expected)) <= 1e-12
 
     def test_ceiling_channel_matches_cubed_kron_sum(self):
         h = random_hamiltonian(np.random.default_rng(0), 32, 5)
@@ -189,14 +199,14 @@ class TestQdriftPtm:
     @pytest.mark.parametrize("num_qubits", [1, 2, 3])
     def test_identity_ptm_is_identity_choi(self, num_qubits):
         omega = np.eye(2**num_qubits).reshape(-1)  # sum_i |i>|i>, unnormalized
-        choi = _choi_of_ptm(np.eye(4**num_qubits))
+        choi = choi_of(np.eye(4**num_qubits))
         assert np.max(np.abs(choi - np.outer(omega, omega))) <= 1e-15
 
     @pytest.mark.parametrize("num_qubits", [1, 2, 3, 4, 5])
     def test_choi_matches_pauli_legs(self, num_qubits):
         # The (x, z) Walsh-Hadamard build against the per-leg basis change; 4.3e-15 max |R| at 5 qubits.
         ptm = np.random.default_rng(num_qubits).standard_normal((4**num_qubits, 4**num_qubits))
-        difference = _choi_of_ptm(ptm) - choi_by_pauli_legs(ptm)
+        difference = choi_of(ptm) - choi_by_pauli_legs(ptm)
         assert np.max(np.abs(difference)) <= 1e-14 * np.max(np.abs(ptm))
 
 
@@ -204,7 +214,7 @@ POWER_STEPS = [1, 2, 3, 4, 5, 10, 100, 1000, 10**6]
 
 
 class TestPtmPower:
-    """The three-buffer PTM power against numpy.linalg.matrix_power."""
+    """The in-place PTM power against numpy.linalg.matrix_power."""
 
     @pytest.mark.parametrize("num_qubits", [1, 2, 3])
     @pytest.mark.parametrize("n", POWER_STEPS)
@@ -212,18 +222,24 @@ class TestPtmPower:
         h = random_hamiltonian(np.random.default_rng(num_qubits), 2 * num_qubits, num_qubits)
         step = _qdrift_step_ptm(h, 0.8 / n)
         expected = np.linalg.matrix_power(step, n)
-        assert np.array_equal(_ptm_power(step.copy(), n), expected)
+        _ptm_power(step, n, np.empty((2, *step.shape)))
+        assert np.array_equal(step, expected)
 
     @pytest.mark.parametrize("n", POWER_STEPS)
     def test_writes_no_array_the_caller_holds(self, n):
-        # The power writes only the step handed to it and its own two buffers: a power the caller still holds
-        # keeps its values and shares no memory with the next, and the same point twice is bit-identical.
+        # The power writes only the step and the two spares handed to it: the buffers on either side of the
+        # spares and a power the caller still holds keep their values. Two Choi matrices of the same point share
+        # no memory and are bit-identical.
         h = random_hamiltonian(np.random.default_rng(3), 6, 3)
-        earlier = _ptm_power(_qdrift_step_ptm(h, 0.5), 7)
+        earlier = _qdrift_step_ptm(h, 0.5)
+        _ptm_power(earlier, 7, np.empty((2, *earlier.shape)))
         kept = earlier.copy()
-        power = _ptm_power(_qdrift_step_ptm(h, 0.8 / n), n)
-        assert np.array_equal(earlier, kept) and not np.shares_memory(power, earlier)
-        assert np.array_equal(_qdrift_choi(h, 0.8, n), _qdrift_choi(h, 0.8, n))
+        step = _qdrift_step_ptm(h, 0.8 / n)
+        buffers = np.full((4, *step.shape), np.nan)  # a guard, the two spares, a guard
+        _ptm_power(step, n, buffers[1:3])
+        assert np.array_equal(earlier, kept) and np.isnan(buffers[[0, 3]]).all()
+        first, second = _qdrift_choi(h, 0.8, n), _qdrift_choi(h, 0.8, n)
+        assert np.array_equal(first, second) and not np.shares_memory(first, second)
 
 
 # (generator seed, terms, qubits, t, N) of random_hamiltonian instances: 1-3 qubits and the 5q/32 ceiling.
@@ -340,11 +356,12 @@ class TestQdriftPoint:
         # 9.4e-11 relative at N = 1000 and 9.1e-9 at N = 10^4: binary powering of the PTM rounds away the signal.
         assert _qdrift_point(parse_hamiltonian(TWO_TERM), 1.0, n).epsilon_measured >= reference
 
-    @pytest.mark.parametrize("n", [10, 1000])
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 1000])
     def test_ceiling_point_memory(self, n):
-        # The point peaks at 26 MiB at N = 10 and N = 1000: three 8 MiB PTM buffers during the power,
-        # then the power and the 16 MiB Choi matrix. A fourth PTM buffer, a complex copy of the power
-        # or a second 16 MiB array (superoperator, kron(conj(U), U), another Choi copy) breaks 32 MiB.
+        # The point peaks at about 24 MiB: the 8 MiB step PTM, which the power overwrites, and one 16 MiB pair
+        # that holds the power's two spares and then the Choi matrix. A third spare, matrix_power's own
+        # products beside the pair (N = 2 and 3), a complex copy of the power or a second 16 MiB array
+        # (superoperator, kron(conj(U), U), another Choi copy) breaks 32 MiB.
         h = random_hamiltonian(np.random.default_rng(0), 32, 5)
         tracemalloc.start()
         try:
@@ -353,6 +370,33 @@ class TestQdriftPoint:
         finally:
             tracemalloc.stop()
         assert peak <= 32 * 2**20
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc/self/status")
+    def test_ceiling_sweep_resident_peak(self):
+        # tracemalloc counts live arrays only; the resident peak also keeps freed heap chunks that later
+        # arrays do not reuse. After the N = 10 point, the N = 100 and 1000 points reuse its two buffers,
+        # so VmHWM rises by about 0.3 MiB; a power or Choi matrix allocated beside freed buffers rises 6 MiB.
+        script = """
+import numpy as np
+from conftest import random_hamiltonian
+from zenosim.experiments import _qdrift_point
+
+def hwm_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+h = random_hamiltonian(np.random.default_rng(0), 32, 5)
+_qdrift_point(h, 1.0, 10)
+first = hwm_kib()
+_qdrift_point(h, 1.0, 100)
+_qdrift_point(h, 1.0, 1000)
+print(first, hwm_kib())
+"""
+        path = os.pathsep.join([str(Path(zenosim.__file__).parents[1]), str(Path(__file__).parent)])
+        run = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                             capture_output=True, text=True, timeout=120, check=True)
+        first, last = map(int, run.stdout.split())
+        assert last - first <= 2 * 1024
 
 
 class TestUnitaryChannel:

@@ -256,6 +256,17 @@ class TestCompareMethods:
         with pytest.raises(ConfigError, match="distinct"):
             compare_methods(config(hfile), ["zeno1", "zeno1"])
 
+    def test_one_spectrum_per_projector_variant(self, hfile, monkeypatch):
+        # zeno1, zeno2 and kicks share the standard projector's system, so the spectrum of H they read is
+        # taken once.
+        from zenosim import zeno
+
+        calls = []
+        eigen = zeno.hermitian_eigen
+        monkeypatch.setattr(zeno, "hermitian_eigen", lambda a: calls.append(a.shape) or eigen(a))
+        compare_methods(config(hfile, n=None, sweep=(10, 100)), ["zeno1", "zeno2", "kicks", "mub", "trotter1"])
+        assert calls == [(2, 2)]
+
 
 class TestCeiling:
     """The advertised size ceiling: 6 qubits and 32 terms, 5 qubits in channel mode."""

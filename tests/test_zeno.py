@@ -377,12 +377,28 @@ class TestRunSampled:
         from zenosim.zeno import _CHUNK, _projected, _successes
 
         sys = build_extended(random_hamiltonian(np.random.default_rng(0), 32, 6))
-        survival = _projected(sys, t, n, 1, None, sampled=True)[1]
+        survival = np.concatenate(list(_projected(sys, t, n, 1, None, sampled=True)[1]))
         shots, seed = 200, 5
         full = [bool(np.all(np.random.default_rng(seed + s).random(n) < survival)) for s in range(shots)]
-        assert _successes(survival, shots, seed) == sum(full)
+        assert _successes(_projected(sys, t, n, 1, None, sampled=True)[1], shots, seed)[0] == sum(full)
         if n > _CHUNK:
             assert 0 < sum(full) < shots  # both verdicts occur
+
+    def test_survival_chunks_computed_when_reached(self, monkeypatch):
+        # 6q/32 zeno1 at t = 300 survives N = 10^6 steps with probability 1.4e-13, but each 1024-step chunk with
+        # about 0.97. Of the 977 chunks of survival probabilities, only those up to the one where the last of
+        # the 100 shots fails are computed (182), and the surviving state's weights and fidelity are not.
+        from zenosim import zeno
+
+        sys = build_extended(random_hamiltonian(np.random.default_rng(0), 32, 6))
+        survival, computed = zeno._survival, []
+        monkeypatch.setattr(zeno, "_survival", lambda *args: (computed.append(c) or c for c in survival(*args)))
+        r = run_sampled(sys, 300.0, 10**6, shots=100)
+        monkeypatch.undo()
+        q = np.concatenate(list(zeno._projected(sys, 300.0, 10**6, 1, None, sampled=True)[1]))
+        failures = [int(np.argmax(np.random.default_rng(s).random(q.size) >= q)) for s in range(100)]
+        assert (r.p_succ_sampled, r.fidelity_mean) == (0.0, None)
+        assert len(computed) == max(failures) // zeno._CHUNK + 1 < q.size / zeno._CHUNK
 
     def test_zero_shots_rejected(self, sys2):
         with pytest.raises(ValueError, match="shots"):
