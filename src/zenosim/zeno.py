@@ -36,25 +36,25 @@ turns by ``theta = lam dt``, so ``A(dt) = cos(theta) - i sin(theta) H / lam``
 is a function of H, and so is the second-order step ``2 A(dt/2)^2 - A(dt)``:
 zeno1 and zeno2 act on each eigenvector of H as a scalar, and all their
 points, projected and sampled, read the system's one ``spectrum`` of H.
-mub's blocks turn at different angles, so it powers the matrix A(dt). The
-kick sequence leaves the range of P but splits into one invariant plane per
-eigenvalue of H, where it is a 2x2 unitary (``run_kicks``), on the same
-spectrum. Only ``select_unitary`` and ``extended_hamiltonian`` build
-combined-register matrices.
+mub's blocks turn at different angles, so it powers the matrix A(dt) for the
+error; its sampled points read the spectrum of H' in A(dt) = alpha - i H'
+(alpha real, H' Hermitian). The kick sequence leaves the range of P but
+splits into one invariant plane per eigenvalue of H, where it is a 2x2
+unitary (``run_kicks``), on the same spectrum. Only ``select_unitary`` and
+``extended_hamiltonian`` build combined-register matrices.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Generator
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from . import bounds
 from .errors import LimitExceededError, ZenosimError
-from .hamiltonian import PauliHamiltonian, exact_evolution, hamiltonian_matrix, pauli_rotations, term_matrix
+from .hamiltonian import PauliHamiltonian, hamiltonian_matrix, pauli_rotations, term_matrix
 from .linalg import hermitian_eigen, spectral_norm
 
 VARIANT_STANDARD = "standard"
@@ -237,33 +237,27 @@ def _sine_gap(a: np.ndarray, gap: np.ndarray, theta: float) -> np.ndarray:
     return a * gap * total
 
 
-def _survival(
-    log_r: np.ndarray, weights: np.ndarray, phase: np.ndarray, n_steps: int
-) -> Generator[np.ndarray, None, float]:
-    """Yield each step's survival probability, _CHUNK steps at a time; return the fidelity of the state surviving N.
+def _survival(log_r: np.ndarray, weights: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """The survival probabilities q_k of steps k = start+1..stop on a normal step with eigenvalue moduli r_j.
 
-    With w_j the (positive) weights of psi0 on the eigenvectors of H and S_k = sum_j w_j |mu_j|^(2k), step k
-    survives with q_k = S_k / S_(k-1), and the state after N steps has weights w_j |mu_j|^(2N) / S_N. Both
-    are computed relative to the slowest-decaying component, so nothing underflows. A chunk is computed when
-    it is asked for, and the final weights and ``_standard``'s fidelity (phase holding its delta_j) only when
-    the generator is resumed after the last chunk.
+    With ``log_r`` holding log r_j^2, w_j the weights of psi0 on the step's eigenvectors and S_k = sum_j w_j r_j^(2k),
+    step k survives with q_k = S_k / S_(k-1). Components of zero weight are left out, and the rest are taken
+    relative to the slowest-decaying one, so nothing underflows or overflows.
     """
-    w = weights / weights.sum()
+    keep = weights > 0
+    log_r, weights = log_r[keep], weights[keep]
     top = log_r.max()
-    for start in range(0, n_steps, _CHUNK):
-        steps = np.arange(1, min(_CHUNK, n_steps - start) + 1)
-        if top == -math.inf:  # every component is annihilated: no step survives
-            yield np.zeros(len(steps))
-            continue
-        terms = w * np.exp(np.multiply.outer(steps, log_r - top))
-        totals = terms.sum(axis=1)
-        yield math.exp(top) * totals / np.concatenate(([w.sum()], totals[:-1]))
-        w = terms[-1] / totals[-1]
-    return float(abs(np.sum(np.sqrt(weights * w) * np.exp(1j * phase))) ** 2)
+    if top == -math.inf:  # every component is annihilated: no step survives
+        return np.zeros(stop - start)
+    totals = np.exp(np.multiply.outer(np.arange(max(start, 1), stop + 1), log_r - top)) @ weights
+    if start == 0:
+        totals = np.concatenate(([weights.sum()], totals))
+    return math.exp(top) * totals[1:] / totals[:-1]
 
 
 def _standard(sys: ExtendedSystem, t: float, n_steps: int, order: int, psi: np.ndarray, sampled: bool):
-    """(error, success probability, survival) from the spectrum of H; survival is None unless ``sampled``.
+    """(error, ||A^N psi||^2, survival) from the spectrum of H; survival, (log r_j^2, w_j, fidelity), is None
+    unless ``sampled``.
 
     On the eigenvector psi_j of H, with a = E_j / lam, theta = lam dt and u = 1 - cos(theta), the step is
     mu_j = cos(theta) - i a sin(theta) (order 1) or 1 - a^2 u - i a sin(theta) (order 2). The step is
@@ -271,8 +265,7 @@ def _standard(sys: ExtendedSystem, t: float, n_steps: int, order: int, psi: np.n
     with r = |mu_j| and delta_j = N arg(mu_j) + E_j t, and the success probability is sum_j w_j r^(2N)
     with w_j = |<psi_j|psi>|^2. Nothing is formed by cancellation: |mu|^2 - 1 is -sin(theta)^2 (1 - a^2)
     or -a^2 (1 - a^2) u^2, and as E_j t = N a theta, delta_j is N arg(mu_j e^(i a theta)), whose O(theta)
-    terms cancel exactly. The surviving state's fidelity with e^(-iHt) psi is |sum_j sqrt(w_j w'_j) e^(i delta_j)|^2,
-    w'_j its weights.
+    terms cancel exactly. The surviving state's fidelity is |sum_j w_j r^N e^(i delta_j)|^2 / sum_j w_j r^(2N).
     """
     energies, vectors = sys.spectrum
     lam = sys.hamiltonian.lam
@@ -295,43 +288,41 @@ def _standard(sys: ExtendedSystem, t: float, n_steps: int, order: int, psi: np.n
 
     half = 0.5 * n_steps * log_r  # log r^N
     epsilon = float(np.max(np.hypot(np.expm1(half), 2.0 * np.exp(0.5 * half) * np.sin(0.5 * phase))))
-    p_succ = float(min(1.0, np.dot(weights, np.exp(n_steps * log_r))))
+    p_succ = float(np.dot(weights, np.exp(n_steps * log_r)))
     if not sampled:
         return epsilon, p_succ, None
-    keep = weights > 0
-    return epsilon, p_succ, _survival(log_r[keep], weights[keep], phase[keep], n_steps)
+    overlap = np.dot(weights * np.exp(half), np.exp(1j * phase))  # <e^(-iHt) psi, A^N psi>
+    return epsilon, p_succ, (log_r, weights, float(abs(overlap) ** 2 / p_succ) if p_succ else None)
 
 
 def _mub(sys: ExtendedSystem, t: float, n_steps: int, psi: np.ndarray, sampled: bool):
-    """``_standard``'s tuple for the mub projector, whose blocks turn at different angles: A(dt) is no function of H."""
+    """``_standard``'s tuple for the mub projector, whose blocks turn at different angles: A(dt) is no function of H.
+
+    The error and success probability come from A(dt)^N. A(dt) = alpha - i H' with alpha = A[0, 0] real and H'
+    Hermitian, so on the eigenvector of H' with eigenvalue mu_j the step has modulus r_j^2 = alpha^2 + mu_j^2.
+    """
     step = _corner(sys, t / n_steps)
-    exact = exact_evolution(sys.hamiltonian, t)
+    energies, vectors = sys.spectrum
+    exact = (vectors * np.exp(-1j * float(t) * energies)) @ vectors.conj().T
     repeated = np.linalg.matrix_power(step, n_steps)
     epsilon = spectral_norm(repeated - exact)
-    p_succ = float(min(1.0, np.linalg.norm(repeated @ psi) ** 2))
-    return epsilon, p_succ, _path_survival(step, psi, exact @ psi, n_steps) if sampled else None
-
-
-def _path_survival(
-    step: np.ndarray, psi: np.ndarray, psi_exact: np.ndarray, n_steps: int
-) -> Generator[np.ndarray, None, float]:
-    """``_survival`` along the path step^k psi0 / ||.|| that every surviving shot follows, one step at a time."""
-    for start in range(0, n_steps, _CHUNK):
-        chunk = np.zeros(min(_CHUNK, n_steps - start))
-        for k in range(len(chunk)):
-            psi = step @ psi
-            chunk[k] = np.vdot(psi, psi).real
-            if chunk[k] == 0.0:  # no shot survives this step
-                break
-            psi = psi / math.sqrt(chunk[k])
-        yield chunk
-    return float(abs(np.vdot(psi_exact, psi)) ** 2)
+    final = repeated @ psi
+    p_succ = float(np.linalg.norm(final) ** 2)
+    if not sampled:
+        return epsilon, p_succ, None
+    mu, basis = hermitian_eigen(0.5j * (step - step.conj().T))
+    with np.errstate(divide="ignore"):  # r = 0 where alpha = mu_j = 0
+        log_r = np.log(step[0, 0].real ** 2 + mu**2)
+    weights = np.abs(basis.conj().T @ psi) ** 2
+    fidelity = float(abs(np.vdot(exact @ psi, final)) ** 2 / p_succ) if p_succ else None
+    return epsilon, p_succ, (log_r, weights, fidelity)
 
 
 def _projected(
     sys: ExtendedSystem, t: float, n_steps: int, order: int, psi0: np.ndarray | None, sampled: bool = False
-) -> tuple[ZenoRunResult, Generator[np.ndarray, None, float] | None]:
-    """``run_zeno``'s point; when ``sampled``, also the generator of its survival probabilities and fidelity."""
+) -> tuple[ZenoRunResult, tuple[np.ndarray, np.ndarray, float | None] | None]:
+    """``run_zeno``'s point; when ``sampled``, also the step's log r_j^2, the weights of psi0 on its eigenvectors
+    and the fidelity of the state that survives all N steps (None when none can)."""
     if n_steps < 1:
         raise ValueError(f"step count must be >= 1, got {n_steps}")
     if t < 0:
@@ -347,7 +338,7 @@ def _projected(
     else:
         epsilon, p_succ, survival = _mub(sys, t, n_steps, psi, sampled)
     method = "mub" if sys.variant == VARIANT_MUB else f"zeno{order}"
-    return sweep_point(method, sys.hamiltonian, t, n_steps, epsilon, p_succ, sys.n_ancilla), survival
+    return sweep_point(method, sys.hamiltonian, t, n_steps, epsilon, min(1.0, p_succ), sys.n_ancilla), survival
 
 
 def run_zeno(
@@ -422,42 +413,32 @@ def run_sampled(
     Any ancilla outcome other than all-zeros aborts the trajectory, which
     is recorded as failed; no mid-run recovery is attempted. Successful
     trajectories record the fidelity of the final target state against the
-    exact evolution.
+    exact evolution. Every surviving shot follows the path A(dt)^k psi0 / ||.||
+    of a normal step, so survival and fidelity come from a spectrum: of H for
+    the standard projector, of H' (``_mub``) for mub.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    point, survival = _projected(sys, t, n_steps, order, psi0, sampled=True)
-    successes, fidelity = _successes(survival, shots, seed)
-    return replace(point, p_succ_sampled=successes / shots, shots=shots, seed=seed, fidelity_mean=fidelity)
+    point, (log_r, weights, fidelity) = _projected(sys, t, n_steps, order, psi0, sampled=True)
+    successes = _successes(log_r, weights, n_steps, shots, seed)
+    return replace(point, p_succ_sampled=successes / shots, shots=shots, seed=seed,
+                   fidelity_mean=fidelity if successes else None)
 
 
-def _successes(survival: Generator[np.ndarray, None, float], shots: int, seed: int) -> tuple[int, float | None]:
-    """The shots of ``default_rng(seed + shot)`` that survive every step, and the survivors' fidelity (None if none).
+def _successes(log_r: np.ndarray, weights: np.ndarray, n_steps: int, shots: int, seed: int) -> int:
+    """The shots of ``default_rng(seed + shot)`` that survive all ``n_steps`` steps.
 
-    ``survival`` yields the steps' survival probabilities _CHUNK at a time and returns the fidelity of the state
-    that survives them all. A step's measurement is one uniform draw u that picks the all-zeros outcome iff u <
-    its survival probability, as in Generator.choice. A shot draws a chunk at a time and stops at the first
-    chunk holding a failed step; PCG64 gives the same draws in chunks as in one call, so the verdicts do not
-    depend on _CHUNK. A chunk is taken from ``survival`` when the first shot reaches it and kept for the next
-    shots; the fidelity, when a shot survives the last chunk.
+    A step's measurement is one uniform draw u that picks the all-zeros outcome iff u < its survival
+    probability (``_survival``), as in Generator.choice. A shot draws _CHUNK steps at a time and stops at the
+    first chunk holding a failed step; PCG64 gives the same draws in chunks as in one call, so the verdicts do
+    not depend on _CHUNK. A chunk's survival probabilities are computed when the first shot reaches it and
+    kept for the next shots.
     """
-    reached, returned = [], []
-
-    def chunks():
-        yield from reached
-        while not returned:
-            try:
-                reached.append(next(survival))
-            except StopIteration as stop:
-                returned.append(stop.value)
-            else:
-                yield reached[-1]
-
-    successes = sum(
-        all(np.all(rng.random(len(chunk)) < chunk) for chunk in chunks())
+    chunk = cache(lambda start: _survival(log_r, weights, start, min(start + _CHUNK, n_steps)))
+    return sum(
+        all(np.all(rng.random(len(q)) < q) for q in map(chunk, range(0, n_steps, _CHUNK)))
         for rng in map(np.random.default_rng, range(seed, seed + shots))
     )
-    return successes, returned[0] if returned else None
 
 
 def block_encoding_matrix(sys: ExtendedSystem, delta_t: float) -> np.ndarray:

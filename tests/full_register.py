@@ -4,8 +4,9 @@ The library runs every sequence on the target register. This module keeps
 the direct construction on the combined register, target (x) ancilla: the
 ancilla prepare unitary and reflection, the projector and reflection as
 full operators, the projected step as a product of them with the select
-unitary, N-fold matrix powers, and the shot-by-shot measurement loop.
-Tests compare the library against it.
+unitary, N-fold matrix powers, the shot-by-shot measurement loop, and the
+step-by-step path that every surviving shot follows. Tests compare the
+library against it.
 """
 
 from functools import reduce
@@ -80,6 +81,26 @@ def zeno_full(sys, t, n_steps, order=1, psi0=None):
     epsilon = spectral_norm(repeated - np.kron(u_exact, proj))
     vec0 = np.kron(_initial_state(sys, psi0), sys.projector_state)
     return epsilon, float(min(1.0, np.linalg.norm(repeated @ vec0) ** 2))
+
+
+def path_survival(sys, t, n_steps, psi0=None):
+    """Each step's survival probability along the path A(dt)^k psi0 / ||.|| that every surviving shot follows.
+
+    A(dt) = (1 (x) <phi|) select(dt) (1 (x) |phi>) is read off the combined register, and the path is stepped
+    one matrix-vector product at a time (the order-1 sequence).
+    """
+    d_t, d_a = sys.target_dim, sys.ancilla_dim
+    phi = sys.projector_state
+    step = np.einsum("a,iajb,b->ij", phi.conj(), select_unitary(sys, t / n_steps).reshape(d_t, d_a, d_t, d_a), phi)
+    psi = _initial_state(sys, psi0)
+    survival = np.zeros(n_steps)
+    for k in range(n_steps):
+        psi = step @ psi
+        survival[k] = np.vdot(psi, psi).real
+        if survival[k] == 0.0:  # no shot survives this step
+            break
+        psi = psi / np.sqrt(survival[k])
+    return survival
 
 
 def kicks_full(sys, t, n_steps):

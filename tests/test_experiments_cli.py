@@ -258,14 +258,14 @@ class TestCompareMethods:
 
     def test_one_spectrum_per_projector_variant(self, hfile, monkeypatch):
         # zeno1, zeno2 and kicks share the standard projector's system, so the spectrum of H they read is
-        # taken once.
+        # taken once; mub reads its own system's spectrum of H for the exact propagator.
         from zenosim import zeno
 
         calls = []
         eigen = zeno.hermitian_eigen
         monkeypatch.setattr(zeno, "hermitian_eigen", lambda a: calls.append(a.shape) or eigen(a))
         compare_methods(config(hfile, n=None, sweep=(10, 100)), ["zeno1", "zeno2", "kicks", "mub", "trotter1"])
-        assert calls == [(2, 2)]
+        assert calls == [(2, 2), (2, 2)]
 
 
 class TestCeiling:

@@ -6,7 +6,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import THREE_TERM, TWO_TERM, random_hamiltonian
-from full_register import kicks_full, prepare, projector_full, reflection, sampled_full, zeno_full, zeno_step_operator
+from full_register import (
+    kicks_full,
+    path_survival,
+    prepare,
+    projector_full,
+    reflection,
+    sampled_full,
+    zeno_full,
+    zeno_step_operator,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -324,6 +333,14 @@ class TestRunKicks:
             assert epsilon < 1e-12
 
 
+def survival_probabilities(sys, t, n):
+    """The library's survival probability of each of the N order-1 steps, one _CHUNK at a time."""
+    from zenosim.zeno import _CHUNK, _projected, _survival
+
+    log_r, weights, _ = _projected(sys, t, n, 1, None, sampled=True)[1]
+    return np.concatenate([_survival(log_r, weights, s, min(s + _CHUNK, n)) for s in range(0, n, _CHUNK)])
+
+
 class TestRunSampled:
     def test_single_term_always_succeeds(self, h1):
         sys = build_extended(h1)
@@ -355,12 +372,15 @@ class TestRunSampled:
     def test_reads_one_spectrum(self, h3, monkeypatch, order):
         # A standard-projector sweep, projected, sampled and kicks alike, takes one eigendecomposition of H
         # and builds neither a step matrix nor the exact propagator.
+        import zenosim.hamiltonian as hamiltonian
+        import zenosim.linalg as linalg
         import zenosim.zeno as zeno
 
         calls = []
-        for name in ("exact_evolution", "pauli_rotations", "hermitian_eigen"):
-            fn = getattr(zeno, name)
-            monkeypatch.setattr(zeno, name, lambda *args, _fn=fn, _name=name: calls.append(_name) or _fn(*args))
+        for module, name in ((hamiltonian, "exact_evolution"), (linalg, "matexp_hermitian"),
+                             (zeno, "pauli_rotations"), (zeno, "hermitian_eigen")):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, _fn=fn, _name=name: calls.append(_name) or _fn(*args))
         sys = build_extended(h3)
         for n in (10, 20):
             r = run_sampled(sys, 1.0, n, order=order, shots=10)
@@ -369,36 +389,55 @@ class TestRunSampled:
             run_kicks(sys, 1.0, n)
         assert calls == ["hermitian_eigen"]
 
-    @pytest.mark.parametrize("t,n", [(1.0, 10), (3**0.5, 3000)], ids=["low-survival", "high-survival"])
-    def test_early_exit_matches_full_draws(self, t, n):
+    @pytest.mark.parametrize("variant,t,n", [
+        pytest.param("standard", 1.0, 10, id="low-survival"),
+        pytest.param("standard", 3**0.5, 3000, id="high-survival"),
+        pytest.param("mub", 3**0.5, 3000, id="mub-high-survival"),
+    ])
+    def test_early_exit_matches_full_draws(self, variant, t, n):
         # A shot draws its uniforms _CHUNK steps at a time and stops at the first chunk with a failed step;
         # its verdict equals that of drawing all N uniforms at once. 6q/32 zeno1 survives N = 10 steps with
-        # probability 2.3e-8, and N = 3000 > _CHUNK steps at t = sqrt(3) with probability 0.71.
-        from zenosim.zeno import _CHUNK, _projected, _successes
+        # probability 2.3e-8, and N = 3000 > _CHUNK steps at t = sqrt(3) with probability 0.71 (mub: 0.66).
+        from zenosim.zeno import _CHUNK
 
-        sys = build_extended(random_hamiltonian(np.random.default_rng(0), 32, 6))
-        survival = np.concatenate(list(_projected(sys, t, n, 1, None, sampled=True)[1]))
+        sys = build_extended(random_hamiltonian(np.random.default_rng(0), 32, 6), variant)
+        survival = survival_probabilities(sys, t, n)
         shots, seed = 200, 5
         full = [bool(np.all(np.random.default_rng(seed + s).random(n) < survival)) for s in range(shots)]
-        assert _successes(_projected(sys, t, n, 1, None, sampled=True)[1], shots, seed)[0] == sum(full)
+        assert run_sampled(sys, t, n, shots=shots, seed=seed).p_succ_sampled == sum(full) / shots
         if n > _CHUNK:
             assert 0 < sum(full) < shots  # both verdicts occur
 
     def test_survival_chunks_computed_when_reached(self, monkeypatch):
         # 6q/32 zeno1 at t = 300 survives N = 10^6 steps with probability 1.4e-13, but each 1024-step chunk with
-        # about 0.97. Of the 977 chunks of survival probabilities, only those up to the one where the last of
-        # the 100 shots fails are computed (182), and the surviving state's weights and fidelity are not.
+        # about 0.97; mub at t = 250 with 5.6e-12 and 0.97. Of the 977 chunks of survival probabilities, only
+        # those up to the one where the last of the 100 shots fails are computed (182 for both).
         from zenosim import zeno
 
-        sys = build_extended(random_hamiltonian(np.random.default_rng(0), 32, 6))
-        survival, computed = zeno._survival, []
-        monkeypatch.setattr(zeno, "_survival", lambda *args: (computed.append(c) or c for c in survival(*args)))
-        r = run_sampled(sys, 300.0, 10**6, shots=100)
-        monkeypatch.undo()
-        q = np.concatenate(list(zeno._projected(sys, 300.0, 10**6, 1, None, sampled=True)[1]))
-        failures = [int(np.argmax(np.random.default_rng(s).random(q.size) >= q)) for s in range(100)]
-        assert (r.p_succ_sampled, r.fidelity_mean) == (0.0, None)
-        assert len(computed) == max(failures) // zeno._CHUNK + 1 < q.size / zeno._CHUNK
+        h = random_hamiltonian(np.random.default_rng(0), 32, 6)
+        for variant, t in (("standard", 300.0), ("mub", 250.0)):
+            sys = build_extended(h, variant)
+            survival, computed = zeno._survival, []
+            monkeypatch.setattr(zeno, "_survival", lambda *args: computed.append(args[2]) or survival(*args))
+            r = run_sampled(sys, t, 10**6, shots=100)
+            monkeypatch.undo()
+            q = survival_probabilities(sys, t, 10**6)
+            failures = [int(np.argmax(np.random.default_rng(s).random(q.size) >= q)) for s in range(100)]
+            assert (r.p_succ_sampled, r.fidelity_mean) == (0.0, None)
+            assert computed == list(range(0, (max(failures) // zeno._CHUNK + 1) * zeno._CHUNK, zeno._CHUNK))
+            assert len(computed) == 182 < q.size / zeno._CHUNK
+
+    @pytest.mark.parametrize("text,t,n", [
+        (THREE_TERM, 1.3, 40),                              # one padded ancilla state
+        ("0.4*II + 0.6*XZ + 0.3*YY", 2.0, 30),              # identity word among the terms
+        (None, 3**0.5, 3000),                               # 6q/32, N > _CHUNK
+    ], ids=["padded", "identity-word", "6q32"])
+    def test_mub_survival_matches_path(self, text, t, n):
+        # mub's survival probabilities, read from the spectrum of the step's Hermitian part, equal those of
+        # stepping the surviving state one matrix-vector product at a time.
+        h = random_hamiltonian(np.random.default_rng(0), 32, 6) if text is None else parse_hamiltonian(text)
+        sys = build_extended(h, "mub")
+        np.testing.assert_allclose(survival_probabilities(sys, t, n), path_survival(sys, t, n), rtol=0.0, atol=1e-13)
 
     def test_zero_shots_rejected(self, sys2):
         with pytest.raises(ValueError, match="shots"):
@@ -434,19 +473,34 @@ class TestSpectralForm:
             tracemalloc.stop()
         assert peak <= 2**20
 
-    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("variant,order,text,dead", [
+        pytest.param("standard", 1, "0.5*XX + 0.5*ZZ", [1, 2], id="1"),
+        pytest.param("standard", 2, "0.5*XX + 0.5*ZZ", [1, 2], id="2"),
+        pytest.param("mub", 1, "0.5*XX + 0.5*ZZ", [1, 2], id="mub"),
+        pytest.param("mub", 1, "0.25*ZII + 0.25*IZI + 0.5*IIZ + 0.5*ZZZ", [2], id="mub-exact"),
+    ])
     @pytest.mark.parametrize("n", [1, 3])
-    def test_annihilated_component(self, order, n):
+    def test_annihilated_component(self, variant, order, text, dead, n):
         # 0.5 XX + 0.5 ZZ has a = 1, 0, 0, -1, and |00> lies half on a = 1 and half on a = 0. At
-        # theta = lam t / N = pi / 2 the zeno1 step annihilates the a = 0 component, leaving a fidelity of 1/2.
-        sys = build_extended(parse_hamiltonian("0.5*XX + 0.5*ZZ"))
-        for theta in (np.pi / 2, np.pi):
-            r = run_sampled(sys, theta * n, n, order=order, shots=20, seed=1)
-            epsilon, p_succ = zeno_full(sys, theta * n, n, order=order)
-            assert abs(r.epsilon_measured - epsilon) <= 1e-9 and abs(r.p_succ_exact - p_succ) <= 1e-9
-            p_sampled, fidelity = sampled_full(sys, theta * n, n, order=order, shots=20, seed=1)
-            assert r.p_succ_sampled == p_sampled
-            assert (r.fidelity_mean, fidelity) == (None, None) or abs(r.fidelity_mean - fidelity) <= 1e-9
+        # theta = lam t / N = pi / 2 the zeno1 step annihilates the a = 0 component (log r^2 = log 0), leaving a
+        # fidelity of 1/2; (|01> + |10>) / sqrt(2) lies on a = 0 and survives no step. mub's step there is
+        # alpha - i H' with alpha = cos(pi / 2) and H' = (XX + ZZ) / 2, so r^2 = alpha^2 + mu^2 is 4e-33 on the
+        # two mu = 0 eigenvectors: alpha rounds to 6e-17, not to 0. On the diagonal 4-term instance at dt = pi,
+        # the mub blocks turn by pi, pi, 2 pi, 2 pi, so alpha = (-1 - 1 + 1 + 1) / 4 = 0 and mu = 0 on |010>,
+        # exactly: the state |010> survives no step, and no fidelity is reported.
+        sys = build_extended(parse_hamiltonian(text), variant)
+        psi_dead = np.zeros(sys.target_dim)
+        psi_dead[dead] = 1.0 / np.sqrt(len(dead))
+        for psi0 in (None, psi_dead):
+            for theta in (np.pi / 2, np.pi):
+                r = run_sampled(sys, theta * n, n, order=order, psi0=psi0, shots=20, seed=1)
+                epsilon, p_succ = zeno_full(sys, theta * n, n, order=order, psi0=psi0)
+                assert abs(r.epsilon_measured - epsilon) <= 1e-9 and abs(r.p_succ_exact - p_succ) <= 1e-9
+                p_sampled, fidelity = sampled_full(sys, theta * n, n, order=order, psi0=psi0, shots=20, seed=1)
+                assert r.p_succ_sampled == p_sampled
+                assert (r.fidelity_mean, fidelity) == (None, None) or abs(r.fidelity_mean - fidelity) <= 1e-9
+                if r.p_succ_exact < 1e-30:
+                    assert (r.p_succ_sampled, r.fidelity_mean) == (0.0, None)
 
 
 class TestBlockEncoding:
