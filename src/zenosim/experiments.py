@@ -246,18 +246,17 @@ def run_experiment(config: ExperimentConfig) -> SweepResult:
 
 
 def _run_configs(configs: list[ExperimentConfig]) -> list[SweepResult]:
-    """Run configs on one Hamiltonian file, loaded once; methods of one projector variant share its system."""
+    """Run configs on one Hamiltonian file, loaded once so every method reads one spectrum; t = -0 runs as t = 0."""
     for config in configs:
-        _validate_config(config)
+        _validate_config(config)  # t >= 0, so abs below only turns -0.0 into 0.0
     h = load_hamiltonian(configs[0].hamiltonian_path)
-    variants = {METHODS[config.method][1] for config in configs}
-    subjects = {variant: h if variant is None else build_extended(h, variant) for variant in variants}
-    return [_sweep(config, h, subjects[METHODS[config.method][1]]) for config in configs]
+    return [_sweep(replace(config, t=abs(config.t)), h) for config in configs]
 
 
-def _sweep(config: ExperimentConfig, h: PauliHamiltonian, subject) -> SweepResult:
-    """Run every step count of a validated config on ``h`` or its system for the method's projector variant."""
-    point = METHODS[config.method][2]
+def _sweep(config: ExperimentConfig, h: PauliHamiltonian) -> SweepResult:
+    """Run every step count of a validated config on ``h`` or on its system for the method's projector variant."""
+    _, variant, point = METHODS[config.method]
+    subject = h if variant is None else build_extended(h, variant)
     _check_limits(h, subject, config.t)
     ns = _resolve_ns(config, h)
     psi0 = _resolve_psi0(config, 2**h.num_qubits)
@@ -275,8 +274,8 @@ def _sweep(config: ExperimentConfig, h: PauliHamiltonian, subject) -> SweepResul
 def compare_methods(config: ExperimentConfig, methods) -> MethodComparison:
     """Run several methods on the shared Hamiltonian, time, and sweep.
 
-    Each method runs in the first of its modes; ``config.mode`` is ignored. zeno1, zeno2 and kicks share one
-    system, so they take one ``eigh`` of H.
+    Each method runs in the first of its modes; ``config.mode`` is ignored. Every method reads the one
+    Hamiltonian's cached spectrum, so the comparison takes one ``eigh`` of H.
     """
     methods = list(methods)
     if not methods:

@@ -27,12 +27,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
 from .errors import CancellationError, ConfigError, HamiltonianParseError, LimitExceededError
-from .linalg import matexp_hermitian
+from .linalg import hermitian_eigen
 
 PAULI_AXES = "IXYZ"
 
@@ -105,6 +105,11 @@ class PauliHamiltonian:
         """Largest single term coefficient."""
         return float(max(t.coefficient for t in self.terms))
 
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues (ascending) and eigenvectors of H, taken on first use and kept: one ``eigh`` per Hamiltonian."""
+        return hermitian_eigen(hamiltonian_matrix(self))
+
 
 def term_matrix(term: PauliTerm) -> np.ndarray:
     """Dense matrix of the signed Pauli string (spectral norm 1)."""
@@ -122,8 +127,9 @@ def hamiltonian_matrix(h: PauliHamiltonian) -> np.ndarray:
 
 
 def exact_evolution(h: PauliHamiltonian, t: float) -> np.ndarray:
-    """The target unitary exp(-i * t * H) that every method is measured against."""
-    return matexp_hermitian(hamiltonian_matrix(h), t)
+    """The target unitary exp(-i * t * H) that every method is measured against, from ``h.spectrum``."""
+    energies, vectors = h.spectrum
+    return (vectors * np.exp(-1j * float(t) * energies)) @ vectors.conj().T
 
 
 def pauli_rotations(h: PauliHamiltonian, thetas) -> np.ndarray:

@@ -35,12 +35,12 @@ the prepared ancilla state), ``P select(dt) P = A(dt) (x) |phi><phi|`` where
 turns by ``theta = lam dt``, so ``A(dt) = cos(theta) - i sin(theta) H / lam``
 is a function of H, and so is the second-order step ``2 A(dt/2)^2 - A(dt)``:
 zeno1 and zeno2 act on each eigenvector of H as a scalar, and all their
-points, projected and sampled, read the system's one ``spectrum`` of H.
-mub's blocks turn at different angles, so it powers the matrix A(dt) for the
-error; its sampled points read the spectrum of H' in A(dt) = alpha - i H'
-(alpha real, H' Hermitian). The kick sequence leaves the range of P but
-splits into one invariant plane per eigenvalue of H, where it is a 2x2
-unitary (``run_kicks``), on the same spectrum. Only ``select_unitary`` and
+points read the Hamiltonian's cached ``spectrum``. mub's blocks turn at
+different angles, so it powers A(dt) against ``exact_evolution`` (read from
+that spectrum); its sampled points read the spectrum of H' in
+A(dt) = alpha - i H' (alpha real, H' Hermitian). The kick sequence leaves the
+range of P but splits into one invariant plane per eigenvalue of H, where it
+is a 2x2 unitary (``run_kicks``), on the same spectrum. Only ``select_unitary`` and
 ``extended_hamiltonian`` build combined-register matrices.
 """
 
@@ -48,13 +48,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
 from . import bounds
 from .errors import LimitExceededError, ZenosimError
-from .hamiltonian import PauliHamiltonian, hamiltonian_matrix, pauli_rotations, term_matrix
+from .hamiltonian import PauliHamiltonian, exact_evolution, pauli_rotations, term_matrix
 from .linalg import hermitian_eigen, spectral_norm
 
 VARIANT_STANDARD = "standard"
@@ -67,7 +67,7 @@ _CHUNK = 1024  # steps per block of survival probabilities and of uniform draws
 class ExtendedSystem:
     """Derived operators for one Hamiltonian and projector variant.
 
-    Immutable after construction; safe to share across threads.
+    Immutable after construction; safe to share across threads. H's spectrum is ``hamiltonian.spectrum``.
     """
 
     hamiltonian: PauliHamiltonian
@@ -78,11 +78,6 @@ class ExtendedSystem:
     projector_state: np.ndarray  # ancilla state defining the projector
     generator_scale: float       # lam (standard) or 2^n_ancilla (mub)
     block_rates: tuple[float, ...]  # per ancilla index, angle per unit time (0 when padded)
-
-    @cached_property
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (ascending) and eigenvectors of H, taken on first use and kept: one ``eigh`` per system."""
-        return hermitian_eigen(hamiltonian_matrix(self.hamiltonian))
 
 
 @dataclass(frozen=True)
@@ -267,7 +262,7 @@ def _standard(sys: ExtendedSystem, t: float, n_steps: int, order: int, psi: np.n
     or -a^2 (1 - a^2) u^2, and as E_j t = N a theta, delta_j is N arg(mu_j e^(i a theta)), whose O(theta)
     terms cancel exactly. The surviving state's fidelity is |sum_j w_j r^N e^(i delta_j)|^2 / sum_j w_j r^(2N).
     """
-    energies, vectors = sys.spectrum
+    energies, vectors = sys.hamiltonian.spectrum
     lam = sys.hamiltonian.lam
     a = energies / lam
     gap = np.maximum(0.0, (1.0 - a) * (1.0 + a))  # 1 - a^2; eigh may put |a| a rounding above 1
@@ -302,8 +297,7 @@ def _mub(sys: ExtendedSystem, t: float, n_steps: int, psi: np.ndarray, sampled: 
     Hermitian, so on the eigenvector of H' with eigenvalue mu_j the step has modulus r_j^2 = alpha^2 + mu_j^2.
     """
     step = _corner(sys, t / n_steps)
-    energies, vectors = sys.spectrum
-    exact = (vectors * np.exp(-1j * float(t) * energies)) @ vectors.conj().T
+    exact = exact_evolution(sys.hamiltonian, t)
     repeated = np.linalg.matrix_power(step, n_steps)
     epsilon = spectral_norm(repeated - exact)
     final = repeated @ psi
@@ -353,7 +347,7 @@ def run_zeno(
     The run is (step (x) |phi><phi|)^N, so the error is the spectral norm of
     step^N minus the exact evolution, and the success probability is
     ||step^N psi0||^2 (exact post-selection, no sampling). For the standard
-    projector both come from the system's spectrum of H; for mub, from the
+    projector both come from the Hamiltonian's spectrum; for mub, from the
     N-th matrix power of A(dt).
     """
     return _projected(sys, t, n_steps, order, psi0)[0]
@@ -384,7 +378,7 @@ def run_kicks(sys: ExtendedSystem, t: float, n_steps: int) -> ZenoRunResult:
         raise ValueError(f"time must be nonnegative, got {t}")
 
     h = sys.hamiltonian
-    energies = sys.spectrum[0]
+    energies = h.spectrum[0]
     a = energies / h.lam
     b = np.sqrt(np.maximum(0.0, 1.0 - a**2))
     theta = h.lam * (t / n_steps)

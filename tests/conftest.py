@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from zenosim import build_extended, parse_hamiltonian
+from zenosim import build_extended, hamiltonian_matrix, parse_hamiltonian
 
 TWO_TERM = "0.6*X + 0.4*Z"
 THREE_TERM = "0.5*X + 0.3*Z + 0.2*Y"
@@ -37,6 +37,19 @@ def sys2(h2):
 @pytest.fixture(scope="session")
 def sys3_mub(h3):
     return build_extended(h3, "mub")
+
+
+def eigh_calls_on(monkeypatch, h):
+    """A list that gains one entry for each numpy.linalg.eigh call on the matrix of ``h``, wherever it is made."""
+    matrix, eigh, calls = hamiltonian_matrix(h), np.linalg.eigh, []
+
+    def counting(a, *args, **kwargs):
+        if np.shape(a) == matrix.shape and np.array_equal(a, matrix):
+            calls.append(matrix.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import random_hamiltonian
+from conftest import eigh_calls_on, random_hamiltonian
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -97,6 +97,13 @@ class TestRunExperiment:
         assert point.p_succ_sampled is not None
         assert point.shots == 300
         assert point.seed == 5
+
+    @pytest.mark.parametrize("method,mode", [("trotter1", "projected"), ("qdrift", "channel")])
+    def test_baseline_sweep_reads_one_spectrum(self, hfile, monkeypatch, method, mode):
+        # Every point measures against exp(-iHt) from the Hamiltonian's cached spectrum.
+        calls = eigh_calls_on(monkeypatch, parse_hamiltonian(TWO_TERM))
+        run_experiment(config(hfile, method=method, mode=mode, n=None, sweep=(10, 100, 1000)))
+        assert calls == [(2, 2)]
 
     def test_trotter_has_no_bound(self, hfile):
         result = run_experiment(config(hfile, method="trotter1"))
@@ -256,16 +263,13 @@ class TestCompareMethods:
         with pytest.raises(ConfigError, match="distinct"):
             compare_methods(config(hfile), ["zeno1", "zeno1"])
 
-    def test_one_spectrum_per_projector_variant(self, hfile, monkeypatch):
-        # zeno1, zeno2 and kicks share the standard projector's system, so the spectrum of H they read is
-        # taken once; mub reads its own system's spectrum of H for the exact propagator.
-        from zenosim import zeno
-
-        calls = []
-        eigen = zeno.hermitian_eigen
-        monkeypatch.setattr(zeno, "hermitian_eigen", lambda a: calls.append(a.shape) or eigen(a))
-        compare_methods(config(hfile, n=None, sweep=(10, 100)), ["zeno1", "zeno2", "kicks", "mub", "trotter1"])
-        assert calls == [(2, 2), (2, 2)]
+    def test_one_spectrum_per_run(self, hfile, monkeypatch):
+        # Every method, of either projector variant or none, reads the loaded Hamiltonian's cached spectrum:
+        # the Zeno steps and kicks for their eigenvalues, mub, trotter1 and qdrift for the exact propagator.
+        calls = eigh_calls_on(monkeypatch, parse_hamiltonian(TWO_TERM))
+        methods = ["zeno1", "zeno2", "mub", "kicks", "trotter1", "qdrift"]
+        compare_methods(config(hfile, n=None, sweep=(10, 100)), methods)
+        assert calls == [(2, 2)]
 
 
 class TestCeiling:
@@ -689,6 +693,16 @@ class TestCliBehavior:
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
+    def test_negative_zero_time_runs_as_zero(self, hfile, capsys, output_format):
+        outputs = []
+        for t in ("-0", "0"):
+            args = ["--hamiltonian", hfile(TWO_TERM), "--method", "zeno1", "--t", t, "--n", "10"]
+            assert main(args + ["--format", output_format]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "-0" not in outputs[0]
 
     def test_sweep_flag(self, hfile, capsys):
         code = main(

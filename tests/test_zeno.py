@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import THREE_TERM, TWO_TERM, random_hamiltonian
+from conftest import THREE_TERM, TWO_TERM, eigh_calls_on, random_hamiltonian
 from full_register import (
     kicks_full,
     path_survival,
@@ -369,25 +369,27 @@ class TestRunSampled:
         assert r.fidelity_mean > 0.99
 
     @pytest.mark.parametrize("order", [1, 2])
-    def test_reads_one_spectrum(self, h3, monkeypatch, order):
-        # A standard-projector sweep, projected, sampled and kicks alike, takes one eigendecomposition of H
-        # and builds neither a step matrix nor the exact propagator.
-        import zenosim.hamiltonian as hamiltonian
+    def test_reads_one_spectrum(self, monkeypatch, order):
+        # A standard-projector sweep, projected, sampled and kicks alike, takes one eigendecomposition of H,
+        # the Hamiltonian's cached spectrum, and builds neither a step matrix, nor the exact propagator, nor
+        # the spectrum of a step.
         import zenosim.linalg as linalg
         import zenosim.zeno as zeno
 
         calls = []
-        for module, name in ((hamiltonian, "exact_evolution"), (linalg, "matexp_hermitian"),
+        for module, name in ((zeno, "exact_evolution"), (linalg, "matexp_hermitian"),
                              (zeno, "pauli_rotations"), (zeno, "hermitian_eigen")):
             fn = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *args, _fn=fn, _name=name: calls.append(_name) or _fn(*args))
-        sys = build_extended(h3)
+        h = parse_hamiltonian(THREE_TERM)  # not the shared fixture, whose spectrum other tests may have taken
+        eigh_calls = eigh_calls_on(monkeypatch, h)
+        sys = build_extended(h)
         for n in (10, 20):
             r = run_sampled(sys, 1.0, n, order=order, shots=10)
             reference = run_zeno(sys, 1.0, n, order=order)
             assert (r.epsilon_measured, r.p_succ_exact) == (reference.epsilon_measured, reference.p_succ_exact)
-            run_kicks(sys, 1.0, n)
-        assert calls == ["hermitian_eigen"]
+            run_kicks(build_extended(h), 1.0, n)
+        assert calls == [] and eigh_calls == [(2, 2)]
 
     @pytest.mark.parametrize("variant,t,n", [
         pytest.param("standard", 1.0, 10, id="low-survival"),
