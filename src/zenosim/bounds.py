@@ -36,10 +36,10 @@ _CLOSED_FORMS = {
 }
 
 
-def method_bounds(method: str, h, n_ancilla: int, t: float, n: int) -> tuple[float | None, float]:
+def method_bounds(method: str, h, t: float, n: int) -> tuple[float | None, float]:
     """(error bound or None, success lower bound) for one sweep point of ``method`` on ``h``.
 
-    Only mub reads ``n_ancilla``: its projector spans all 2^n_ancilla
+    Only mub reads ``h.n_ancilla``: its projector spans all 2^n_ancilla
     ancilla states, padded ones included.
     """
     if method not in _CLOSED_FORMS:
@@ -48,7 +48,7 @@ def method_bounds(method: str, h, n_ancilla: int, t: float, n: int) -> tuple[flo
         raise ValueError(f"step count must be >= 1, got {n}")
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    error, success = _CLOSED_FORMS[method](h.lam * t, float(1 << n_ancilla) * h.h_max * t, n)
+    error, success = _CLOSED_FORMS[method](h.lam * t, float(1 << h.n_ancilla) * h.h_max * t, n)
     return error, max(0.0, success)
 
 

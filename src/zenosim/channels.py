@@ -1,4 +1,4 @@
-"""Exact/Trotter baselines and the randomized-compilation channel machinery.
+"""The qdrift and trotter1 baselines, their sweep points, and the randomized-compilation channel machinery.
 
 Superoperators act on column-stacked density matrices: ``vec(M)`` stacks
 the columns of ``M``, so ``vec(A X B) = (B^T kron A) vec(X)`` and the
@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import reduce
 
 import numpy as np
 
 from .errors import LimitExceededError
-from .hamiltonian import PAULI_AXES, PauliHamiltonian, pauli_rotations
-from .linalg import hermitian_eigen, hermitian_trace_norm, is_unitary
+from .hamiltonian import PAULI_AXES, PauliHamiltonian, exact_evolution, pauli_rotations
+from .linalg import hermitian_eigen, hermitian_trace_norm, is_unitary, spectral_norm
+from .zeno import ZenoRunResult, sweep_point
 
 CHANNEL_MAX_QUBITS = 5
 
@@ -157,7 +158,6 @@ def _ptm_power(step: np.ndarray, n_steps: int, spares: np.ndarray) -> None:
         np.copyto(step, power)
 
 
-@cache
 def _xz_tables(num_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Tables of the (x, z) Pauli coordinates: I, X, Y, Z are (0,0), (1,0), (1,1), (0,1), qubit 0 the top bit.
 
@@ -170,10 +170,7 @@ def _xz_tables(num_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     for bit in reversed(range(num_qubits)):
         xb, zb = (x >> bit) & 1, (r >> bit) & 1
         index, overlap = 4 * index + np.array([[0, 3], [1, 2]])[xb, zb], overlap + (xb & zb)
-    tables = index, (-1j) ** overlap, (-1.0) ** overlap, (r * d**3)[:, None, None] + r * d * d + (x ^ r)
-    for table in tables:
-        table.flags.writeable = False  # every call for this register size gets the same arrays
-    return tables
+    return index, (-1j) ** overlap, (-1.0) ** overlap, (r * d**3)[:, None, None] + r * d * d + (x ^ r)
 
 
 def _choi_of_ptm(ptm: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -288,3 +285,15 @@ def _distance_to_unitary(j: np.ndarray, w: np.ndarray) -> float:
             break
         basis.append(v / beta[-1])
     return float(2 * (theta + (rho * rho / max(theta, rho) if rho else 0.0)) / d)
+
+
+def qdrift_point(h: PauliHamiltonian, t: float, n_steps: int) -> ZenoRunResult:
+    """qdrift's sweep point: the trace norm over d of the Choi difference from the exact channel."""
+    w = _checked_unitary(exact_evolution(h, t)).reshape(-1)  # the exact channel's Choi matrix is w w^dagger
+    return sweep_point("qdrift", h, t, n_steps, _distance_to_unitary(_qdrift_choi(h, t, n_steps), w))
+
+
+def trotter_point(h: PauliHamiltonian, t: float, n_steps: int) -> ZenoRunResult:
+    """trotter1's sweep point: the spectral-norm distance of the product formula from the exact evolution."""
+    error = spectral_norm(trotter_first_order(h, t, n_steps) - exact_evolution(h, t))
+    return sweep_point("trotter1", h, t, n_steps, error)

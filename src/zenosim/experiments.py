@@ -18,14 +18,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
+from operator import attrgetter
 
 import numpy as np
 
 from . import bounds
-from .channels import _checked_unitary, _distance_to_unitary, _qdrift_choi, trotter_first_order
+from .channels import qdrift_point, trotter_point
 from .errors import ConfigError, LimitExceededError
-from .hamiltonian import PauliHamiltonian, exact_evolution, load_hamiltonian
-from .linalg import spectral_norm
+from .hamiltonian import PauliHamiltonian, load_hamiltonian
 from .zeno import (
     VARIANT_MUB,
     VARIANT_STANDARD,
@@ -34,7 +35,6 @@ from .zeno import (
     run_kicks,
     run_sampled,
     run_zeno,
-    sweep_point,
 )
 
 MODES = ("projected", "sampled", "channel")
@@ -132,13 +132,13 @@ def _validate_config(config: ExperimentConfig) -> None:
         raise ConfigError(f"unknown output format {config.output_format!r}")
 
 
-def _check_limits(h: PauliHamiltonian, subject, t: float) -> None:
+def _check_limits(h: PauliHamiltonian, method: str, t: float) -> None:
     if h.num_qubits > MAX_QUBITS:
         raise LimitExceededError(f"Hamiltonian acts on {h.num_qubits} qubits, cap is {MAX_QUBITS}")
     if h.num_terms > MAX_TERMS:
         raise LimitExceededError(f"Hamiltonian has {h.num_terms} terms, cap is {MAX_TERMS}")
-    # The exact propagator turns by lam * t and each select block by its rate times t.
-    rate = max((h.lam, *getattr(subject, "block_rates", ())))
+    # The exact propagator and a standard select block turn by lam * t, the fastest mub block by 2^n_a h_max t.
+    rate = max(h.lam, (1 << h.n_ancilla) * h.h_max) if method == "mub" else h.lam
     if not math.isfinite(rate * t):
         raise LimitExceededError(f"largest rotation angle (rate {rate:g} times t {t:g}) is not finite")
 
@@ -179,43 +179,27 @@ def _resolve_psi0(config: ExperimentConfig, target_dim: int) -> np.ndarray | Non
     return np.eye(target_dim, dtype=complex)[config.psi0]
 
 
-def _zeno_point(order: int):
+def _zeno_point(system, t, n, *, order, psi0, shots, seed):
     """Sweep point of the projected sequence of ``order``; sampled when ``shots`` is given."""
-
-    def point(system, t, n, psi0=None, shots=None, seed=0):
-        if shots is None:
-            return run_zeno(system, t, n, order=order, psi0=psi0)
-        return run_sampled(system, t, n, order, psi0, shots, seed)
-
-    return point
-
-
-def _kicks_point(system, t: float, n: int, **_) -> ZenoRunResult:
-    return run_kicks(system, t, n)
-
-
-def _qdrift_point(h: PauliHamiltonian, t: float, n: int, **_) -> ZenoRunResult:
-    w = _checked_unitary(exact_evolution(h, t)).reshape(-1)  # the exact channel's Choi matrix is w w^dagger
-    return sweep_point("qdrift", h, t, n, _distance_to_unitary(_qdrift_choi(h, t, n), w))
-
-
-def _trotter_point(h: PauliHamiltonian, t: float, n: int, **_) -> ZenoRunResult:
-    error = spectral_norm(trotter_first_order(h, t, n) - exact_evolution(h, t))
-    return sweep_point("trotter1", h, t, n, error)
+    if shots is None:
+        return run_zeno(system, t, n, order=order, psi0=psi0)
+    return run_sampled(system, t, n, order, psi0, shots, seed)
 
 
 # The method table: for each method, the modes it runs in (--compare runs the
 # first), the projector variant handed to build_extended (None for the
 # baselines, which run on the Hamiltonian itself), and the function computing
-# one sweep point as point(system or Hamiltonian, t, n, psi0=, shots=, seed=).
+# one sweep point as point(system or Hamiltonian, t, n); a method that also
+# runs sampled post-selects, and its point reads psi0=, shots= and seed= too.
 METHODS = {
-    "zeno1": (("projected", "sampled"), VARIANT_STANDARD, _zeno_point(1)),
-    "zeno2": (("projected", "sampled"), VARIANT_STANDARD, _zeno_point(2)),
-    "kicks": (("projected",), VARIANT_STANDARD, _kicks_point),
-    "mub": (("projected", "sampled"), VARIANT_MUB, _zeno_point(1)),
-    "qdrift": (("channel",), None, _qdrift_point),
-    "trotter1": (("projected",), None, _trotter_point),
+    "zeno1": (("projected", "sampled"), VARIANT_STANDARD, partial(_zeno_point, order=1)),
+    "zeno2": (("projected", "sampled"), VARIANT_STANDARD, partial(_zeno_point, order=2)),
+    "kicks": (("projected",), VARIANT_STANDARD, run_kicks),
+    "mub": (("projected", "sampled"), VARIANT_MUB, partial(_zeno_point, order=1)),
+    "qdrift": (("channel",), None, qdrift_point),
+    "trotter1": (("projected",), None, trotter_point),
 }
+_qdrift_point, _trotter_point = qdrift_point, trotter_point  # the names perfbench's oracle test imports
 
 
 def fit_loglog_slope(ns, errors) -> float | None:
@@ -255,13 +239,14 @@ def _run_configs(configs: list[ExperimentConfig]) -> list[SweepResult]:
 
 def _sweep(config: ExperimentConfig, h: PauliHamiltonian) -> SweepResult:
     """Run every step count of a validated config on ``h`` or on its system for the method's projector variant."""
-    _, variant, point = METHODS[config.method]
+    _check_limits(h, config.method, config.t)
+    modes, variant, point = METHODS[config.method]
     subject = h if variant is None else build_extended(h, variant)
-    _check_limits(h, subject, config.t)
     ns = _resolve_ns(config, h)
     psi0 = _resolve_psi0(config, 2**h.num_qubits)
-    shots = config.shots if config.mode == "sampled" else None
-    points = [point(subject, config.t, n, psi0=psi0, shots=shots, seed=config.seed) for n in ns]
+    if "sampled" in modes:
+        point = partial(point, psi0=psi0, shots=config.shots if config.mode == "sampled" else None, seed=config.seed)
+    points = [point(subject, config.t, n) for n in ns]
     slope = fit_loglog_slope([p.N for p in points], [p.epsilon_measured for p in points])
     return SweepResult(
         points=tuple(points),
@@ -320,7 +305,7 @@ def _csv_cell(value) -> str:
 
 
 def _point_record(point: ZenoRunResult) -> dict:
-    return {c: getattr(point, c) for c in CSV_COLUMNS}
+    return dict(zip(CSV_COLUMNS, attrgetter(*CSV_COLUMNS)(point)))
 
 
 def render_csv(*results: SweepResult) -> str:

@@ -105,6 +105,11 @@ class PauliHamiltonian:
         """Largest single term coefficient."""
         return float(max(t.coefficient for t in self.terms))
 
+    @property
+    def n_ancilla(self) -> int:
+        """Ancilla qubits that label every term, the register padded to a power of two."""
+        return (self.num_terms - 1).bit_length()
+
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues (ascending) and eigenvectors of H, taken on first use and kept: one ``eigh`` per Hamiltonian."""

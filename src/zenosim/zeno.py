@@ -114,15 +114,16 @@ class ZenoRunResult:
 
     @property
     def bound_satisfied(self) -> bool:
-        """Measured error within the stated bound, up to 1e-12 of slack; true when no bound is stated."""
-        return self.epsilon_bound is None or self.epsilon_measured <= self.epsilon_bound + 1e-12
+        """Error at most its bound (true when none is stated), success at least its bound, each with 1e-12 of slack."""
+        error_ok = self.epsilon_bound is None or self.epsilon_measured <= self.epsilon_bound + 1e-12
+        return error_ok and self.p_succ_exact >= self.p_succ_bound - 1e-12
 
 
 def sweep_point(
-    method: str, h: PauliHamiltonian, t: float, n: int, epsilon: float, p_succ: float = 1.0, n_ancilla: int = 0
+    method: str, h: PauliHamiltonian, t: float, n: int, epsilon: float, p_succ: float = 1.0
 ) -> ZenoRunResult:
     """The (method, N) point of a measured error and success probability, with ``method_bounds`` attached."""
-    eps_bound, p_bound = bounds.method_bounds(method, h, n_ancilla, t, n)
+    eps_bound, p_bound = bounds.method_bounds(method, h, t, n)
     return ZenoRunResult(method=method, N=n, delta_t=t / n, epsilon_measured=epsilon,
                          epsilon_bound=eps_bound, p_succ_exact=p_succ, p_succ_bound=p_bound)
 
@@ -137,8 +138,7 @@ def build_extended(h: PauliHamiltonian, variant: str = VARIANT_STANDARD) -> Exte
     if variant not in (VARIANT_STANDARD, VARIANT_MUB):
         raise ValueError(f"unknown variant {variant!r}")
     num_terms = h.num_terms
-    n_ancilla = (num_terms - 1).bit_length()  # labels every term, padded to a power of two
-    ancilla_dim = 1 << n_ancilla
+    ancilla_dim = 1 << h.n_ancilla
     lam = h.lam
 
     if variant == VARIANT_STANDARD:
@@ -156,7 +156,7 @@ def build_extended(h: PauliHamiltonian, variant: str = VARIANT_STANDARD) -> Exte
         hamiltonian=h,
         variant=variant,
         target_dim=2**h.num_qubits,
-        n_ancilla=n_ancilla,
+        n_ancilla=h.n_ancilla,
         ancilla_dim=ancilla_dim,
         projector_state=state,
         generator_scale=scale,
@@ -332,7 +332,7 @@ def _projected(
     else:
         epsilon, p_succ, survival = _mub(sys, t, n_steps, psi, sampled)
     method = "mub" if sys.variant == VARIANT_MUB else f"zeno{order}"
-    return sweep_point(method, sys.hamiltonian, t, n_steps, epsilon, min(1.0, p_succ), sys.n_ancilla), survival
+    return sweep_point(method, sys.hamiltonian, t, n_steps, epsilon, min(1.0, p_succ)), survival
 
 
 def run_zeno(

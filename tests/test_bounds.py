@@ -6,13 +6,19 @@ import pytest
 from zenosim import bounds, parse_hamiltonian
 
 
-def error_bound(method, lam, t, n, n_ancilla=0):
-    """``method``'s error bound on a one-term Hamiltonian of weight ``lam`` (so h_max = lam)."""
-    return bounds.method_bounds(method, parse_hamiltonian(f"{lam!r}*X"), n_ancilla, t, n)[0]
+def equal_weights(weight, num_terms=1):
+    """``num_terms`` one-qubit terms (at most 3) of weight ``weight``: h_max = weight, lam = num_terms * weight, and
+    an ancilla width of 0, 1 and 2 qubits for 1, 2 and 3 terms."""
+    return parse_hamiltonian(" + ".join(f"{weight!r}*{word}" for word in "XYZ"[:num_terms]))
 
 
-def success_bound(method, lam, t, n, n_ancilla=0):
-    return bounds.method_bounds(method, parse_hamiltonian(f"{lam!r}*X"), n_ancilla, t, n)[1]
+def error_bound(method, lam, t, n, num_terms=1):
+    """``method``'s error bound on ``equal_weights(lam, num_terms)``; one term (the default) has h_max = lam."""
+    return bounds.method_bounds(method, equal_weights(lam, num_terms), t, n)[0]
+
+
+def success_bound(method, lam, t, n, num_terms=1):
+    return bounds.method_bounds(method, equal_weights(lam, num_terms), t, n)[1]
 
 
 class TestFirstOrder:
@@ -59,13 +65,15 @@ class TestKicks:
 
 class TestMub:
     def test_examples(self):
-        assert error_bound("mub", 0.7, 1, 10, n_ancilla=0) == pytest.approx(0.049)
-        assert error_bound("mub", 0.5, 1, 100, n_ancilla=1) == pytest.approx(0.01)
-        assert error_bound("mub", 0.5, 0, 100, n_ancilla=1) == 0.0
+        # The projector spans 2^n_ancilla ancilla states: 1 for one term, 2 for two.
+        assert error_bound("mub", 0.7, 1, 10) == pytest.approx(0.049)
+        assert error_bound("mub", 0.5, 1, 100, num_terms=2) == pytest.approx(0.01)
+        assert error_bound("mub", 0.5, 0, 100, num_terms=2) == 0.0
 
     def test_success_variant(self):
-        assert success_bound("mub", 0.5, 1, 100, n_ancilla=2) == pytest.approx(1 - 2 * 4 / 100)
-        assert success_bound("mub", 0.5, 1, 1, n_ancilla=2) == 0.0
+        # Three terms pad the ancilla register to 4 states.
+        assert success_bound("mub", 0.5, 1, 100, num_terms=3) == pytest.approx(1 - 2 * 4 / 100)
+        assert success_bound("mub", 0.5, 1, 1, num_terms=3) == 0.0
 
 
 class TestQdrift:
@@ -106,10 +114,10 @@ class TestStructure:
         ns = [1, 2, 5, 10, 50, 200]
         ts = [0.1, 0.5, 1.0, 2.0]
         lams = [0.3, 1.0, 2.5]
-        # The unbiased-basis bound takes the peak weight instead of lam.
-        for method, n_ancilla in [("zeno1", 0), ("zeno2", 0), ("kicks", 0), ("qdrift", 0), ("mub", 2)]:
+        # The unbiased-basis bound takes the peak weight instead of lam, here on a 4-state ancilla register.
+        for method, num_terms in [("zeno1", 1), ("zeno2", 1), ("kicks", 1), ("qdrift", 1), ("mub", 3)]:
             def fn(lam, t, n):
-                return error_bound(method, lam, t, n, n_ancilla)
+                return error_bound(method, lam, t, n, num_terms)
 
             for lam in lams:
                 for t in ts:
@@ -134,14 +142,14 @@ class TestStructure:
 
     def test_method_bounds(self):
         h = parse_hamiltonian("0.6*X + 0.4*Z")
-        eps, p_succ = bounds.method_bounds("zeno1", h, 1, 1.0, 100)
+        eps, p_succ = bounds.method_bounds("zeno1", h, 1.0, 100)
         assert eps == pytest.approx(0.01) and p_succ == pytest.approx(0.98)
-        # Only mub reads the ancilla count and the peak weight 0.6.
-        assert bounds.method_bounds("zeno1", h, 5, 1.0, 100) == (eps, p_succ)
-        assert bounds.method_bounds("mub", h, 1, 1.0, 100) == (
+        # Only mub reads the ancilla width (1 qubit for two terms) and the peak weight 0.6.
+        assert h.n_ancilla == 1
+        assert bounds.method_bounds("mub", h, 1.0, 100) == (
             pytest.approx(4 * 0.36 / 100), pytest.approx(1 - 8 * 0.36 / 100)
         )
-        assert bounds.method_bounds("kicks", h, 1, 1.0, 100) == (error_bound("kicks", 1.0, 1.0, 100), 1.0)
-        assert bounds.method_bounds("trotter1", h, 0, 1.0, 100) == (None, 1.0)
+        assert bounds.method_bounds("kicks", h, 1.0, 100) == (error_bound("kicks", 1.0, 1.0, 100), 1.0)
+        assert bounds.method_bounds("trotter1", h, 1.0, 100) == (None, 1.0)
         with pytest.raises(ValueError, match="method"):
-            bounds.method_bounds("trotter2", h, 0, 1.0, 100)
+            bounds.method_bounds("trotter2", h, 1.0, 100)

@@ -39,8 +39,8 @@ from zenosim.channels import (
     _qdrift_choi,
     _qdrift_step_ptm,
     conjugation_superoperator,
+    qdrift_point,
 )
-from zenosim.experiments import _qdrift_point
 from zenosim.hamiltonian import PAULI_AXES, PAULI_MATRICES, pauli_rotations
 from test_linalg import matexp_taylor
 
@@ -261,7 +261,7 @@ def choi_readings(seed, num_terms, num_qubits, t, n):
     j += j.conj().T
     mu = np.linalg.eigvalsh(j)
     eigvalsh_reading = float(np.sum(np.abs(mu))) / (2 * 2**num_qubits)
-    return h, _qdrift_point(h, t, n).epsilon_measured, eigvalsh_reading, mu / 2, np.trace(j).real / 2
+    return h, qdrift_point(h, t, n).epsilon_measured, eigvalsh_reading, mu / 2, np.trace(j).real / 2
 
 
 class TestQdriftPoint:
@@ -324,13 +324,13 @@ class TestQdriftPoint:
     def test_exact_channels_read_zero(self, h, t):
         # The Choi difference is zero up to roundoff: Lanczos stops at its roundoff floor.
         for n in (1, 1000):
-            assert _qdrift_point(h, t, n).epsilon_measured <= 1e-12
+            assert qdrift_point(h, t, n).epsilon_measured <= 1e-12
 
     def test_ceiling_roundoff_is_not_a_violation(self):
         # At N = 10**6 the PTM power leaves hundreds of eigenvalues below -1e-12 in the computed difference.
         # Summing every |eigenvalue| read 2.2e-9, above the 1.62e-9 bound; the error itself falls as 1/N
         # (7.8e-9 at N = 10**5), and the one negative eigenvalue reads 8.7e-10.
-        point = _qdrift_point(random_hamiltonian(np.random.default_rng(0), 32, 5), 1e-3, 10**6)
+        point = qdrift_point(random_hamiltonian(np.random.default_rng(0), 32, 5), 1e-3, 10**6)
         assert point.bound_satisfied
 
     @pytest.mark.parametrize("text,n,reference", [
@@ -343,7 +343,7 @@ class TestQdriftPoint:
         # The golden qdrift points at t = 1. Each reference is the N-th power of the one-step superoperator
         # sum_j (h_j / lam) conj(U_j) kron U_j in 50-digit mpmath, less conj(U) kron U for U = exp(-iH),
         # reshuffled to the Choi matrix: the sum of |eigenvalues| of its Hermitian part (mpmath.eighe) over d.
-        point = _qdrift_point(parse_hamiltonian(text), 1.0, n)
+        point = qdrift_point(parse_hamiltonian(text), 1.0, n)
         assert point.epsilon_measured == pytest.approx(reference, rel=1e-12, abs=0.0)
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the PTM power loses about N^2 u and reads low")
@@ -354,7 +354,7 @@ class TestQdriftPoint:
     def test_not_below_high_precision_reference(self, n, reference):
         # two_term at t = 1, by the recipe of test_matches_high_precision_reference. The point reads low by
         # 9.4e-11 relative at N = 1000 and 9.1e-9 at N = 10^4: binary powering of the PTM rounds away the signal.
-        assert _qdrift_point(parse_hamiltonian(TWO_TERM), 1.0, n).epsilon_measured >= reference
+        assert qdrift_point(parse_hamiltonian(TWO_TERM), 1.0, n).epsilon_measured >= reference
 
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 1000])
     def test_ceiling_point_memory(self, n):
@@ -365,7 +365,7 @@ class TestQdriftPoint:
         h = random_hamiltonian(np.random.default_rng(0), 32, 5)
         tracemalloc.start()
         try:
-            _qdrift_point(h, 1.0, n)
+            qdrift_point(h, 1.0, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -379,17 +379,17 @@ class TestQdriftPoint:
         script = """
 import numpy as np
 from conftest import random_hamiltonian
-from zenosim.experiments import _qdrift_point
+from zenosim.channels import qdrift_point
 
 def hwm_kib():
     with open("/proc/self/status") as status:
         return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
 
 h = random_hamiltonian(np.random.default_rng(0), 32, 5)
-_qdrift_point(h, 1.0, 10)
+qdrift_point(h, 1.0, 10)
 first = hwm_kib()
-_qdrift_point(h, 1.0, 100)
-_qdrift_point(h, 1.0, 1000)
+qdrift_point(h, 1.0, 100)
+qdrift_point(h, 1.0, 1000)
 print(first, hwm_kib())
 """
         path = os.pathsep.join([str(Path(zenosim.__file__).parents[1]), str(Path(__file__).parent)])

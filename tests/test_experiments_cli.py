@@ -399,6 +399,11 @@ class TestCliExitCodes:
         (["--hamiltonian", "8e307*XX + 8e307*YY", "--t", "1e-300", "--epsilon", "0.01"], 3, "exceeds the cap of 1000000"),
         # A CancellationError is a parse error.
         (["--hamiltonian", "0.5*X - 0.5*X", "--t", "1", "--n", "5"], 2, "zenosim: parse error: terms with word 'X'"),
+        (["--t", "1", "--n", "0"], 1, "n must be >= 1"),
+        (["--t", "1", "--n", "-3"], 1, "n must be >= 1"),
+        (["--t", "1", "--sweep", "0,10"], 1, "sweep values must be positive integers"),
+        (["--t", "1", "--sweep", "10,x"], 1, "--sweep expects comma-separated integers"),
+        (["--t", "1", "--sweep", ","], 1, "--sweep list is empty"),
     ])
     def test_non_finite_and_extreme_inputs(self, hfile, capsys, flags, code, message):
         # A repeated flag overrides the defaults below; --hamiltonian values are expressions.
@@ -702,7 +707,14 @@ class TestCliBehavior:
             assert main(args + ["--format", output_format]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
-        assert "-0" not in outputs[0]
+        # The values, not the whole text: the JSON also holds the Hamiltonian path, which may contain "-0".
+        if output_format == "json":
+            payload = json.loads(outputs[0])
+            times = [payload["config"]["t"], payload["points"][0]["delta_t"]]
+        else:
+            header, row = outputs[0].splitlines()
+            times = [dict(zip(header.split(","), row.split(",")))["delta_t"]]
+        assert all(str(x) in ("0", "0.0") for x in times)
 
     def test_sweep_flag(self, hfile, capsys):
         code = main(

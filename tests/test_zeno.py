@@ -279,6 +279,9 @@ class TestRunZeno:
         assert replace(r, epsilon_measured=r.epsilon_bound + 1e-12).bound_satisfied
         assert not replace(r, epsilon_measured=r.epsilon_bound + 1e-11).bound_satisfied
         assert replace(r, epsilon_measured=1e300, epsilon_bound=None).bound_satisfied
+        # The success probability must reach its bound too, with the same slack.
+        assert replace(r, p_succ_exact=r.p_succ_bound - 1e-12).bound_satisfied
+        assert not replace(r, p_succ_exact=r.p_succ_bound - 1e-11).bound_satisfied
 
 
 class TestRunKicks:
