@@ -41,7 +41,7 @@ TP_TOL = 1e-9
 _PAULI_PHASES = np.array([[1, 1, 1, 1], [1, 1, 1j, -1j], [1, -1j, 1, 1j], [1, 1j, -1j, 1]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelRep:
     """Completely positive trace-preserving map in superoperator form."""
 
@@ -61,7 +61,7 @@ class ChannelRep:
         return (self.superoperator @ column).reshape(self.dim, self.dim).T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QdriftTrajectory:
     """One sampled product of term evolutions.
 

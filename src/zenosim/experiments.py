@@ -327,13 +327,13 @@ def _round_floats(obj):
     return obj
 
 
+def _sweep_record(sweep: SweepResult) -> dict:
+    return {"fitted_slope": sweep.fitted_slope, "all_bounds_satisfied": sweep.all_bounds_satisfied,
+            "points": [_point_record(p) for p in sweep.points]}
+
+
 def render_json(result: SweepResult) -> str:
-    payload = {
-        "config": result.resolved_config,
-        "fitted_slope": result.fitted_slope,
-        "all_bounds_satisfied": result.all_bounds_satisfied,
-        "points": [_point_record(p) for p in result.points],
-    }
+    payload = {"config": result.resolved_config, **_sweep_record(result)}
     return json.dumps(_round_floats(payload), indent=2, allow_nan=False) + "\n"
 
 
@@ -341,13 +341,6 @@ def render_comparison_json(comparison: MethodComparison) -> str:
     payload = {
         "n_values": list(comparison.ns),
         "notes": list(comparison.notes),
-        "methods": {
-            name: {
-                "fitted_slope": sweep.fitted_slope,
-                "all_bounds_satisfied": sweep.all_bounds_satisfied,
-                "points": [_point_record(p) for p in sweep.points],
-            }
-            for name, sweep in comparison.results.items()
-        },
+        "methods": {name: _sweep_record(sweep) for name, sweep in comparison.results.items()},
     }
     return json.dumps(_round_floats(payload), indent=2, allow_nan=False) + "\n"

@@ -47,7 +47,7 @@ is a 2x2 unitary (``run_kicks``), on the same spectrum. Only ``select_unitary`` 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cache
 
 import numpy as np
@@ -67,17 +67,45 @@ _CHUNK = 1024  # steps per block of survival probabilities and of uniform draws
 class ExtendedSystem:
     """Derived operators for one Hamiltonian and projector variant.
 
+    ``variant`` selects the projector: ``standard`` projects onto the
+    coefficient-weighted ancilla state, ``mub`` onto the uniform
+    superposition. Every other field is derived from these two, which alone
+    are compared and hashed; ``dataclasses.replace`` derives them again.
     Immutable after construction; safe to share across threads. H's spectrum is ``hamiltonian.spectrum``.
     """
 
     hamiltonian: PauliHamiltonian
-    variant: str
-    target_dim: int
-    n_ancilla: int
-    ancilla_dim: int
-    projector_state: np.ndarray  # ancilla state defining the projector
-    generator_scale: float       # lam (standard) or 2^n_ancilla (mub)
-    block_rates: tuple[float, ...]  # per ancilla index, angle per unit time (0 when padded)
+    variant: str = VARIANT_STANDARD
+    target_dim: int = field(init=False, compare=False)
+    n_ancilla: int = field(init=False, compare=False)
+    ancilla_dim: int = field(init=False, compare=False)
+    projector_state: np.ndarray = field(init=False, compare=False)  # ancilla state defining the projector
+    generator_scale: float = field(init=False, compare=False)  # lam (standard) or 2^n_ancilla (mub)
+    block_rates: tuple[float, ...] = field(init=False, compare=False)  # angle per unit time, 0 when padded
+
+    def __post_init__(self):
+        h, variant = self.hamiltonian, self.variant
+        if variant not in (VARIANT_STANDARD, VARIANT_MUB):
+            raise ValueError(f"unknown variant {variant!r}")
+        num_terms = h.num_terms
+        ancilla_dim = 1 << h.n_ancilla
+        lam = h.lam
+
+        if variant == VARIANT_STANDARD:
+            state = np.zeros(ancilla_dim, dtype=complex)
+            state[:num_terms] = np.sqrt([t.coefficient / lam for t in h.terms])
+            scale = lam
+            rates = [lam] * num_terms
+        else:
+            state = np.full(ancilla_dim, 1.0 / math.sqrt(ancilla_dim), dtype=complex)
+            scale = float(ancilla_dim)
+            rates = [scale * t.coefficient for t in h.terms]
+        rates.extend(0.0 for _ in range(ancilla_dim - num_terms))
+        state.setflags(write=False)
+        derived = dict(target_dim=2**h.num_qubits, n_ancilla=h.n_ancilla, ancilla_dim=ancilla_dim,
+                       projector_state=state, generator_scale=scale, block_rates=tuple(rates))
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -129,39 +157,8 @@ def sweep_point(
 
 
 def build_extended(h: PauliHamiltonian, variant: str = VARIANT_STANDARD) -> ExtendedSystem:
-    """Construct the projector state and select-block rates for ``h``.
-
-    ``variant`` selects the projector: ``standard`` projects onto the
-    coefficient-weighted ancilla state, ``mub`` onto the uniform
-    superposition.
-    """
-    if variant not in (VARIANT_STANDARD, VARIANT_MUB):
-        raise ValueError(f"unknown variant {variant!r}")
-    num_terms = h.num_terms
-    ancilla_dim = 1 << h.n_ancilla
-    lam = h.lam
-
-    if variant == VARIANT_STANDARD:
-        state = np.zeros(ancilla_dim, dtype=complex)
-        state[:num_terms] = np.sqrt([t.coefficient / lam for t in h.terms])
-        scale = lam
-        rates = [lam] * num_terms
-    else:
-        state = np.full(ancilla_dim, 1.0 / math.sqrt(ancilla_dim), dtype=complex)
-        scale = float(ancilla_dim)
-        rates = [scale * t.coefficient for t in h.terms]
-    rates.extend(0.0 for _ in range(ancilla_dim - num_terms))
-    state.setflags(write=False)
-    return ExtendedSystem(
-        hamiltonian=h,
-        variant=variant,
-        target_dim=2**h.num_qubits,
-        n_ancilla=h.n_ancilla,
-        ancilla_dim=ancilla_dim,
-        projector_state=state,
-        generator_scale=scale,
-        block_rates=tuple(rates),
-    )
+    """The extended system of ``h`` under the ``variant`` projector (``standard`` or ``mub``)."""
+    return ExtendedSystem(h, variant)
 
 
 def _combined(sys: ExtendedSystem, blocks) -> np.ndarray:

@@ -516,3 +516,20 @@ class TestChannelRepValidation:
     def test_shape_checked(self):
         with pytest.raises(ValueError, match="superoperator"):
             ChannelRep(dim=2, superoperator=np.eye(3))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda variant: build_extended(parse_hamiltonian(THREE_TERM), variant),
+        lambda variant: unitary_channel(np.eye(2)),
+        lambda variant: qdrift_sample(parse_hamiltonian(THREE_TERM), 1.0, 3, 7),
+    ],
+    ids=["ExtendedSystem", "ChannelRep", "QdriftTrajectory"],
+)
+def test_array_holders_compare_and_hash(make):
+    # Systems compare by (hamiltonian, variant); the channel classes by identity, so two equal draws differ.
+    x, y = make("standard"), make("mub")
+    assert x == x
+    assert x != y
+    assert hash(x) == hash(x)

@@ -1,7 +1,7 @@
 """Extended-system construction and the measured sequences."""
 
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zenosim import (
+    ExtendedSystem,
     LimitExceededError,
     block_encoding_matrix,
     build_extended,
@@ -90,6 +91,26 @@ class TestBuildExtended:
     def test_unknown_variant(self, h2):
         with pytest.raises(ValueError, match="variant"):
             build_extended(h2, "other")
+
+    def test_constructor_takes_hamiltonian_and_variant_only(self, h3):
+        assert [f.name for f in fields(ExtendedSystem) if f.init] == ["hamiltonian", "variant"]
+        with pytest.raises(ValueError, match=r"^unknown variant 'x'$"):
+            ExtendedSystem(h3, "x")
+        with pytest.raises(TypeError):
+            ExtendedSystem(h3, "mub", ancilla_dim=4)
+
+    def test_equality_and_hash_follow_the_two_inputs(self, h3):
+        assert build_extended(h3) == build_extended(h3)
+        assert hash(build_extended(h3)) == hash(build_extended(h3))
+        assert build_extended(h3) != build_extended(h3, "mub")
+        assert build_extended(h3) != build_extended(parse_hamiltonian(TWO_TERM))
+
+    def test_replace_derives_every_field_again(self, h3):
+        swapped, mub = replace(build_extended(h3), variant="mub"), build_extended(h3, "mub")
+        assert swapped == mub
+        assert (swapped.generator_scale, swapped.block_rates) == (mub.generator_scale, mub.block_rates)
+        np.testing.assert_array_equal(swapped.projector_state, mub.projector_state)
+        assert run_zeno(swapped, 1.0, 10).epsilon_measured == pytest.approx(0.0554596793931, rel=1e-11)
 
 
 class TestSelectUnitary:
