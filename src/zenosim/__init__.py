@@ -8,6 +8,7 @@ its closed-form bound.
 """
 
 from . import bounds
+from .bounds import ZenoRunResult
 from .channels import (
     ChannelRep,
     QdriftTrajectory,
@@ -54,7 +55,6 @@ from .linalg import (
 )
 from .zeno import (
     ExtendedSystem,
-    ZenoRunResult,
     block_encoding_matrix,
     build_extended,
     extended_hamiltonian,

@@ -1,4 +1,7 @@
-"""Closed-form error/success bounds and the first-order step count.
+"""A sweep point: the check of its time and step count, its closed-form bounds, and its record.
+
+Every method, Zeno sequence or baseline, reduces to points of a time t, a step count N, a measured error and
+its closed-form bound. ``step_time`` is the one check of t and N; ``sweep_point`` builds the ``ZenoRunResult``.
 
 ``_CLOSED_FORMS`` holds every method's bounds, one row per method, as
 functions of the angles ``x = lam * t`` (coefficient 1-norm times time) and
@@ -19,6 +22,8 @@ pushed up by floating-point roundoff.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from numbers import Integral
 
 _CEIL_NUDGE = 1e-12
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -36,20 +41,77 @@ _CLOSED_FORMS = {
 }
 
 
+def is_count(value, least: int) -> bool:
+    """Whether ``value`` is an integer (a NumPy one included, a bool not) of at least ``least``."""
+    return isinstance(value, Integral) and not isinstance(value, bool) and value >= least
+
+
+def step_time(t: float, n: int) -> float:
+    """The step time t / n of a sweep point, once ``n`` is an integer >= 1 and ``t`` a finite time >= 0."""
+    if not is_count(n, 1):
+        raise ValueError(f"step count must be an integer >= 1, got {n!r}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
+    return t / n
+
+
+@dataclass(frozen=True)
+class ZenoRunResult:
+    """Measured and analytic quantities for one (method, N) point.
+
+    ``epsilon_measured`` is the restricted spectral-norm gate error and
+    ``p_succ_exact`` the post-selection probability for the configured
+    initial state (the error itself is state independent; the success
+    probability is reported for the state actually used, default |0..0>).
+    The package builds every one with ``sweep_point``. ``fidelity_mean``
+    averages |<exact|final>|^2 over successful sampled trajectories.
+    """
+
+    method: str
+    N: int
+    delta_t: float
+    epsilon_measured: float
+    epsilon_bound: float | None
+    p_succ_exact: float
+    p_succ_bound: float
+    p_succ_sampled: float | None = None
+    shots: int | None = None
+    seed: int | None = None
+    fidelity_mean: float | None = None
+
+    def __post_init__(self):
+        if self.epsilon_measured < 0:
+            raise ValueError("measured error cannot be negative")
+        if not 0.0 <= self.p_succ_exact <= 1.0:
+            raise ValueError(f"success probability out of range: {self.p_succ_exact}")
+        if self.N < 1:
+            raise ValueError("step count must be >= 1")
+
+    @property
+    def bound_satisfied(self) -> bool:
+        """Error at most its bound (true when none is stated), success at least its bound, each with 1e-12 of slack."""
+        error_ok = self.epsilon_bound is None or self.epsilon_measured <= self.epsilon_bound + 1e-12
+        return error_ok and self.p_succ_exact >= self.p_succ_bound - 1e-12
+
+
 def method_bounds(method: str, h, t: float, n: int) -> tuple[float | None, float]:
     """(error bound or None, success lower bound) for one sweep point of ``method`` on ``h``.
 
     Only mub reads ``h.n_ancilla``: its projector spans all 2^n_ancilla
     ancilla states, padded ones included.
     """
+    step_time(t, n)
     if method not in _CLOSED_FORMS:
         raise ValueError(f"no bounds recorded for method {method!r}")
-    if n < 1:
-        raise ValueError(f"step count must be >= 1, got {n}")
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
     error, success = _CLOSED_FORMS[method](h.lam * t, float(1 << h.n_ancilla) * h.h_max * t, n)
     return error, max(0.0, success)
+
+
+def sweep_point(method: str, h, t: float, n: int, epsilon: float, p_succ: float = 1.0) -> ZenoRunResult:
+    """The (method, N) point of a measured error and success probability, with ``method_bounds`` attached."""
+    eps_bound, p_bound = method_bounds(method, h, t, n)
+    return ZenoRunResult(method=method, N=int(n), delta_t=t / n, epsilon_measured=epsilon,
+                         epsilon_bound=eps_bound, p_succ_exact=p_succ, p_succ_bound=p_bound)
 
 
 def steps_for_precision(lam: float, t: float, epsilon: float) -> int:

@@ -1,5 +1,7 @@
 """The qdrift and trotter1 baselines, their sweep points, and the randomized-compilation channel machinery.
 
+Each point's t and N pass ``bounds.step_time``, and its record is ``bounds.sweep_point``, as for the Zeno runs.
+
 Superoperators act on column-stacked density matrices: ``vec(M)`` stacks
 the columns of ``M``, so ``vec(A X B) = (B^T kron A) vec(X)`` and the
 superoperator of conjugation by a unitary ``U`` is ``conj(U) kron U``.
@@ -27,10 +29,10 @@ from functools import reduce
 
 import numpy as np
 
+from .bounds import ZenoRunResult, step_time, sweep_point
 from .errors import LimitExceededError
 from .hamiltonian import PAULI_AXES, PauliHamiltonian, exact_evolution, pauli_rotations
 from .linalg import hermitian_eigen, hermitian_trace_norm, is_unitary, spectral_norm
-from .zeno import ZenoRunResult, sweep_point
 
 CHANNEL_MAX_QUBITS = 5
 
@@ -87,9 +89,7 @@ def trotter_first_order(h: PauliHamiltonian, t: float, n_steps: int) -> np.ndarr
     Each factor is the analytic exp(-i * h_j * H_j * delta_t) of one
     weighted term of the physical Hamiltonian.
     """
-    if n_steps < 1:
-        raise ValueError(f"step count must be >= 1, got {n_steps}")
-    delta_t = t / n_steps
+    delta_t = step_time(t, n_steps)
     step = reduce(np.matmul, pauli_rotations(h, [term.coefficient * delta_t for term in h.terms]))
     return np.linalg.matrix_power(step, n_steps)
 
@@ -101,9 +101,7 @@ def _qdrift_ensemble(h: PauliHamiltonian, delta_t: float) -> tuple[np.ndarray, f
 
 def qdrift_sample(h: PauliHamiltonian, t: float, n_steps: int, seed: int) -> QdriftTrajectory:
     """Sample one randomized product of ``n_steps`` factors from ``default_rng(seed)``."""
-    if n_steps < 1:
-        raise ValueError(f"step count must be >= 1, got {n_steps}")
-    probs, angle = _qdrift_ensemble(h, t / n_steps)
+    probs, angle = _qdrift_ensemble(h, step_time(t, n_steps))
     unitaries = pauli_rotations(h, [angle] * h.num_terms)
     picks = np.random.default_rng(seed).choice(h.num_terms, size=n_steps, p=probs)
     product = np.eye(2**h.num_qubits, dtype=complex)
@@ -197,13 +195,12 @@ def _qdrift_choi(h: PauliHamiltonian, t: float, n_steps: int) -> np.ndarray:
     A point allocates two arrays: the step's PTM, which the power overwrites, and a pair of PTM-sized buffers
     that holds the power's spares and then, viewed as one complex matrix, the Choi matrix.
     """
-    if n_steps < 1:
-        raise ValueError(f"step count must be >= 1, got {n_steps}")
+    delta_t = step_time(t, n_steps)
     if h.num_qubits > CHANNEL_MAX_QUBITS:
         raise LimitExceededError(
             f"channel mode supports at most {CHANNEL_MAX_QUBITS} qubits, got {h.num_qubits}"
         )
-    ptm = _qdrift_step_ptm(h, t / n_steps)
+    ptm = _qdrift_step_ptm(h, delta_t)
     pair = np.empty((2, *ptm.shape))
     _ptm_power(ptm, n_steps, pair)
     return _choi_of_ptm(ptm, pair.reshape(ptm.shape[0], -1).view(complex))
@@ -289,6 +286,7 @@ def _distance_to_unitary(j: np.ndarray, w: np.ndarray) -> float:
 
 def qdrift_point(h: PauliHamiltonian, t: float, n_steps: int) -> ZenoRunResult:
     """qdrift's sweep point: the trace norm over d of the Choi difference from the exact channel."""
+    step_time(t, n_steps)
     w = _checked_unitary(exact_evolution(h, t)).reshape(-1)  # the exact channel's Choi matrix is w w^dagger
     return sweep_point("qdrift", h, t, n_steps, _distance_to_unitary(_qdrift_choi(h, t, n_steps), w))
 

@@ -24,18 +24,11 @@ from operator import attrgetter
 import numpy as np
 
 from . import bounds
+from .bounds import ZenoRunResult
 from .channels import qdrift_point, trotter_point
 from .errors import ConfigError, LimitExceededError
 from .hamiltonian import PauliHamiltonian, load_hamiltonian
-from .zeno import (
-    VARIANT_MUB,
-    VARIANT_STANDARD,
-    ZenoRunResult,
-    build_extended,
-    run_kicks,
-    run_sampled,
-    run_zeno,
-)
+from .zeno import VARIANT_MUB, VARIANT_STANDARD, build_extended, run_kicks, run_sampled, run_zeno
 
 MODES = ("projected", "sampled", "channel")
 
@@ -109,7 +102,8 @@ def _modes(method: str) -> tuple[str, ...]:
     return METHODS[method][0]
 
 
-def _validate_config(config: ExperimentConfig) -> None:
+def _validate_config(config: ExperimentConfig) -> ExperimentConfig:
+    """The checked config, with t = -0 as 0 and its shots, seed and psi0 as ``int`` (so the JSON serialises)."""
     modes = _modes(config.method)
     if config.mode not in modes:
         raise ConfigError(f"method {config.method!r} runs in mode {' or '.join(modes)}, not {config.mode!r}")
@@ -120,16 +114,18 @@ def _validate_config(config: ExperimentConfig) -> None:
         raise ConfigError(f"t must be finite and nonnegative, got {config.t}")
     if config.epsilon is not None and not (math.isfinite(config.epsilon) and config.epsilon > 0):
         raise ConfigError(f"epsilon must be finite and positive, got {config.epsilon}")
-    if config.shots is not None and config.shots < 1:
-        raise ConfigError(f"shots must be >= 1, got {config.shots}")
+    if config.shots is not None and not bounds.is_count(config.shots, 1):
+        raise ConfigError(f"shots must be >= 1 and an integer, got {config.shots!r}")
     if config.mode == "sampled" and config.shots is None:
         raise ConfigError("sampled mode requires shots >= 1")
-    if config.psi0 is not None and (isinstance(config.psi0, bool) or not isinstance(config.psi0, int)):
+    if config.psi0 is not None and not bounds.is_count(config.psi0, 0):
         raise ConfigError(f"psi0 must be a basis-state index, got {config.psi0!r}")
-    if config.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {config.seed}")
+    if not bounds.is_count(config.seed, 0):
+        raise ConfigError(f"seed must be >= 0 and an integer, got {config.seed!r}")
     if config.output_format not in ("json", "csv"):
         raise ConfigError(f"unknown output format {config.output_format!r}")
+    counts = {k: int(v) for k in ("shots", "seed", "psi0") if (v := getattr(config, k)) is not None}
+    return replace(config, t=abs(config.t), **counts)  # t >= 0, so abs only turns -0.0 into 0.0
 
 
 def _check_limits(h: PauliHamiltonian, method: str, t: float) -> None:
@@ -145,15 +141,14 @@ def _check_limits(h: PauliHamiltonian, method: str, t: float) -> None:
 
 def _resolve_ns(config: ExperimentConfig, h: PauliHamiltonian) -> list[int]:
     if config.sweep is not None:
-        ns = [int(n) for n in config.sweep]
-        if not ns or any(n < 1 for n in ns):
+        if not config.sweep or not all(bounds.is_count(n, 1) for n in config.sweep):
             raise ConfigError("sweep values must be positive integers")
-        ns = sorted(set(ns))
+        ns = sorted(set(map(int, config.sweep)))
         if len(ns) > MAX_SWEEP_POINTS:
             raise LimitExceededError(f"sweep of {len(ns)} step counts exceeds the cap of {MAX_SWEEP_POINTS}")
     elif config.n is not None:
-        if config.n < 1:
-            raise ConfigError("n must be >= 1")
+        if not bounds.is_count(config.n, 1):
+            raise ConfigError(f"n must be >= 1 and an integer, got {config.n!r}")
         ns = [int(config.n)]
     else:
         try:
@@ -174,7 +169,7 @@ def _resolve_ns(config: ExperimentConfig, h: PauliHamiltonian) -> list[int]:
 def _resolve_psi0(config: ExperimentConfig, target_dim: int) -> np.ndarray | None:
     if config.psi0 is None:
         return None
-    if not 0 <= config.psi0 < target_dim:
+    if config.psi0 >= target_dim:
         raise ConfigError(f"psi0 index {config.psi0} out of range for dimension {target_dim}")
     return np.eye(target_dim, dtype=complex)[config.psi0]
 
@@ -230,11 +225,10 @@ def run_experiment(config: ExperimentConfig) -> SweepResult:
 
 
 def _run_configs(configs: list[ExperimentConfig]) -> list[SweepResult]:
-    """Run configs on one Hamiltonian file, loaded once so every method reads one spectrum; t = -0 runs as t = 0."""
-    for config in configs:
-        _validate_config(config)  # t >= 0, so abs below only turns -0.0 into 0.0
+    """Run configs on one Hamiltonian file, loaded once so every method reads one spectrum."""
+    configs = [_validate_config(config) for config in configs]
     h = load_hamiltonian(configs[0].hamiltonian_path)
-    return [_sweep(replace(config, t=abs(config.t)), h) for config in configs]
+    return [_sweep(config, h) for config in configs]
 
 
 def _sweep(config: ExperimentConfig, h: PauliHamiltonian) -> SweepResult:

@@ -46,6 +46,14 @@ def is_unitary(a) -> bool:
     return float(np.max(np.abs(a.conj().T @ a - eye), initial=0.0)) <= UNITARITY_TOL
 
 
+def _lapack(routine, a: np.ndarray, what: str, **options):
+    """``routine(a, **options)``, with LAPACK's LinAlgError raised as a ConvergenceError naming ``what``."""
+    try:
+        return routine(a, **options)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"{what} did not converge: {exc}") from exc
+
+
 def hermitian_eigen(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition h = U diag(w) U^dagger of a Hermitian matrix.
 
@@ -55,11 +63,7 @@ def hermitian_eigen(h) -> tuple[np.ndarray, np.ndarray]:
     h = as_matrix(h)
     if not is_hermitian(h):
         raise ValueError("matrix is not Hermitian within tolerance 1e-10")
-    try:
-        w, u = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
-    return w, u
+    return _lapack(np.linalg.eigh, h, "eigendecomposition")
 
 
 def matexp_hermitian(h, theta: float) -> np.ndarray:
@@ -70,10 +74,7 @@ def matexp_hermitian(h, theta: float) -> np.ndarray:
 
 
 def _singular_values(a: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.svd(a, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"singular value decomposition did not converge: {exc}") from exc
+    return _lapack(np.linalg.svd, a, "singular value decomposition", compute_uv=False)
 
 
 def spectral_norm(a) -> float:
@@ -84,10 +85,7 @@ def spectral_norm(a) -> float:
 
 def hermitian_trace_norm(a: np.ndarray) -> float:
     """Sum of |eigenvalues| of a Hermitian matrix (LAPACK reads its lower triangle)."""
-    try:
-        return float(np.sum(np.abs(np.linalg.eigvalsh(a))))
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"Hermitian eigenvalue decomposition did not converge: {exc}") from exc
+    return float(np.sum(np.abs(_lapack(np.linalg.eigvalsh, a, "Hermitian eigenvalue decomposition"))))
 
 
 def trace_norm(a) -> float:

@@ -41,7 +41,8 @@ that spectrum); its sampled points read the spectrum of H' in
 A(dt) = alpha - i H' (alpha real, H' Hermitian). The kick sequence leaves the
 range of P but splits into one invariant plane per eigenvalue of H, where it
 is a 2x2 unitary (``run_kicks``), on the same spectrum. Only ``select_unitary`` and
-``extended_hamiltonian`` build combined-register matrices.
+``extended_hamiltonian`` build combined-register matrices. Each run checks its t and N with
+``bounds.step_time`` and returns the ``bounds.sweep_point`` record, as the baselines in ``channels`` do.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from functools import cache
 
 import numpy as np
 
-from . import bounds
+from .bounds import ZenoRunResult, step_time, sweep_point
 from .errors import LimitExceededError, ZenosimError
 from .hamiltonian import PauliHamiltonian, exact_evolution, pauli_rotations, term_matrix
 from .linalg import hermitian_eigen, spectral_norm
@@ -106,54 +107,6 @@ class ExtendedSystem:
                        projector_state=state, generator_scale=scale, block_rates=tuple(rates))
         for name, value in derived.items():
             object.__setattr__(self, name, value)
-
-
-@dataclass(frozen=True)
-class ZenoRunResult:
-    """Measured and analytic quantities for one (method, N) point.
-
-    ``epsilon_measured`` is the restricted spectral-norm gate error and
-    ``p_succ_exact`` the post-selection probability for the configured
-    initial state (the error itself is state independent; the success
-    probability is reported for the state actually used, default |0..0>).
-    The package builds every one with ``sweep_point``. ``fidelity_mean``
-    averages |<exact|final>|^2 over successful sampled trajectories.
-    """
-
-    method: str
-    N: int
-    delta_t: float
-    epsilon_measured: float
-    epsilon_bound: float | None
-    p_succ_exact: float
-    p_succ_bound: float
-    p_succ_sampled: float | None = None
-    shots: int | None = None
-    seed: int | None = None
-    fidelity_mean: float | None = None
-
-    def __post_init__(self):
-        if self.epsilon_measured < 0:
-            raise ValueError("measured error cannot be negative")
-        if not 0.0 <= self.p_succ_exact <= 1.0:
-            raise ValueError(f"success probability out of range: {self.p_succ_exact}")
-        if self.N < 1:
-            raise ValueError("step count must be >= 1")
-
-    @property
-    def bound_satisfied(self) -> bool:
-        """Error at most its bound (true when none is stated), success at least its bound, each with 1e-12 of slack."""
-        error_ok = self.epsilon_bound is None or self.epsilon_measured <= self.epsilon_bound + 1e-12
-        return error_ok and self.p_succ_exact >= self.p_succ_bound - 1e-12
-
-
-def sweep_point(
-    method: str, h: PauliHamiltonian, t: float, n: int, epsilon: float, p_succ: float = 1.0
-) -> ZenoRunResult:
-    """The (method, N) point of a measured error and success probability, with ``method_bounds`` attached."""
-    eps_bound, p_bound = bounds.method_bounds(method, h, t, n)
-    return ZenoRunResult(method=method, N=n, delta_t=t / n, epsilon_measured=epsilon,
-                         epsilon_bound=eps_bound, p_succ_exact=p_succ, p_succ_bound=p_bound)
 
 
 def build_extended(h: PauliHamiltonian, variant: str = VARIANT_STANDARD) -> ExtendedSystem:
@@ -314,10 +267,7 @@ def _projected(
 ) -> tuple[ZenoRunResult, tuple[np.ndarray, np.ndarray, float | None] | None]:
     """``run_zeno``'s point; when ``sampled``, also the step's log r_j^2, the weights of psi0 on its eigenvectors
     and the fidelity of the state that survives all N steps (None when none can)."""
-    if n_steps < 1:
-        raise ValueError(f"step count must be >= 1, got {n_steps}")
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    step_time(t, n_steps)
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     if sys.variant == VARIANT_MUB and order != 1:
@@ -367,18 +317,15 @@ def run_kicks(sys: ExtendedSystem, t: float, n_steps: int) -> ZenoRunResult:
     error is the largest per-plane distance between the first column of the
     N-th power and (exp(-i E_j t), 0).
     """
+    delta_t = step_time(t, n_steps)
     if sys.variant != VARIANT_STANDARD:
         raise ValueError("kick sequence requires the standard projector variant")
-    if n_steps < 1:
-        raise ValueError(f"step count must be >= 1, got {n_steps}")
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
 
     h = sys.hamiltonian
     energies = h.spectrum[0]
     a = energies / h.lam
     b = np.sqrt(np.maximum(0.0, 1.0 - a**2))
-    theta = h.lam * (t / n_steps)
+    theta = h.lam * delta_t
     c, s = math.cos(theta), math.sin(theta)
     kick = np.array([[c - 1j * s * a, -1j * s * b], [1j * s * b, -c - 1j * s * a]]).transpose(2, 0, 1)
     alpha, beta = np.linalg.matrix_power(kick, n_steps)[:, :, 0].T

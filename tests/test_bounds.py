@@ -1,9 +1,44 @@
-"""Closed-form bound arithmetic and its structural properties."""
+"""Closed-form bound arithmetic, its structural properties, and the one check of a sweep point's t and N."""
+
+import math
 
 import numpy as np
 import pytest
 
-from zenosim import bounds, parse_hamiltonian
+from zenosim import (
+    bounds,
+    build_extended,
+    channels,
+    parse_hamiltonian,
+    qdrift_channel,
+    qdrift_sample,
+    run_kicks,
+    run_sampled,
+    run_zeno,
+    trotter_first_order,
+)
+
+GATE_H = parse_hamiltonian("0.6*XI + 0.4*IZ - 0.1*YY")
+
+
+def _trajectory(t, n):
+    sample = qdrift_sample(GATE_H, t, n, seed=2)
+    return sample.sampled_indices, sample.resulting_unitary.tolist()
+
+
+# Every entry point that takes a sweep point's (t, N), as f(t, n) on GATE_H, returning data that == compares.
+GATED = {
+    "run_zeno": lambda t, n: run_zeno(build_extended(GATE_H), t, n),
+    "run_zeno-mub": lambda t, n: run_zeno(build_extended(GATE_H, "mub"), t, n),
+    "run_sampled": lambda t, n: run_sampled(build_extended(GATE_H), t, n, shots=5, seed=1),
+    "run_kicks": lambda t, n: run_kicks(build_extended(GATE_H), t, n),
+    "trotter_first_order": lambda t, n: trotter_first_order(GATE_H, t, n).tolist(),
+    "trotter_point": lambda t, n: channels.trotter_point(GATE_H, t, n),
+    "qdrift_sample": _trajectory,
+    "qdrift_channel": lambda t, n: qdrift_channel(GATE_H, t, n).superoperator.tolist(),
+    "qdrift_point": lambda t, n: channels.qdrift_point(GATE_H, t, n),
+    "method_bounds": lambda t, n: bounds.method_bounds("zeno1", GATE_H, t, n),
+}
 
 
 def equal_weights(weight, num_terms=1):
@@ -153,3 +188,25 @@ class TestStructure:
         assert bounds.method_bounds("trotter1", h, 1.0, 100) == (None, 1.0)
         with pytest.raises(ValueError, match="method"):
             bounds.method_bounds("trotter2", h, 1.0, 100)
+
+
+class TestStepTime:
+    def test_examples(self):
+        assert bounds.step_time(1.0, 4) == 0.25
+        assert bounds.step_time(-0.0, np.int64(3)) == 0.0
+        assert [bounds.is_count(v, 1) for v in (1, np.int64(2), 0, 1.0, True, np.bool_(True))] == [
+            True, True, False, False, False, False
+        ]
+
+    @pytest.mark.parametrize("t,n,word", [
+        (math.nan, 10, "time"), (math.inf, 10, "time"), (-1.0, 10, "time"),
+        (1.0, 0, "step count"), (1.0, 10.5, "step count"), (1.0, True, "step count"),
+    ])
+    @pytest.mark.parametrize("entry", GATED)
+    def test_every_entry_point_rejects_a_bad_point(self, entry, t, n, word):
+        with pytest.raises(ValueError, match=word):
+            GATED[entry](t, n)
+
+    @pytest.mark.parametrize("entry", GATED)
+    def test_numpy_step_count_runs_as_int(self, entry):
+        assert GATED[entry](1.0, np.int64(10)) == GATED[entry](1.0, 10)

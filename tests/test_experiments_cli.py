@@ -165,6 +165,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="psi0 must be a basis-state index"):
             run_experiment(config(hfile, psi0=psi0))
 
+    @pytest.mark.parametrize("fields,message", [
+        ({"n": 10.5}, "n must be >= 1"), ({"n": True}, "n must be >= 1"),
+        ({"n": None, "sweep": (10.7, 20)}, "sweep values must be positive integers"),
+        ({"shots": 2.5}, "shots must be >= 1"), ({"seed": 1.5}, "seed must be >= 0"), ({"seed": True}, "seed must be >= 0"),
+    ])
+    def test_counts_must_be_integers(self, hfile, fields, message):
+        with pytest.raises(ConfigError, match=message) as caught:
+            run_experiment(config(hfile, **{"mode": "sampled", "shots": 10} | fields))
+        assert len(str(caught.value).splitlines()) == 1
+
+    def test_numpy_counts_run_as_int(self, hfile):
+        counts = dict(n=10, shots=10, seed=3, psi0=1)
+        result = run_experiment(config(hfile, mode="sampled", **{k: np.int64(v) for k, v in counts.items()}))
+        assert render_json(result) == render_json(run_experiment(config(hfile, mode="sampled", **counts)))
+
     def test_sampled_rejects_kicks(self, hfile):
         with pytest.raises(ConfigError, match="sampled"):
             run_experiment(config(hfile, method="kicks", mode="sampled", shots=10))
