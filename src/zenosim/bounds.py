@@ -118,8 +118,7 @@ def steps_for_precision(lam: float, t: float, epsilon: float) -> int:
     """Steps needed so the first-order error bound reaches ``epsilon``."""
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    step_time(t, 1)
     if lam <= 0:
         raise ValueError(f"coefficient 1-norm must be positive, got {lam}")
     x = lam * t

@@ -53,7 +53,7 @@ from functools import cache
 
 import numpy as np
 
-from .bounds import ZenoRunResult, step_time, sweep_point
+from .bounds import ZenoRunResult, is_count, step_time, sweep_point
 from .errors import LimitExceededError, ZenosimError
 from .hamiltonian import PauliHamiltonian, exact_evolution, pauli_rotations, term_matrix
 from .linalg import hermitian_eigen, spectral_norm
@@ -355,8 +355,11 @@ def run_sampled(
     of a normal step, so survival and fidelity come from a spectrum: of H for
     the standard projector, of H' (``_mub``) for mub.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    if not is_count(shots, 1):
+        raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
+    if not is_count(seed, 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    shots, seed = int(shots), int(seed)  # NumPy integers run as int, so seed + shots cannot wrap
     point, (log_r, weights, fidelity) = _projected(sys, t, n_steps, order, psi0, sampled=True)
     successes = _successes(log_r, weights, n_steps, shots, seed)
     return replace(point, p_succ_sampled=successes / shots, shots=shots, seed=seed,

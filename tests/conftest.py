@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from ceiling import FILES as CEILING_FILES
 
-from zenosim import build_extended, hamiltonian_matrix, parse_hamiltonian
+from zenosim import build_extended, hamiltonian_matrix, load_hamiltonian, parse_hamiltonian
 
 TWO_TERM = "0.6*X + 0.4*Z"
 THREE_TERM = "0.5*X + 0.3*Z + 0.2*Y"
@@ -62,6 +63,11 @@ def hfile(tmp_path):
         return str(path)
 
     return write
+
+
+def ceiling_hamiltonian(name):
+    """The ceiling instance ``name`` of ``tests/ceiling.json``, loaded afresh so no two callers share a spectrum."""
+    return load_hamiltonian(CEILING_FILES[name])
 
 
 def random_hamiltonian(rng, num_terms, num_qubits):

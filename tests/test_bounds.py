@@ -135,6 +135,12 @@ class TestStepFormulas:
             if n > 1:
                 assert error_bound("zeno1", lam, t, n - 1) > epsilon * (1 - 1e-9)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_steps_for_precision_rejects_non_finite_time(self, t):
+        # Before, nan ended in "cannot convert float NaN to integer" and inf in OverflowError.
+        with pytest.raises(ValueError, match=f"^time must be finite and nonnegative, got {t}$"):
+            bounds.steps_for_precision(1, t, 0.01)
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             bounds.steps_for_precision(1, 1, 0.0)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import THREE_TERM, TWO_TERM, random_hamiltonian
+from conftest import THREE_TERM, TWO_TERM, ceiling_hamiltonian, random_hamiltonian
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -192,7 +192,7 @@ class TestQdriftPtm:
         assert np.max(np.abs(choi_of(_qdrift_step_ptm(h, dt)) - expected)) <= 1e-12
 
     def test_ceiling_channel_matches_cubed_kron_sum(self):
-        h = random_hamiltonian(np.random.default_rng(0), 32, 5)
+        h = ceiling_hamiltonian("ceiling_5q32")
         expected = np.linalg.matrix_power(qdrift_step_by_kron_sum(h, 1.0 / 3), 3)
         assert np.max(np.abs(qdrift_channel(h, 1.0, 3).superoperator - expected)) <= 1e-12
 
@@ -242,8 +242,8 @@ class TestPtmPower:
         assert np.array_equal(first, second) and not np.shares_memory(first, second)
 
 
-# (generator seed, terms, qubits, t, N) of random_hamiltonian instances: 1-3 qubits and the 5q/32 ceiling.
-CHOI_CASES = [(q, 2 * q, q, 0.8, n) for q in (1, 2, 3) for n in (1, 7, 1000)] + [(0, 32, 5, 1.0, 10)]
+# (random_hamiltonian generator seed or ceiling instance name, terms, qubits, t, N): 1-3 qubits and the 5q/32 ceiling.
+CHOI_CASES = [(q, 2 * q, q, 0.8, n) for q in (1, 2, 3) for n in (1, 7, 1000)] + [("ceiling_5q32", 32, 5, 1.0, 10)]
 CHOI_IDS = [f"{q}q{terms}-N{n}" for _, terms, q, _, n in CHOI_CASES]
 CHOI_ROUNDOFF = 8 * np.finfo(float).eps  # 4 ulps of a reading near 2, the largest; the cases reach 2 eps
 
@@ -255,7 +255,8 @@ def choi_readings(seed, num_terms, num_qubits, t, n):
     The eigvalsh reading is the one diamond_lower_bound takes, the sum of |eigenvalues| of J_D + J_D^dagger
     over 2d for J_D = J - w w^dagger; mu and the trace are those of (J + J^dagger) / 2 - w w^dagger.
     """
-    h = random_hamiltonian(np.random.default_rng(seed), num_terms, num_qubits)
+    h = (ceiling_hamiltonian(seed) if isinstance(seed, str)
+         else random_hamiltonian(np.random.default_rng(seed), num_terms, num_qubits))
     w = exact_evolution(h, t).reshape(-1)
     j = _qdrift_choi(h, t, n) - np.outer(w, w.conj())
     j += j.conj().T
@@ -287,10 +288,10 @@ class TestQdriftPoint:
         assert abs(eigvalsh_reading - point - noise) <= CHOI_ROUNDOFF
 
     def test_ceiling_bit_equal_to_diamond_lower_bound(self):
-        h, _, eigvalsh_reading, _, _ = choi_readings(0, 32, 5, 1.0, 10)
+        h, _, eigvalsh_reading, _, _ = choi_readings("ceiling_5q32", 32, 5, 1.0, 10)
         self.assert_bit_equal(h, 1.0, 10, eigvalsh_reading)
 
-    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("seed", [pytest.param("ceiling_5q32", id="0"), 1, 2, 3, 4, 5])
     @pytest.mark.parametrize("n", [10, 1000])
     def test_ceiling_reads_lowest_eigenvalue(self, seed, n):
         # At 5 qubits the trace-and-noise identity of the smaller cases sits below eigvalsh's own roundoff, so
@@ -318,7 +319,7 @@ class TestQdriftPoint:
     @pytest.mark.parametrize("h,t", [
         (parse_hamiltonian("0.5*XZ + 0.3*ZI + 0.2*IY"), 0.0),
         (parse_hamiltonian("0.7*XYZ"), 1.0),
-        (random_hamiltonian(np.random.default_rng(0), 32, 5), 0.0),
+        (ceiling_hamiltonian("ceiling_5q32"), 0.0),
         (parse_hamiltonian("-0.7*ZZXYZ"), 1.0),
     ], ids=["2q-t0", "3q-single-term", "5q32-t0", "5q-single-term"])
     def test_exact_channels_read_zero(self, h, t):
@@ -330,7 +331,7 @@ class TestQdriftPoint:
         # At N = 10**6 the PTM power leaves hundreds of eigenvalues below -1e-12 in the computed difference.
         # Summing every |eigenvalue| read 2.2e-9, above the 1.62e-9 bound; the error itself falls as 1/N
         # (7.8e-9 at N = 10**5), and the one negative eigenvalue reads 8.7e-10.
-        point = qdrift_point(random_hamiltonian(np.random.default_rng(0), 32, 5), 1e-3, 10**6)
+        point = qdrift_point(ceiling_hamiltonian("ceiling_5q32"), 1e-3, 10**6)
         assert point.bound_satisfied
 
     @pytest.mark.parametrize("text,n,reference", [
@@ -362,7 +363,7 @@ class TestQdriftPoint:
         # that holds the power's two spares and then the Choi matrix. A third spare, matrix_power's own
         # products beside the pair (N = 2 and 3), a complex copy of the power or a second 16 MiB array
         # (superoperator, kron(conj(U), U), another Choi copy) breaks 32 MiB.
-        h = random_hamiltonian(np.random.default_rng(0), 32, 5)
+        h = ceiling_hamiltonian("ceiling_5q32")
         tracemalloc.start()
         try:
             qdrift_point(h, 1.0, n)
@@ -377,15 +378,14 @@ class TestQdriftPoint:
         # arrays do not reuse. After the N = 10 point, the N = 100 and 1000 points reuse its two buffers,
         # so VmHWM rises by about 0.3 MiB; a power or Choi matrix allocated beside freed buffers rises 6 MiB.
         script = """
-import numpy as np
-from conftest import random_hamiltonian
+from conftest import ceiling_hamiltonian
 from zenosim.channels import qdrift_point
 
 def hwm_kib():
     with open("/proc/self/status") as status:
         return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
 
-h = random_hamiltonian(np.random.default_rng(0), 32, 5)
+h = ceiling_hamiltonian("ceiling_5q32")
 qdrift_point(h, 1.0, 10)
 first = hwm_kib()
 qdrift_point(h, 1.0, 100)

@@ -1,10 +1,9 @@
 """The corner grid: every method and mode at extreme t and N, on small instances and at the size ceiling.
 
-Each case runs the command line in-process with t in {1e-12, 1e-4, 1, 1e6, 1e150} and N in {1, 10^6}, one
-shot in sampled mode. two_term and tfim_three_qubit run in every mode, ``ceiling_6q32`` in projected and
-sampled mode and ``ceiling_5q32`` in channel mode. The bounds are theorems, so every case must exit 0 with
-every bound satisfied and a success probability not below its bound. Channel mode on ``ceiling_6q32`` is the
-documented limit exit 3.
+Each case runs the command line in-process at every t and N of the corner grid in ``tests/ceiling.json``, one
+shot in sampled mode. two_term and tfim_three_qubit run in every mode, each ceiling instance in the modes that
+file lists for it. The bounds are theorems, so every case must exit 0 with every bound satisfied and a success
+probability not below its bound. Channel mode on ``ceiling_6q32`` is the documented limit exit 3.
 """
 
 import contextlib
@@ -13,6 +12,7 @@ import json
 from pathlib import Path
 
 import pytest
+from ceiling import CEILING, FILES
 
 from zenosim.cli import main
 from zenosim.experiments import METHODS, MODES
@@ -21,12 +21,10 @@ ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = {
     "two_term": ROOT / "demos" / "hamiltonians" / "two_term.txt",
     "tfim_three_qubit": ROOT / "demos" / "hamiltonians" / "tfim_three_qubit.txt",
-    "ceiling_6q32": ROOT / "tests" / "hamiltonians" / "ceiling_6q32.txt",
-    "ceiling_5q32": ROOT / "tests" / "hamiltonians" / "ceiling_5q32.txt",
+    **FILES,
 }
-CEILING_MODES = {"ceiling_6q32": ("projected", "sampled"), "ceiling_5q32": ("channel",)}
-TIMES = ("1e-12", "1e-4", "1", "1e6", "1e150")
-STEPS = ("1", "1000000")
+CEILING_MODES = {name: instance["modes"] for name, instance in CEILING["instances"].items()}
+TIMES, STEPS = CEILING["corners"]["t"], CEILING["corners"]["n"]
 
 MUB_ROUNDOFF = pytest.mark.xfail(
     strict=True,

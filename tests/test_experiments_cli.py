@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import eigh_calls_on, random_hamiltonian
+from conftest import CEILING_FILES, ceiling_hamiltonian, eigh_calls_on
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +34,7 @@ from zeno_references import REFERENCES
 
 TWO_TERM = "0.6*X + 0.4*Z"
 TWO_TERM_FILE = str(Path(__file__).resolve().parent.parent / "demos" / "hamiltonians" / "two_term.txt")
-CEILING_5Q32 = to_text(random_hamiltonian(np.random.default_rng(0), 32, 5))  # the channel-mode ceiling
+CEILING_5Q32 = to_text(ceiling_hamiltonian("ceiling_5q32"))  # the channel-mode ceiling
 ZENO_REFERENCES = json.loads(REFERENCES.read_text(encoding="utf-8"))
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 # README's exit-code table: every error class named in a row's last cell, mapped to the row's code.
@@ -290,16 +290,6 @@ class TestCompareMethods:
 class TestCeiling:
     """The advertised size ceiling: 6 qubits and 32 terms, 5 qubits in channel mode."""
 
-    @pytest.fixture(scope="class")
-    def ceiling_file(self, tmp_path_factory):
-        def write(num_qubits):
-            h = random_hamiltonian(np.random.default_rng(0), 32, num_qubits)
-            path = tmp_path_factory.mktemp("ceiling") / f"{num_qubits}q32.txt"
-            path.write_text(to_text(h) + "\n", encoding="utf-8")
-            return str(path)
-
-        return write
-
     @staticmethod
     def check(result, ns):
         assert [p.N for p in result.points] == list(ns)
@@ -308,36 +298,36 @@ class TestCeiling:
             assert np.isfinite(p.epsilon_measured) and 0.0 <= p.p_succ_exact <= 1.0
 
     @pytest.mark.parametrize("method", ["zeno1", "zeno2", "mub", "kicks", "trotter1"])
-    def test_projected(self, ceiling_file, method):
-        cfg = ExperimentConfig(hamiltonian_path=ceiling_file(6), method=method, t=1.0, sweep=(10, 100))
+    def test_projected(self, method):
+        cfg = ExperimentConfig(hamiltonian_path=CEILING_FILES["ceiling_6q32"], method=method, t=1.0, sweep=(10, 100))
         self.check(run_experiment(cfg), (10, 100))
 
     @pytest.mark.parametrize("method", ["zeno1", "zeno2", "mub"])
-    def test_sampled(self, ceiling_file, method):
+    def test_sampled(self, method):
         cfg = ExperimentConfig(
-            hamiltonian_path=ceiling_file(6), method=method, t=1.0, sweep=(10, 100),
+            hamiltonian_path=CEILING_FILES["ceiling_6q32"], method=method, t=1.0, sweep=(10, 100),
             mode="sampled", shots=50, seed=3,
         )
         self.check(run_experiment(cfg), (10, 100))
 
-    def test_qdrift_channel(self, ceiling_file):
+    def test_qdrift_channel(self):
         cfg = ExperimentConfig(
-            hamiltonian_path=ceiling_file(5), method="qdrift", t=1.0, n=10, mode="channel"
+            hamiltonian_path=CEILING_FILES["ceiling_5q32"], method="qdrift", t=1.0, n=10, mode="channel"
         )
         self.check(run_experiment(cfg), (10,))
 
-    def test_kicks_at_step_cap(self, ceiling_file):
-        cfg = ExperimentConfig(hamiltonian_path=ceiling_file(6), method="kicks", t=1.0, n=10**6)
+    def test_kicks_at_step_cap(self):
+        cfg = ExperimentConfig(hamiltonian_path=CEILING_FILES["ceiling_6q32"], method="kicks", t=1.0, n=10**6)
         start = time.perf_counter()
         self.check(run_experiment(cfg), (10**6,))
         assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("method", ["zeno1", "zeno2"])
-    def test_zeno_at_step_cap(self, ceiling_file, method):
+    def test_zeno_at_step_cap(self, method):
         # One eigendecomposition of H, then O(d) per point. The 40-digit per-eigenvalue zeno2 error is
         # 3.602e-10 (tests/zeno_references.py), against a bound of 2.24e-9; an N-fold power of the step
         # read 1.18e-9, its roundoff floor.
-        cfg = ExperimentConfig(hamiltonian_path=ceiling_file(6), method=method, t=1.0, n=10**6)
+        cfg = ExperimentConfig(hamiltonian_path=CEILING_FILES["ceiling_6q32"], method=method, t=1.0, n=10**6)
         start = time.perf_counter()
         result = run_experiment(cfg)
         assert time.perf_counter() - start < 1.0

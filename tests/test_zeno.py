@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from conftest import THREE_TERM, TWO_TERM, eigh_calls_on, random_hamiltonian
+from conftest import THREE_TERM, TWO_TERM, ceiling_hamiltonian, eigh_calls_on, random_hamiltonian
 from full_register import (
     kicks_full,
     path_survival,
@@ -426,7 +426,7 @@ class TestRunSampled:
         # probability 2.3e-8, and N = 3000 > _CHUNK steps at t = sqrt(3) with probability 0.71 (mub: 0.66).
         from zenosim.zeno import _CHUNK
 
-        sys = build_extended(random_hamiltonian(np.random.default_rng(0), 32, 6), variant)
+        sys = build_extended(ceiling_hamiltonian("ceiling_6q32"), variant)
         survival = survival_probabilities(sys, t, n)
         shots, seed = 200, 5
         full = [bool(np.all(np.random.default_rng(seed + s).random(n) < survival)) for s in range(shots)]
@@ -440,7 +440,7 @@ class TestRunSampled:
         # those up to the one where the last of the 100 shots fails are computed (182 for both).
         from zenosim import zeno
 
-        h = random_hamiltonian(np.random.default_rng(0), 32, 6)
+        h = ceiling_hamiltonian("ceiling_6q32")
         for variant, t in (("standard", 300.0), ("mub", 250.0)):
             sys = build_extended(h, variant)
             survival, computed = zeno._survival, []
@@ -461,13 +461,27 @@ class TestRunSampled:
     def test_mub_survival_matches_path(self, text, t, n):
         # mub's survival probabilities, read from the spectrum of the step's Hermitian part, equal those of
         # stepping the surviving state one matrix-vector product at a time.
-        h = random_hamiltonian(np.random.default_rng(0), 32, 6) if text is None else parse_hamiltonian(text)
+        h = ceiling_hamiltonian("ceiling_6q32") if text is None else parse_hamiltonian(text)
         sys = build_extended(h, "mub")
         np.testing.assert_allclose(survival_probabilities(sys, t, n), path_survival(sys, t, n), rtol=0.0, atol=1e-13)
 
     def test_zero_shots_rejected(self, sys2):
         with pytest.raises(ValueError, match="shots"):
             run_sampled(sys2, 1.0, 5, shots=0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("shots", 2.5), ("shots", True), ("seed", 1.5), ("seed", -3), ("seed", True),
+    ])
+    def test_non_count_shots_and_seed_rejected(self, sys2, field, value):
+        # Before the gate, 2.5 and 1.5 escaped from range() as TypeError, -3 from numpy's seeding, and
+        # shots=True ran one shot recorded as True.
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= "):
+            run_sampled(sys2, 1.0, 5, **{field: value})
+
+    def test_numpy_integer_shots_and_seed_run_as_int(self, sys2):
+        # Kept as np.uint8, seed + shots wrapped to 4: range(250, 4) drew no shot and read 0.0 (0.9 as int).
+        r = run_sampled(sys2, 1.0, 5, shots=np.int64(10), seed=np.uint8(250))
+        assert r == run_sampled(sys2, 1.0, 5, shots=10, seed=250) and (type(r.shots), type(r.seed)) == (int, int)
 
 
 class TestSpectralForm:
@@ -476,7 +490,7 @@ class TestSpectralForm:
     def test_zeno1_error_tends_to_asymptote(self):
         # At large N the zeno1 error is (lam t)^2 max_j (1 - a_j^2) / (2N), at most half the (lam t)^2 / N
         # bound. The leading correction is expm1's second term, a relative (lam t)^2 (1 - a_j^2) / (4N).
-        h = random_hamiltonian(np.random.default_rng(0), 32, 6)
+        h = ceiling_hamiltonian("ceiling_6q32")
         sys = build_extended(h)
         a = np.linalg.eigvalsh(hamiltonian_matrix(h)) / h.lam
         asymptote = h.lam**2 * np.max(1.0 - a * a) / 2.0
@@ -490,7 +504,7 @@ class TestSpectralForm:
         # A 6q/32 point, its eigendecomposition of H included, traces about 0.27 MiB: the 64 x 64 matrix of H,
         # its eigenvectors and a few length-64 vectors. A (L, d, d) rotation stack or an N-fold matrix power
         # of the step (6.2 MiB) breaks 1 MiB.
-        sys = build_extended(random_hamiltonian(np.random.default_rng(0), 32, 6))
+        sys = build_extended(ceiling_hamiltonian("ceiling_6q32"))
         tracemalloc.start()
         try:
             run_zeno(sys, 1.0, 1000, order=order)

@@ -75,16 +75,9 @@ def reference(h, order, t, n, psi_indices=(0,)):
     return error, successes
 
 
-def ceiling_hamiltonian():
-    """The 6-qubit, 32-term instance of ``conftest.random_hamiltonian`` at generator seed 0."""
-    import numpy as np
-    from conftest import random_hamiltonian
-
-    return random_hamiltonian(np.random.default_rng(0), 32, 6)
-
-
 def main():
     import mpmath as mp
+    from conftest import ceiling_hamiltonian
 
     from zenosim import load_hamiltonian
 
@@ -98,7 +91,7 @@ def main():
                     "epsilon": mp.nstr(error, 20, min_fixed=1, max_fixed=0),
                     "p_succ": [mp.nstr(p, 20, min_fixed=1, max_fixed=0) for p in successes],
                 }
-    error, successes = reference(ceiling_hamiltonian(), 2, 1, 10**6)
+    error, successes = reference(ceiling_hamiltonian("ceiling_6q32"), 2, 1, 10**6)
     table["ceiling_6q32 zeno2 1000000"] = {
         "epsilon": mp.nstr(error, 20, min_fixed=1, max_fixed=0),
         "p_succ": [mp.nstr(successes[0], 20, min_fixed=1, max_fixed=0)],
