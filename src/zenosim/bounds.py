@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 _CEIL_NUDGE = 1e-12
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -46,11 +46,16 @@ def is_count(value, least: int) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool) and value >= least
 
 
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number (a NumPy one included, a bool not)."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 def step_time(t: float, n: int) -> float:
-    """The step time t / n of a sweep point, once ``n`` is an integer >= 1 and ``t`` a finite time >= 0."""
+    """The step time t / n of a sweep point, once ``n`` is an integer >= 1 and ``t`` a finite real time >= 0."""
     if not is_count(n, 1):
         raise ValueError(f"step count must be an integer >= 1, got {n!r}")
-    if not (math.isfinite(t) and t >= 0):
+    if not (is_real(t) and math.isfinite(t) and t >= 0):
         raise ValueError(f"time must be finite and nonnegative, got {t}")
     return t / n
 
@@ -91,7 +96,7 @@ class ZenoRunResult:
     def bound_satisfied(self) -> bool:
         """Error at most its bound (true when none is stated), success at least its bound, each with 1e-12 of slack."""
         error_ok = self.epsilon_bound is None or self.epsilon_measured <= self.epsilon_bound + 1e-12
-        return error_ok and self.p_succ_exact >= self.p_succ_bound - 1e-12
+        return bool(error_ok and self.p_succ_exact >= self.p_succ_bound - 1e-12)
 
 
 def method_bounds(method: str, h, t: float, n: int) -> tuple[float | None, float]:

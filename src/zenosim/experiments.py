@@ -110,9 +110,11 @@ def _validate_config(config: ExperimentConfig) -> ExperimentConfig:
     chosen = [x is not None for x in (config.n, config.epsilon, config.sweep)]
     if sum(chosen) != 1:
         raise ConfigError("exactly one of n, epsilon, or sweep must be set")
-    if not (math.isfinite(config.t) and config.t >= 0):
+    if not (bounds.is_real(config.t) and math.isfinite(config.t) and config.t >= 0):
         raise ConfigError(f"t must be finite and nonnegative, got {config.t}")
-    if config.epsilon is not None and not (math.isfinite(config.epsilon) and config.epsilon > 0):
+    if config.epsilon is not None and not (
+        bounds.is_real(config.epsilon) and math.isfinite(config.epsilon) and config.epsilon > 0
+    ):
         raise ConfigError(f"epsilon must be finite and positive, got {config.epsilon}")
     if config.shots is not None and not bounds.is_count(config.shots, 1):
         raise ConfigError(f"shots must be >= 1 and an integer, got {config.shots!r}")

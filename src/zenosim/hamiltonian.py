@@ -19,7 +19,7 @@ finite, as written (``1e400``) or after merging, is a parse error.
 
 File format: UTF-8 text, at most ``MAX_FILE_BYTES`` bytes, holding one
 expression; ``#`` starts a comment that runs to end of line; blank lines are
-ignored; several files are joined into one expression with '+'.
+ignored. ``load_hamiltonian`` reads one such file.
 """
 
 from __future__ import annotations
@@ -151,52 +151,42 @@ def pauli_rotations(h: PauliHamiltonian, thetas) -> np.ndarray:
 def parse_hamiltonian(text: str) -> PauliHamiltonian:
     """Parse one Hamiltonian expression.
 
-    Duplicate Pauli words are merged by signed summation and keep their
-    first-appearance position. Raises HamiltonianParseError on grammar
-    violations and CancellationError when a merge cancels a term.
+    Each term is checked and merged as it is read: duplicate Pauli words are
+    summed with their signs and keep their first-appearance position. Raises
+    HamiltonianParseError on the first grammar violation and CancellationError
+    when a merge cancels a term.
     """
     if text is None or not text.strip():
         raise HamiltonianParseError("empty Hamiltonian expression")
     compact = re.sub(r"\s+", "", text)
 
-    raw_terms: list[tuple[float, str]] = []
+    merged: dict[str, float] = {}
     pos = 0
-    first = True
     while pos < len(compact):
         m = _TERM_RE.match(compact, pos)
         if m is None:
             raise HamiltonianParseError(
                 f"invalid character or malformed term at position {pos}: {compact[pos:pos + 12]!r}"
             )
-        if not first and m.group("sep") is None:
+        sep, coef_text, word = m.group("sep", "coef", "word")
+        if not pos:
+            num_qubits = len(word)
+        elif sep is None:
             raise HamiltonianParseError(
                 f"missing '+' or '-' between terms at position {pos}: {compact[pos:pos + 12]!r}"
             )
-        signed = -1.0 if m.group("sep") == "-" else 1.0
-        coef_text = m.group("coef")
-        magnitude = 1.0 if coef_text is None else float(coef_text)
-        value = signed * magnitude
+        value = (-1.0 if sep == "-" else 1.0) * (1.0 if coef_text is None else float(coef_text))
         if not math.isfinite(value):
-            raise HamiltonianParseError(f"coefficient {coef_text} for term {m.group('word')!r} is not finite")
+            raise HamiltonianParseError(f"coefficient {coef_text} for term {word!r} is not finite")
         if abs(value) <= COEFFICIENT_THRESHOLD:
             raise HamiltonianParseError(
-                f"coefficient magnitude {abs(value):g} for term {m.group('word')!r} "
+                f"coefficient magnitude {abs(value):g} for term {word!r} "
                 f"is at or below the threshold {COEFFICIENT_THRESHOLD:g}"
             )
-        raw_terms.append((value, m.group("word")))
-        pos = m.end()
-        first = False
-
-    num_qubits = len(raw_terms[0][1])
-    for _, word in raw_terms:
         if len(word) != num_qubits:
-            raise HamiltonianParseError(
-                f"mixed pauli-word lengths: expected {num_qubits} qubits, got {word!r}"
-            )
-
-    merged: dict[str, float] = {}
-    for value, word in raw_terms:
+            raise HamiltonianParseError(f"mixed pauli-word lengths: expected {num_qubits} qubits, got {word!r}")
         merged[word] = merged.get(word, 0.0) + value
+        pos = m.end()
 
     terms = []
     for word, value in merged.items():
@@ -206,8 +196,7 @@ def parse_hamiltonian(text: str) -> PauliHamiltonian:
             raise CancellationError(
                 f"terms with word {word!r} cancel to {value:g}; remove them explicitly"
             )
-        sign = 1 if value > 0 else -1
-        terms.append(PauliTerm(coefficient=abs(value), sign=sign, axes=word))
+        terms.append(PauliTerm(coefficient=abs(value), sign=1 if value > 0 else -1, axes=word))
     return PauliHamiltonian(num_qubits=num_qubits, terms=tuple(terms))
 
 
@@ -223,29 +212,23 @@ def to_text(h: PauliHamiltonian) -> str:
     return " ".join(parts)
 
 
-def load_hamiltonian(*paths) -> PauliHamiltonian:
-    """Load and parse one or more Hamiltonian files (joined by '+'); an unreadable path raises ConfigError."""
-    if not paths:
-        raise HamiltonianParseError("no Hamiltonian file given")
-    expressions = []
-    for path in paths:
-        try:
-            with open(path, "rb") as f:
-                data = f.read(MAX_FILE_BYTES + 1)  # one byte over the cap marks a larger file
-            if len(data) > MAX_FILE_BYTES:
-                raise LimitExceededError(f"{path}: file exceeds the cap of {MAX_FILE_BYTES} bytes")
-            raw = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise HamiltonianParseError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
-        except FileNotFoundError as exc:
-            raise ConfigError(f"file not found: {exc.filename or path}") from exc
-        except IsADirectoryError as exc:
-            raise ConfigError(f"is a directory, not a file: {exc.filename or path}") from exc
-        except OSError as exc:
-            raise ConfigError(f"cannot read {exc.filename or path}: {exc.strerror}") from exc
-        lines = [line.split("#", 1)[0] for line in raw.splitlines()]
-        body = " ".join(line for line in lines if line.strip())
-        if not body.strip():
-            raise HamiltonianParseError(f"{path}: no Hamiltonian expression found")
-        expressions.append(body)
-    return parse_hamiltonian(" + ".join(expressions))
+def load_hamiltonian(path) -> PauliHamiltonian:
+    """Load and parse one Hamiltonian file; an unreadable path raises ConfigError."""
+    try:
+        with open(path, "rb") as f:
+            data = f.read(MAX_FILE_BYTES + 1)  # one byte over the cap marks a larger file
+        if len(data) > MAX_FILE_BYTES:
+            raise LimitExceededError(f"{path}: file exceeds the cap of {MAX_FILE_BYTES} bytes")
+        raw = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise HamiltonianParseError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+    except FileNotFoundError as exc:
+        raise ConfigError(f"file not found: {exc.filename or path}") from exc
+    except IsADirectoryError as exc:
+        raise ConfigError(f"is a directory, not a file: {exc.filename or path}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read {exc.filename or path}: {exc.strerror}") from exc
+    body = " ".join(line.split("#", 1)[0] for line in raw.splitlines())
+    if not body.strip():
+        raise HamiltonianParseError(f"{path}: no Hamiltonian expression found")
+    return parse_hamiltonian(body)

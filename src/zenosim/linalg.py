@@ -8,9 +8,9 @@ its power's two spares, whose memory then holds the complex Choi matrix J.
 Lanczos finds the one negative eigenvalue of J - w w^dagger without forming
 it.
 
-Tolerances are centralized here. Unless an operation states otherwise,
-Hermiticity and unitarity are checked to 1e-10 and equality assertions in
-callers should use 1e-9.
+Hermiticity and unitarity are checked to 1e-10 unless an operation states
+otherwise (``channels`` holds its own ``CP_TOL`` and ``TP_TOL``); equality
+assertions in callers should use 1e-9.
 """
 
 from __future__ import annotations

@@ -54,7 +54,7 @@ from functools import cache
 import numpy as np
 
 from .bounds import ZenoRunResult, is_count, step_time, sweep_point
-from .errors import LimitExceededError, ZenosimError
+from .errors import LimitExceededError
 from .hamiltonian import PauliHamiltonian, exact_evolution, pauli_rotations, term_matrix
 from .linalg import hermitian_eigen, spectral_norm
 
@@ -389,7 +389,7 @@ def block_encoding_matrix(sys: ExtendedSystem, delta_t: float) -> np.ndarray:
     non-unitary operator the combined circuit embeds.
     """
     if sys.variant != VARIANT_STANDARD:
-        raise ZenosimError("block encoding is defined for the standard projector variant")
+        raise ValueError("block encoding is defined for the standard projector variant")
     return _corner(sys, delta_t)
 
 

@@ -207,6 +207,7 @@ class TestStepTime:
     @pytest.mark.parametrize("t,n,word", [
         (math.nan, 10, "time"), (math.inf, 10, "time"), (-1.0, 10, "time"),
         (1.0, 0, "step count"), (1.0, 10.5, "step count"), (1.0, True, "step count"),
+        (True, 10, "time"), (np.bool_(True), 10, "time"), ("1", 10, "time"), (None, 10, "time"),
     ])
     @pytest.mark.parametrize("entry", GATED)
     def test_every_entry_point_rejects_a_bad_point(self, entry, t, n, word):

@@ -175,6 +175,19 @@ class TestConfigValidation:
             run_experiment(config(hfile, **{"mode": "sampled", "shots": 10} | fields))
         assert len(str(caught.value).splitlines()) == 1
 
+    @pytest.mark.parametrize("fields,message", [
+        ({"t": True}, "t must be finite"), ({"t": "1"}, "t must be finite"), ({"t": None}, "t must be finite"),
+        ({"n": None, "epsilon": True}, "epsilon must be finite"), ({"n": None, "epsilon": "0.1"}, "epsilon must be finite"),
+    ])
+    def test_times_and_precisions_must_be_real(self, hfile, fields, message):
+        with pytest.raises(ConfigError, match=message) as caught:
+            run_experiment(config(hfile, **fields))
+        assert len(str(caught.value).splitlines()) == 1
+
+    def test_numpy_time_and_precision_run_as_given(self, hfile):
+        result = run_experiment(config(hfile, t=np.float64(1.0), n=None, epsilon=np.float64(0.1)))
+        assert render_json(result) == render_json(run_experiment(config(hfile, n=None, epsilon=0.1)))
+
     def test_numpy_counts_run_as_int(self, hfile):
         counts = dict(n=10, shots=10, seed=3, psi0=1)
         result = run_experiment(config(hfile, mode="sampled", **{k: np.int64(v) for k, v in counts.items()}))

@@ -241,12 +241,9 @@ class TestFileLoading:
         assert h.num_terms == 2
         assert h.lam == pytest.approx(1.0)
 
-    def test_multiple_files_joined_by_plus(self, hfile):
-        p1 = hfile("0.6*X", name="a.txt")
-        p2 = hfile("0.4*Z", name="b.txt")
-        h = load_hamiltonian(p1, p2)
-        assert h.num_terms == 2
-        assert h.lam == pytest.approx(1.0)
+    @pytest.mark.parametrize("text", ["-Z", "-0.5*Z + X"])
+    def test_leading_minus_loads_as_its_text(self, hfile, text):
+        assert load_hamiltonian(hfile(text)) == parse_hamiltonian(text)
 
     def test_comment_only_file_rejected(self, hfile):
         path = hfile("# nothing here\n\n")

@@ -574,7 +574,7 @@ class TestBlockEncoding:
             assert spectral_norm(block_encoding_matrix(sys, dt) - expected) < 1e-10
 
     def test_mub_variant_rejected(self, sys3_mub):
-        with pytest.raises(Exception, match="standard"):
+        with pytest.raises(ValueError, match="standard"):
             block_encoding_matrix(sys3_mub, 0.1)
 
 
