@@ -121,8 +121,8 @@ def sweep_point(method: str, h, t: float, n: int, epsilon: float, p_succ: float 
 
 def steps_for_precision(lam: float, t: float, epsilon: float) -> int:
     """Steps needed so the first-order error bound reaches ``epsilon``."""
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not (is_real(epsilon) and math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
     step_time(t, 1)
     if lam <= 0:
         raise ValueError(f"coefficient 1-norm must be positive, got {lam}")

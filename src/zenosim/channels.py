@@ -29,7 +29,7 @@ from functools import reduce
 
 import numpy as np
 
-from .bounds import ZenoRunResult, step_time, sweep_point
+from .bounds import ZenoRunResult, is_count, step_time, sweep_point
 from .errors import LimitExceededError
 from .hamiltonian import PAULI_AXES, PauliHamiltonian, exact_evolution, pauli_rotations
 from .linalg import hermitian_eigen, hermitian_trace_norm, is_unitary, spectral_norm
@@ -100,7 +100,9 @@ def _qdrift_ensemble(h: PauliHamiltonian, delta_t: float) -> tuple[np.ndarray, f
 
 
 def qdrift_sample(h: PauliHamiltonian, t: float, n_steps: int, seed: int) -> QdriftTrajectory:
-    """Sample one randomized product of ``n_steps`` factors from ``default_rng(seed)``."""
+    """Sample one randomized product of ``n_steps`` factors from ``default_rng(seed)``, the seed an integer >= 0."""
+    if not is_count(seed, 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     probs, angle = _qdrift_ensemble(h, step_time(t, n_steps))
     unitaries = pauli_rotations(h, [angle] * h.num_terms)
     picks = np.random.default_rng(seed).choice(h.num_terms, size=n_steps, p=probs)
@@ -110,7 +112,7 @@ def qdrift_sample(h: PauliHamiltonian, t: float, n_steps: int, seed: int) -> Qdr
     return QdriftTrajectory(
         sampled_indices=tuple(int(j) + 1 for j in picks),
         resulting_unitary=product,
-        seed=seed,
+        seed=int(seed),
     )
 
 

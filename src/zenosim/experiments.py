@@ -130,18 +130,16 @@ def _validate_config(config: ExperimentConfig) -> ExperimentConfig:
     return replace(config, t=abs(config.t), **counts)  # t >= 0, so abs only turns -0.0 into 0.0
 
 
-def _check_limits(h: PauliHamiltonian, method: str, t: float) -> None:
+def _resolve(config: ExperimentConfig, h: PauliHamiltonian) -> tuple[list[int], np.ndarray | None]:
+    """Check ``h`` against the size limits, then resolve the config's step counts and initial state and check them."""
     if h.num_qubits > MAX_QUBITS:
         raise LimitExceededError(f"Hamiltonian acts on {h.num_qubits} qubits, cap is {MAX_QUBITS}")
     if h.num_terms > MAX_TERMS:
         raise LimitExceededError(f"Hamiltonian has {h.num_terms} terms, cap is {MAX_TERMS}")
     # The exact propagator and a standard select block turn by lam * t, the fastest mub block by 2^n_a h_max t.
-    rate = max(h.lam, (1 << h.n_ancilla) * h.h_max) if method == "mub" else h.lam
-    if not math.isfinite(rate * t):
-        raise LimitExceededError(f"largest rotation angle (rate {rate:g} times t {t:g}) is not finite")
-
-
-def _resolve_ns(config: ExperimentConfig, h: PauliHamiltonian) -> list[int]:
+    rate = max(h.lam, (1 << h.n_ancilla) * h.h_max) if config.method == "mub" else h.lam
+    if not math.isfinite(rate * config.t):
+        raise LimitExceededError(f"largest rotation angle (rate {rate:g} times t {config.t:g}) is not finite")
     if config.sweep is not None:
         if not config.sweep or not all(bounds.is_count(n, 1) for n in config.sweep):
             raise ConfigError("sweep values must be positive integers")
@@ -165,15 +163,10 @@ def _resolve_ns(config: ExperimentConfig, h: PauliHamiltonian) -> list[int]:
         raise LimitExceededError(
             f"{config.shots} shots of {ns[-1]} steps exceed the cap of {MAX_SHOT_STEPS} sampled steps"
         )
-    return ns
-
-
-def _resolve_psi0(config: ExperimentConfig, target_dim: int) -> np.ndarray | None:
-    if config.psi0 is None:
-        return None
-    if config.psi0 >= target_dim:
-        raise ConfigError(f"psi0 index {config.psi0} out of range for dimension {target_dim}")
-    return np.eye(target_dim, dtype=complex)[config.psi0]
+    dim = 2**h.num_qubits
+    if config.psi0 is not None and config.psi0 >= dim:
+        raise ConfigError(f"psi0 index {config.psi0} out of range for dimension {dim}")
+    return ns, None if config.psi0 is None else np.eye(dim, dtype=complex)[config.psi0]
 
 
 def _zeno_point(system, t, n, *, order, psi0, shots, seed):
@@ -235,11 +228,9 @@ def _run_configs(configs: list[ExperimentConfig]) -> list[SweepResult]:
 
 def _sweep(config: ExperimentConfig, h: PauliHamiltonian) -> SweepResult:
     """Run every step count of a validated config on ``h`` or on its system for the method's projector variant."""
-    _check_limits(h, config.method, config.t)
+    ns, psi0 = _resolve(config, h)
     modes, variant, point = METHODS[config.method]
     subject = h if variant is None else build_extended(h, variant)
-    ns = _resolve_ns(config, h)
-    psi0 = _resolve_psi0(config, 2**h.num_qubits)
     if "sampled" in modes:
         point = partial(point, psi0=psi0, shots=config.shots if config.mode == "sampled" else None, seed=config.seed)
     points = [point(subject, config.t, n) for n in ns]

@@ -53,7 +53,7 @@ from functools import cache
 
 import numpy as np
 
-from .bounds import ZenoRunResult, is_count, step_time, sweep_point
+from .bounds import ZenoRunResult, is_count, is_real, step_time, sweep_point
 from .errors import LimitExceededError
 from .hamiltonian import PauliHamiltonian, exact_evolution, pauli_rotations, term_matrix
 from .linalg import hermitian_eigen, spectral_norm
@@ -138,6 +138,8 @@ def extended_hamiltonian(sys: ExtendedSystem) -> np.ndarray:
 
 def _blocks(sys: ExtendedSystem, delta_t: float) -> np.ndarray:
     """Select blocks U_k(dt) stacked as (d_a, d_t, d_t); padded ancilla states get identity blocks."""
+    if not (is_real(delta_t) and math.isfinite(delta_t)):
+        raise ValueError(f"step time must be a finite real number, got {delta_t!r}")
     h = sys.hamiltonian
     rotations = pauli_rotations(h, np.array(sys.block_rates[: h.num_terms]) * delta_t)
     eye = np.eye(sys.target_dim, dtype=complex)
@@ -160,7 +162,7 @@ def _initial_state(sys: ExtendedSystem, psi0: np.ndarray | None) -> np.ndarray:
     psi = np.asarray(np.eye(sys.target_dim)[0] if psi0 is None else psi0, dtype=complex).reshape(-1)
     if psi.shape[0] != sys.target_dim:
         raise ValueError(f"psi0 must have dimension {sys.target_dim}, got {psi.shape[0]}")
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
+    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-10:  # a NaN norm fails too
         raise ValueError("psi0 must be normalized")
     return psi
 
@@ -200,9 +202,8 @@ def _survival(log_r: np.ndarray, weights: np.ndarray, start: int, stop: int) -> 
     return math.exp(top) * totals[1:] / totals[:-1]
 
 
-def _standard(sys: ExtendedSystem, t: float, n_steps: int, order: int, psi: np.ndarray, sampled: bool):
-    """(error, ||A^N psi||^2, survival) from the spectrum of H; survival, (log r_j^2, w_j, fidelity), is None
-    unless ``sampled``.
+def _standard(sys: ExtendedSystem, t: float, n_steps: int, order: int, psi: np.ndarray):
+    """(error, ||A^N psi||^2, survival) from the spectrum of H, where survival is (log r_j^2, w_j, fidelity).
 
     On the eigenvector psi_j of H, with a = E_j / lam, theta = lam dt and u = 1 - cos(theta), the step is
     mu_j = cos(theta) - i a sin(theta) (order 1) or 1 - a^2 u - i a sin(theta) (order 2). The step is
@@ -234,13 +235,11 @@ def _standard(sys: ExtendedSystem, t: float, n_steps: int, order: int, psi: np.n
     half = 0.5 * n_steps * log_r  # log r^N
     epsilon = float(np.max(np.hypot(np.expm1(half), 2.0 * np.exp(0.5 * half) * np.sin(0.5 * phase))))
     p_succ = float(np.dot(weights, np.exp(n_steps * log_r)))
-    if not sampled:
-        return epsilon, p_succ, None
     overlap = np.dot(weights * np.exp(half), np.exp(1j * phase))  # <e^(-iHt) psi, A^N psi>
     return epsilon, p_succ, (log_r, weights, float(abs(overlap) ** 2 / p_succ) if p_succ else None)
 
 
-def _mub(sys: ExtendedSystem, t: float, n_steps: int, psi: np.ndarray, sampled: bool):
+def _mub(sys: ExtendedSystem, t: float, n_steps: int, psi: np.ndarray):
     """``_standard``'s tuple for the mub projector, whose blocks turn at different angles: A(dt) is no function of H.
 
     The error and success probability come from A(dt)^N. A(dt) = alpha - i H' with alpha = A[0, 0] real and H'
@@ -252,8 +251,6 @@ def _mub(sys: ExtendedSystem, t: float, n_steps: int, psi: np.ndarray, sampled: 
     epsilon = spectral_norm(repeated - exact)
     final = repeated @ psi
     p_succ = float(np.linalg.norm(final) ** 2)
-    if not sampled:
-        return epsilon, p_succ, None
     mu, basis = hermitian_eigen(0.5j * (step - step.conj().T))
     with np.errstate(divide="ignore"):  # r = 0 where alpha = mu_j = 0
         log_r = np.log(step[0, 0].real ** 2 + mu**2)
@@ -262,24 +259,22 @@ def _mub(sys: ExtendedSystem, t: float, n_steps: int, psi: np.ndarray, sampled: 
     return epsilon, p_succ, (log_r, weights, fidelity)
 
 
-def _projected(
-    sys: ExtendedSystem, t: float, n_steps: int, order: int, psi0: np.ndarray | None, sampled: bool = False
-) -> tuple[ZenoRunResult, tuple[np.ndarray, np.ndarray, float | None] | None]:
-    """``run_zeno``'s point; when ``sampled``, also the step's log r_j^2, the weights of psi0 on its eigenvectors
-    and the fidelity of the state that survives all N steps (None when none can)."""
+def _projected(sys: ExtendedSystem, t: float, n_steps: int, order: int, psi0: np.ndarray | None):
+    """``run_zeno``'s point, and the step's log r_j^2, the weights of psi0 on its eigenvectors and the fidelity of
+    the state that survives all N steps (None when none can)."""
     step_time(t, n_steps)
-    if order not in (1, 2):
+    if not (is_count(order, 1) and order <= 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     if sys.variant == VARIANT_MUB and order != 1:
         raise ValueError("the second-order sequence is defined for the standard projector only")
 
     psi = _initial_state(sys, psi0)
     if sys.variant == VARIANT_STANDARD:
-        epsilon, p_succ, survival = _standard(sys, t, n_steps, order, psi, sampled)
+        epsilon, p_succ, survival = _standard(sys, t, n_steps, order, psi)
     else:
-        epsilon, p_succ, survival = _mub(sys, t, n_steps, psi, sampled)
+        epsilon, p_succ, survival = _mub(sys, t, n_steps, psi)
     method = "mub" if sys.variant == VARIANT_MUB else f"zeno{order}"
-    return sweep_point(method, sys.hamiltonian, t, n_steps, epsilon, min(1.0, p_succ)), survival
+    return sweep_point(method, sys.hamiltonian, t, n_steps, epsilon, min(p_succ, 1.0)), survival
 
 
 def run_zeno(
@@ -360,7 +355,7 @@ def run_sampled(
     if not is_count(seed, 0):
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     shots, seed = int(shots), int(seed)  # NumPy integers run as int, so seed + shots cannot wrap
-    point, (log_r, weights, fidelity) = _projected(sys, t, n_steps, order, psi0, sampled=True)
+    point, (log_r, weights, fidelity) = _projected(sys, t, n_steps, order, psi0)
     successes = _successes(log_r, weights, n_steps, shots, seed)
     return replace(point, p_succ_sampled=successes / shots, shots=shots, seed=seed,
                    fidelity_mean=fidelity if successes else None)
@@ -400,4 +395,4 @@ def step_success_probability(
 ) -> float:
     """Probability of the all-zeros ancilla outcome after a single step."""
     psi = _initial_state(sys, psi0)
-    return float(min(1.0, np.linalg.norm(_corner(sys, delta_t) @ psi) ** 2))
+    return float(min(np.linalg.norm(_corner(sys, delta_t) @ psi) ** 2, 1.0))

@@ -141,6 +141,13 @@ class TestStepFormulas:
         with pytest.raises(ValueError, match=f"^time must be finite and nonnegative, got {t}$"):
             bounds.steps_for_precision(1, t, 0.01)
 
+    @pytest.mark.parametrize("epsilon", [True, "0.1", math.nan, math.inf])
+    def test_steps_for_precision_rejects_a_non_real_or_infinite_epsilon(self, epsilon):
+        # Before, True ran as epsilon = 1 and inf read 1 step; "0.1" raised TypeError and nan "cannot convert float
+        # NaN to integer".
+        with pytest.raises(ValueError, match=f"^epsilon must be finite and positive, got {epsilon!r}$"):
+            bounds.steps_for_precision(1.0, 1.0, epsilon)
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             bounds.steps_for_precision(1, 1, 0.0)

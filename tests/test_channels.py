@@ -140,6 +140,16 @@ class TestQdriftSample:
         with pytest.raises(ValueError, match=">= 1"):
             qdrift_sample(h2, 1.0, 0, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_non_count_seed_rejected(self, h2, seed):
+        # Before, -1 ended in numpy's "expected non-negative integer", 1.5 in TypeError, and True ran as seed True.
+        with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, got {seed!r}$"):
+            qdrift_sample(h2, 1.0, 5, seed=seed)
+
+    def test_numpy_seed_is_stored_as_int(self, h2):
+        traj = qdrift_sample(h2, 1.0, 50, seed=np.int64(9))
+        assert type(traj.seed) is int and traj.sampled_indices == qdrift_sample(h2, 1.0, 50, seed=9).sampled_indices
+
     def test_seed_determinism(self, h2):
         a = qdrift_sample(h2, 1.0, 50, seed=9)
         b = qdrift_sample(h2, 1.0, 50, seed=9)

@@ -1,5 +1,6 @@
 """Extended-system construction and the measured sequences."""
 
+import math
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -294,6 +295,27 @@ class TestRunZeno:
         with pytest.raises(ValueError, match="normalized"):
             run_zeno(sys2, 1.0, 5, psi0=np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("run", [
+        lambda sys, psi: run_zeno(sys, 1.0, 10, psi0=psi),
+        lambda sys, psi: run_zeno(replace(sys, variant="mub"), 1.0, 10, psi0=psi),
+        lambda sys, psi: run_sampled(sys, 1.0, 10, psi0=psi, shots=5),
+        lambda sys, psi: step_success_probability(sys, 0.1, psi0=psi),
+    ], ids=["zeno1", "mub", "sampled", "step"])
+    def test_non_finite_initial_state_rejected(self, sys2, run):
+        # Before, a NaN norm passed the norm test and min(1.0, nan) read success 1.0; run_sampled failed with
+        # "zero-size array to reduction operation maximum".
+        with pytest.raises(ValueError, match="^psi0 must be normalized$"):
+            run(sys2, np.array([np.nan, 0.0]))
+
+    @pytest.mark.parametrize("order", [True, 1.0])
+    def test_non_integer_order_rejected(self, sys2, order):
+        # Before, both ran to method_bounds and failed with "no bounds recorded for method 'zenoTrue'" ('zeno1.0').
+        with pytest.raises(ValueError, match=f"^order must be 1 or 2, got {order}$"):
+            run_zeno(sys2, 1.0, 10, order=order)
+
+    def test_numpy_integer_order_runs(self, sys2):
+        assert run_zeno(sys2, 1.0, 10, order=np.int64(2)) == run_zeno(sys2, 1.0, 10, order=2)
+
     def test_bound_satisfied_rule(self, sys2):
         r = run_zeno(sys2, 1.0, 10)
         assert r.bound_satisfied
@@ -361,7 +383,7 @@ def survival_probabilities(sys, t, n):
     """The library's survival probability of each of the N order-1 steps, one _CHUNK at a time."""
     from zenosim.zeno import _CHUNK, _projected, _survival
 
-    log_r, weights, _ = _projected(sys, t, n, 1, None, sampled=True)[1]
+    log_r, weights, _ = _projected(sys, t, n, 1, None)[1]
     return np.concatenate([_survival(log_r, weights, s, min(s + _CHUNK, n)) for s in range(0, n, _CHUNK)])
 
 
@@ -601,6 +623,14 @@ class TestStepSuccessProbability:
         for psi in states:
             p = step_success_probability(sys2, dt, psi0=psi)
             assert p >= 1 - 2 * h2.lam**2 * dt * dt - 1e-12
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, "0.1", True])
+    @pytest.mark.parametrize("entry", [step_success_probability, block_encoding_matrix, select_unitary])
+    def test_step_time_must_be_finite_and_real(self, sys2, entry, dt):
+        # Before, nan and inf read success 1.0 or gave NaN matrices, "0.1" raised numpy's UFuncTypeError, and
+        # True ran as dt = 1.
+        with pytest.raises(ValueError, match=f"^step time must be a finite real number, got {dt!r}$"):
+            entry(sys2, dt)
 
 
 @st.composite
