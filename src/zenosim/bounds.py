@@ -1,7 +1,8 @@
 """A sweep point: the check of its time and step count, its closed-form bounds, and its record.
 
 Every method, Zeno sequence or baseline, reduces to points of a time t, a step count N, a measured error and
-its closed-form bound. ``step_time`` is the one check of t and N; ``sweep_point`` builds the ``ZenoRunResult``.
+its closed-form bound. ``step_time`` is the one check of t and N, beside ``is_real``, the one finite-real rule that
+every check of a time, angle, rate or precision reads; ``sweep_point`` builds the ``ZenoRunResult``.
 
 ``_CLOSED_FORMS`` holds every method's bounds, one row per method, as
 functions of the angles ``x = lam * t`` (coefficient 1-norm times time) and
@@ -47,15 +48,18 @@ def is_count(value, least: int) -> bool:
 
 
 def is_real(value) -> bool:
-    """Whether ``value`` is a real number (a NumPy one included, a bool not)."""
-    return isinstance(value, Real) and not isinstance(value, bool)
+    """Whether ``value`` is a finite real number: NumPy ones count; a bool, or an int too big for a float, does not."""
+    try:
+        return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def step_time(t: float, n: int) -> float:
     """The step time t / n of a sweep point, once ``n`` is an integer >= 1 and ``t`` a finite real time >= 0."""
     if not is_count(n, 1):
         raise ValueError(f"step count must be an integer >= 1, got {n!r}")
-    if not (is_real(t) and math.isfinite(t) and t >= 0):
+    if not (is_real(t) and t >= 0):
         raise ValueError(f"time must be finite and nonnegative, got {t}")
     return t / n
 
@@ -85,12 +89,12 @@ class ZenoRunResult:
     fidelity_mean: float | None = None
 
     def __post_init__(self):
-        if self.epsilon_measured < 0:
-            raise ValueError("measured error cannot be negative")
+        if not self.epsilon_measured >= 0:  # NaN fails too; an inf reading stays, and fails any finite bound
+            raise ValueError(f"measured error must be >= 0, got {self.epsilon_measured}")
         if not 0.0 <= self.p_succ_exact <= 1.0:
             raise ValueError(f"success probability out of range: {self.p_succ_exact}")
-        if self.N < 1:
-            raise ValueError("step count must be >= 1")
+        if not is_count(self.N, 1):
+            raise ValueError(f"step count must be an integer >= 1, got {self.N!r}")
 
     @property
     def bound_satisfied(self) -> bool:
@@ -121,10 +125,10 @@ def sweep_point(method: str, h, t: float, n: int, epsilon: float, p_succ: float 
 
 def steps_for_precision(lam: float, t: float, epsilon: float) -> int:
     """Steps needed so the first-order error bound reaches ``epsilon``."""
-    if not (is_real(epsilon) and math.isfinite(epsilon) and epsilon > 0):
+    if not (is_real(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
     step_time(t, 1)
-    if lam <= 0:
-        raise ValueError(f"coefficient 1-norm must be positive, got {lam}")
+    if not (is_real(lam) and lam > 0):
+        raise ValueError(f"coefficient 1-norm must be finite and positive, got {lam!r}")
     x = lam * t
     return max(1, math.ceil(x * x / epsilon * (1.0 - _CEIL_NUDGE)))

@@ -32,7 +32,7 @@ import numpy as np
 from .bounds import ZenoRunResult, is_count, step_time, sweep_point
 from .errors import LimitExceededError
 from .hamiltonian import PAULI_AXES, PauliHamiltonian, exact_evolution, pauli_rotations
-from .linalg import hermitian_eigen, hermitian_trace_norm, is_unitary, spectral_norm
+from .linalg import hermitian_eigen, hermitian_trace_norm, is_unitary, lapack, spectral_norm
 
 CHANNEL_MAX_QUBITS = 5
 
@@ -246,7 +246,7 @@ def is_trace_preserving(channel: ChannelRep) -> bool:
 def is_completely_positive(channel: ChannelRep) -> bool:
     """Check that the Choi matrix has no eigenvalue below -CP_TOL."""
     j = choi_matrix(channel)
-    evals = np.linalg.eigvalsh((j + j.conj().T) / 2.0)
+    evals = lapack(np.linalg.eigvalsh, (j + j.conj().T) / 2.0, "Choi matrix eigenvalue decomposition")
     return float(evals[0]) >= -CP_TOL
 
 

@@ -16,7 +16,6 @@ config and the fitted log-log slope.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from operator import attrgetter
@@ -110,11 +109,9 @@ def _validate_config(config: ExperimentConfig) -> ExperimentConfig:
     chosen = [x is not None for x in (config.n, config.epsilon, config.sweep)]
     if sum(chosen) != 1:
         raise ConfigError("exactly one of n, epsilon, or sweep must be set")
-    if not (bounds.is_real(config.t) and math.isfinite(config.t) and config.t >= 0):
+    if not (bounds.is_real(config.t) and config.t >= 0):
         raise ConfigError(f"t must be finite and nonnegative, got {config.t}")
-    if config.epsilon is not None and not (
-        bounds.is_real(config.epsilon) and math.isfinite(config.epsilon) and config.epsilon > 0
-    ):
+    if config.epsilon is not None and not (bounds.is_real(config.epsilon) and config.epsilon > 0):
         raise ConfigError(f"epsilon must be finite and positive, got {config.epsilon}")
     if config.shots is not None and not bounds.is_count(config.shots, 1):
         raise ConfigError(f"shots must be >= 1 and an integer, got {config.shots!r}")
@@ -138,7 +135,7 @@ def _resolve(config: ExperimentConfig, h: PauliHamiltonian) -> tuple[list[int], 
         raise LimitExceededError(f"Hamiltonian has {h.num_terms} terms, cap is {MAX_TERMS}")
     # The exact propagator and a standard select block turn by lam * t, the fastest mub block by 2^n_a h_max t.
     rate = max(h.lam, (1 << h.n_ancilla) * h.h_max) if config.method == "mub" else h.lam
-    if not math.isfinite(rate * config.t):
+    if not bounds.is_real(rate * config.t):
         raise LimitExceededError(f"largest rotation angle (rate {rate:g} times t {config.t:g}) is not finite")
     if config.sweep is not None:
         if not config.sweep or not all(bounds.is_count(n, 1) for n in config.sweep):
@@ -306,7 +303,7 @@ def render_csv(*results: SweepResult) -> str:
 
 def _round_floats(obj):
     if isinstance(obj, float):
-        return float(_fmt(obj)) if math.isfinite(obj) else _fmt(obj)
+        return float(_fmt(obj)) if bounds.is_real(obj) else _fmt(obj)
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -32,7 +32,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .errors import CancellationError, ConfigError, HamiltonianParseError, LimitExceededError
-from .linalg import hermitian_eigen
+from .linalg import hermitian_eigen, spectral_exp
 
 PAULI_AXES = "IXYZ"
 
@@ -133,8 +133,7 @@ def hamiltonian_matrix(h: PauliHamiltonian) -> np.ndarray:
 
 def exact_evolution(h: PauliHamiltonian, t: float) -> np.ndarray:
     """The target unitary exp(-i * t * H) that every method is measured against, from ``h.spectrum``."""
-    energies, vectors = h.spectrum
-    return (vectors * np.exp(-1j * float(t) * energies)) @ vectors.conj().T
+    return spectral_exp(*h.spectrum, t)
 
 
 def pauli_rotations(h: PauliHamiltonian, thetas) -> np.ndarray:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .bounds import is_real
 from .errors import ConvergenceError
 
 HERMITICITY_TOL = 1e-10
@@ -31,13 +32,6 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def is_hermitian(a) -> bool:
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        return False
-    return float(np.max(np.abs(a - a.conj().T), initial=0.0)) <= HERMITICITY_TOL
-
-
 def is_unitary(a) -> bool:
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
@@ -46,7 +40,7 @@ def is_unitary(a) -> bool:
     return float(np.max(np.abs(a.conj().T @ a - eye), initial=0.0)) <= UNITARITY_TOL
 
 
-def _lapack(routine, a: np.ndarray, what: str, **options):
+def lapack(routine, a: np.ndarray, what: str, **options):
     """``routine(a, **options)``, with LAPACK's LinAlgError raised as a ConvergenceError naming ``what``."""
     try:
         return routine(a, **options)
@@ -61,20 +55,25 @@ def hermitian_eigen(h) -> tuple[np.ndarray, np.ndarray]:
     eigenvectors. Input must be Hermitian to within 1e-10.
     """
     h = as_matrix(h)
-    if not is_hermitian(h):
+    if h.shape[0] != h.shape[1] or not np.max(np.abs(h - h.conj().T), initial=0.0) <= HERMITICITY_TOL:
         raise ValueError("matrix is not Hermitian within tolerance 1e-10")
-    return _lapack(np.linalg.eigh, h, "eigendecomposition")
+    return lapack(np.linalg.eigh, h, "eigendecomposition")
+
+
+def spectral_exp(w: np.ndarray, u: np.ndarray, theta: float) -> np.ndarray:
+    """exp(-i * theta * h) = U diag(exp(-i * theta * w)) U^dagger from h = U diag(w) U^dagger, theta any finite real."""
+    if not is_real(theta):
+        raise ValueError(f"time or angle must be a finite real number, got {theta!r}")
+    return (u * np.exp(-1j * float(theta) * w)) @ u.conj().T
 
 
 def matexp_hermitian(h, theta: float) -> np.ndarray:
     """Unitary exp(-i * theta * h) for Hermitian h, via eigendecomposition."""
-    w, u = hermitian_eigen(h)
-    phases = np.exp(-1j * float(theta) * w)
-    return (u * phases) @ u.conj().T
+    return spectral_exp(*hermitian_eigen(h), theta)
 
 
 def _singular_values(a: np.ndarray) -> np.ndarray:
-    return _lapack(np.linalg.svd, a, "singular value decomposition", compute_uv=False)
+    return lapack(np.linalg.svd, a, "singular value decomposition", compute_uv=False)
 
 
 def spectral_norm(a) -> float:
@@ -85,7 +84,7 @@ def spectral_norm(a) -> float:
 
 def hermitian_trace_norm(a: np.ndarray) -> float:
     """Sum of |eigenvalues| of a Hermitian matrix (LAPACK reads its lower triangle)."""
-    return float(np.sum(np.abs(_lapack(np.linalg.eigvalsh, a, "Hermitian eigenvalue decomposition"))))
+    return float(np.sum(np.abs(lapack(np.linalg.eigvalsh, a, "Hermitian eigenvalue decomposition"))))
 
 
 def trace_norm(a) -> float:

@@ -130,7 +130,7 @@ def extended_hamiltonian(sys: ExtendedSystem) -> np.ndarray:
     (1 for standard, the coefficient for mub; an overflowed mub rate raises LimitExceededError);
     padded blocks are zero. ``select(dt)`` equals ``exp(-i * generator_scale * dt * extended_hamiltonian)``.
     """
-    if not math.isfinite(max(sys.block_rates)):
+    if not is_real(max(sys.block_rates)):
         raise LimitExceededError(f"select block rate {max(sys.block_rates):g} is not finite")
     scales = np.array(sys.block_rates[: sys.hamiltonian.num_terms]) / sys.generator_scale
     return _combined(sys, [s * term_matrix(term) for s, term in zip(scales, sys.hamiltonian.terms)])
@@ -138,7 +138,7 @@ def extended_hamiltonian(sys: ExtendedSystem) -> np.ndarray:
 
 def _blocks(sys: ExtendedSystem, delta_t: float) -> np.ndarray:
     """Select blocks U_k(dt) stacked as (d_a, d_t, d_t); padded ancilla states get identity blocks."""
-    if not (is_real(delta_t) and math.isfinite(delta_t)):
+    if not is_real(delta_t):
         raise ValueError(f"step time must be a finite real number, got {delta_t!r}")
     h = sys.hamiltonian
     rotations = pauli_rotations(h, np.array(sys.block_rates[: h.num_terms]) * delta_t)

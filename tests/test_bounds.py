@@ -1,6 +1,7 @@
 """Closed-form bound arithmetic, its structural properties, and the one check of a sweep point's t and N."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -148,6 +149,12 @@ class TestStepFormulas:
         with pytest.raises(ValueError, match=f"^epsilon must be finite and positive, got {epsilon!r}$"):
             bounds.steps_for_precision(1.0, 1.0, epsilon)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, True])
+    def test_steps_for_precision_rejects_a_non_real_or_infinite_lam(self, lam):
+        # Before, nan raised "cannot convert float NaN to integer", inf OverflowError, and True ran as lam = 1.
+        with pytest.raises(ValueError, match=f"^coefficient 1-norm must be finite and positive, got {lam!r}$"):
+            bounds.steps_for_precision(lam, 1.0, 0.1)
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             bounds.steps_for_precision(1, 1, 0.0)
@@ -215,6 +222,7 @@ class TestStepTime:
         (math.nan, 10, "time"), (math.inf, 10, "time"), (-1.0, 10, "time"),
         (1.0, 0, "step count"), (1.0, 10.5, "step count"), (1.0, True, "step count"),
         (True, 10, "time"), (np.bool_(True), 10, "time"), ("1", 10, "time"), (None, 10, "time"),
+        pytest.param(10**400, 10, "time", id="10**400-10-time"),
     ])
     @pytest.mark.parametrize("entry", GATED)
     def test_every_entry_point_rejects_a_bad_point(self, entry, t, n, word):
@@ -224,3 +232,27 @@ class TestStepTime:
     @pytest.mark.parametrize("entry", GATED)
     def test_numpy_step_count_runs_as_int(self, entry):
         assert GATED[entry](1.0, np.int64(10)) == GATED[entry](1.0, 10)
+
+    @pytest.mark.parametrize("value,real", [
+        (1.5, True), (-2, True), (np.float32(0.5), True), (np.int64(3), True), (1.7976931348623157e308, True),
+        (math.nan, False), (-math.inf, False), (np.float32("inf"), False), pytest.param(10**400, False, id="10**400"),
+        (True, False), (np.bool_(False), False), ("1", False), (1j, False), (None, False),
+    ])
+    def test_is_real_is_the_finite_real_rule(self, value, real):
+        assert bounds.is_real(value) is real
+
+
+class TestRecord:
+    def test_nan_measured_error_rejected(self):
+        # Before, sweep_point built a record with epsilon_measured = nan.
+        with pytest.raises(ValueError, match="^measured error must be >= 0, got nan$"):
+            bounds.sweep_point("zeno1", GATE_H, 1.0, 10, math.nan)
+
+    def test_infinite_measured_error_fails_its_bound(self):
+        assert not bounds.sweep_point("zeno1", GATE_H, 1.0, 10, math.inf).bound_satisfied
+
+    @pytest.mark.parametrize("n", [True, 2.5, np.int64(0)])
+    def test_step_count_must_be_a_count(self, n):
+        # Before, True and 2.5 built a record, and 0 read "step count must be >= 1".
+        with pytest.raises(ValueError, match=f"^step count must be an integer >= 1, got {re.escape(repr(n))}$"):
+            bounds.ZenoRunResult("zeno1", n, 0.1, 0.01, 0.1, 1.0, 0.5)

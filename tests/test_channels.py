@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import zenosim
 from zenosim import (
+    ConvergenceError,
     LimitExceededError,
     build_extended,
     choi_matrix,
@@ -526,6 +527,11 @@ class TestChannelRepValidation:
     def test_shape_checked(self):
         with pytest.raises(ValueError, match="superoperator"):
             ChannelRep(dim=2, superoperator=np.eye(3))
+
+    def test_cp_check_of_a_nan_channel_is_convergence_error(self):
+        # Before, numpy's LinAlgError ("Eigenvalues did not converge") escaped.
+        with pytest.raises(ConvergenceError, match="^Choi matrix eigenvalue decomposition did not converge"):
+            is_completely_positive(ChannelRep(2, np.full((4, 4), np.nan)))
 
 
 @pytest.mark.parametrize(

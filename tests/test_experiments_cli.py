@@ -178,6 +178,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("fields,message", [
         ({"t": True}, "t must be finite"), ({"t": "1"}, "t must be finite"), ({"t": None}, "t must be finite"),
         ({"n": None, "epsilon": True}, "epsilon must be finite"), ({"n": None, "epsilon": "0.1"}, "epsilon must be finite"),
+        ({"t": 10**400}, "t must be finite"), ({"n": None, "epsilon": 10**400}, "epsilon must be finite"),
     ])
     def test_times_and_precisions_must_be_real(self, hfile, fields, message):
         with pytest.raises(ConfigError, match=message) as caught:

@@ -1,17 +1,20 @@
 """Linear-algebra substrate: exponentials, norms, eigendecomposition."""
 
 import math
+import re
 
 import numpy as np
 import pytest
-from conftest import random_hamiltonian
+from conftest import THREE_TERM, random_hamiltonian
 
 from zenosim import (
     ConvergenceError,
     choi_matrix,
     exact_evolution,
+    hamiltonian_matrix,
     hermitian_eigen,
     matexp_hermitian,
+    parse_hamiltonian,
     qdrift_channel,
     spectral_norm,
     trace_norm,
@@ -90,6 +93,23 @@ class TestMatexpHermitian:
         lhs = matexp_hermitian(h, 0.4) @ matexp_hermitian(h, 0.9)
         rhs = matexp_hermitian(h, 1.3)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
+
+    @pytest.mark.parametrize("t", [0.0, 0.7, -1.3, np.float32(0.5), 3])
+    def test_exact_evolution_shares_the_formula(self, t):
+        h = parse_hamiltonian(THREE_TERM)
+        assert np.array_equal(exact_evolution(h, t), matexp_hermitian(hamiltonian_matrix(h), t))
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, True, np.bool_(True), "1", 1j])
+    @pytest.mark.parametrize("entry", ["matexp_hermitian", "exact_evolution"])
+    def test_time_or_angle_must_be_finite_and_real(self, entry, theta):
+        # Before, nan and +-inf gave NaN matrices, True, np.True_ and "1" ran as 1, and 1j raised TypeError.
+        h = parse_hamiltonian(THREE_TERM)
+        message = f"^time or angle must be a finite real number, got {re.escape(repr(theta))}$"
+        with pytest.raises(ValueError, match=message):
+            if entry == "matexp_hermitian":
+                matexp_hermitian(hamiltonian_matrix(h), theta)
+            else:
+                exact_evolution(h, theta)
 
 
 class TestSpectralNorm:

@@ -624,7 +624,7 @@ class TestStepSuccessProbability:
             p = step_success_probability(sys2, dt, psi0=psi)
             assert p >= 1 - 2 * h2.lam**2 * dt * dt - 1e-12
 
-    @pytest.mark.parametrize("dt", [math.nan, math.inf, "0.1", True])
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, "0.1", True, pytest.param(10**400, id="10**400")])
     @pytest.mark.parametrize("entry", [step_success_probability, block_encoding_matrix, select_unitary])
     def test_step_time_must_be_finite_and_real(self, sys2, entry, dt):
         # Before, nan and inf read success 1.0 or gave NaN matrices, "0.1" raised numpy's UFuncTypeError, and
