@@ -26,6 +26,8 @@ import math
 from dataclasses import dataclass
 from numbers import Integral, Real
 
+from .errors import LimitExceededError
+
 _CEIL_NUDGE = 1e-12
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -124,11 +126,13 @@ def sweep_point(method: str, h, t: float, n: int, epsilon: float, p_succ: float 
 
 
 def steps_for_precision(lam: float, t: float, epsilon: float) -> int:
-    """Steps needed so the first-order error bound reaches ``epsilon``."""
+    """Steps for the first-order error bound to reach ``epsilon``; LimitExceededError if (lam t)^2 / epsilon is inf."""
     if not (is_real(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
     step_time(t, 1)
     if not (is_real(lam) and lam > 0):
         raise ValueError(f"coefficient 1-norm must be finite and positive, got {lam!r}")
     x = lam * t
-    return max(1, math.ceil(x * x / epsilon * (1.0 - _CEIL_NUDGE)))
+    if not is_real(steps := x * x / epsilon):
+        raise LimitExceededError(f"epsilon {epsilon!r} needs a step count (lam t)^2 / epsilon that is not finite")
+    return max(1, math.ceil(steps * (1.0 - _CEIL_NUDGE)))

@@ -32,7 +32,7 @@ import numpy as np
 from .bounds import ZenoRunResult, is_count, step_time, sweep_point
 from .errors import LimitExceededError
 from .hamiltonian import PAULI_AXES, PauliHamiltonian, exact_evolution, pauli_rotations
-from .linalg import hermitian_eigen, hermitian_trace_norm, is_unitary, lapack, spectral_norm
+from .linalg import as_matrix, hermitian_eigen, hermitian_trace_norm, lapack, spectral_norm
 
 CHANNEL_MAX_QUBITS = 5
 
@@ -216,8 +216,9 @@ def qdrift_channel(h: PauliHamiltonian, t: float, n_steps: int) -> ChannelRep:
 
 
 def _checked_unitary(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
-    if not is_unitary(u):
+    """``u`` as a complex matrix, once it is square and u^dagger u is the identity within 1e-10 (a NaN fails)."""
+    u = as_matrix(u)
+    if u.shape[0] != u.shape[1] or not np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])), initial=0.0) <= 1e-10:
         raise ValueError("input is not unitary within tolerance 1e-10")
     return u
 

@@ -10,9 +10,10 @@ not converge); 2 Hamiltonian parse error (including non-finite coefficients
 and files that are not UTF-8); 3 desk-scale limit exceeded (a step count
 above ``MAX_STEPS``, a sweep of more than ``MAX_SWEEP_POINTS`` step counts,
 sampled mode with more than ``MAX_SHOTS`` shots or more than
-``MAX_SHOT_STEPS`` shots times steps, and lam * t or the largest rotation
-angle overflowing a float); 4 at least one measured value violated its
-analytic bound. The error classes in ``errors`` carry these codes.
+``MAX_SHOT_STEPS`` shots times steps, and a float overflowing in lam, a mub
+block rate, lam * t, the largest rotation angle or the --epsilon step count);
+4 at least one measured value violated its analytic bound. The error classes
+in ``errors`` carry these codes.
 """
 
 from __future__ import annotations

@@ -148,10 +148,7 @@ def _resolve(config: ExperimentConfig, h: PauliHamiltonian) -> tuple[list[int], 
             raise ConfigError(f"n must be >= 1 and an integer, got {config.n!r}")
         ns = [int(config.n)]
     else:
-        try:
-            ns = [bounds.steps_for_precision(h.lam, config.t, config.epsilon)]
-        except OverflowError as exc:  # t^2 lam^2 / epsilon is infinite
-            raise LimitExceededError(f"epsilon {config.epsilon} needs more than {MAX_STEPS} steps") from exc
+        ns = [bounds.steps_for_precision(h.lam, config.t, config.epsilon)]
     if ns[-1] > MAX_STEPS:
         raise LimitExceededError(f"step count {ns[-1]} exceeds the cap of {MAX_STEPS}")
     if config.mode == "sampled" and config.shots > MAX_SHOTS:
@@ -192,12 +189,12 @@ _qdrift_point, _trotter_point = qdrift_point, trotter_point  # the names perfben
 def fit_loglog_slope(ns, errors) -> float | None:
     """Least-squares slope of log(error) against log(N).
 
-    Points at or below ``SLOPE_FLOOR`` are excluded so the floating-point
-    floor does not contaminate the fit; returns None with fewer than
-    ``SLOPE_MIN_POINTS`` usable points.
+    Only finite errors above ``SLOPE_FLOOR`` are fitted, so neither the
+    floating-point floor nor an infinite reading contaminates the fit;
+    returns None unless they span ``SLOPE_MIN_POINTS`` distinct step counts.
     """
-    pairs = [(n, e) for n, e in zip(ns, errors) if e > SLOPE_FLOOR]
-    if len(pairs) < SLOPE_MIN_POINTS:
+    pairs = [(n, e) for n, e in zip(ns, errors) if bounds.is_real(e) and e > SLOPE_FLOOR]
+    if len({n for n, _ in pairs}) < SLOPE_MIN_POINTS:
         return None
     log_n = np.log([p[0] for p in pairs])
     log_e = np.log([p[1] for p in pairs])

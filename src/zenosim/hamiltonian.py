@@ -31,6 +31,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
+from .bounds import is_real
 from .errors import CancellationError, ConfigError, HamiltonianParseError, LimitExceededError
 from .linalg import hermitian_eigen, spectral_exp
 
@@ -59,9 +60,9 @@ class PauliTerm:
     axes: str
 
     def __post_init__(self):
-        if not self.coefficient > 0:
-            raise ValueError(f"coefficient must be strictly positive, got {self.coefficient}")
-        if self.sign not in (1, -1):
+        if not (is_real(self.coefficient) and self.coefficient > 0):
+            raise ValueError(f"coefficient must be finite and strictly positive, got {self.coefficient!r}")
+        if isinstance(self.sign, bool) or self.sign not in (1, -1):  # True == 1, but a bool is no sign
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
         if not self.axes or any(c not in PAULI_AXES for c in self.axes):
             raise ValueError(f"axes must be a nonempty word over {PAULI_AXES}, got {self.axes!r}")
@@ -90,6 +91,8 @@ class PauliHamiltonian:
         words = [t.axes for t in self.terms]
         if len(set(words)) != len(words):
             raise ValueError("duplicate Pauli words must be merged before construction")
+        if not is_real(self.lam):
+            raise LimitExceededError(f"coefficient 1-norm {self.lam:g} is not finite")
 
     @property
     def num_terms(self) -> int:

@@ -8,8 +8,8 @@ its power's two spares, whose memory then holds the complex Choi matrix J.
 Lanczos finds the one negative eigenvalue of J - w w^dagger without forming
 it.
 
-Hermiticity and unitarity are checked to 1e-10 unless an operation states
-otherwise (``channels`` holds its own ``CP_TOL`` and ``TP_TOL``); equality
+Hermiticity is checked to 1e-10, and so is unitarity, where ``channels``
+takes a unitary (it holds its own ``CP_TOL`` and ``TP_TOL`` too); equality
 assertions in callers should use 1e-9.
 """
 
@@ -21,7 +21,6 @@ from .bounds import is_real
 from .errors import ConvergenceError
 
 HERMITICITY_TOL = 1e-10
-UNITARITY_TOL = 1e-10
 
 
 def as_matrix(a) -> np.ndarray:
@@ -30,14 +29,6 @@ def as_matrix(a) -> np.ndarray:
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
     return m
-
-
-def is_unitary(a) -> bool:
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        return False
-    eye = np.eye(a.shape[0])
-    return float(np.max(np.abs(a.conj().T @ a - eye), initial=0.0)) <= UNITARITY_TOL
 
 
 def lapack(routine, a: np.ndarray, what: str, **options):

@@ -102,6 +102,8 @@ class ExtendedSystem:
             scale = float(ancilla_dim)
             rates = [scale * t.coefficient for t in h.terms]
         rates.extend(0.0 for _ in range(ancilla_dim - num_terms))
+        if not is_real(max(rates)):  # 2^n_ancilla times a coefficient can overflow
+            raise LimitExceededError(f"select block rate {max(rates):g} is not finite")
         state.setflags(write=False)
         derived = dict(target_dim=2**h.num_qubits, n_ancilla=h.n_ancilla, ancilla_dim=ancilla_dim,
                        projector_state=state, generator_scale=scale, block_rates=tuple(rates))
@@ -127,11 +129,9 @@ def extended_hamiltonian(sys: ExtendedSystem) -> np.ndarray:
     """Block-diagonal combined-register generator, without the overall scale.
 
     Block k is term k's signed Pauli string times block_rates[k] / generator_scale
-    (1 for standard, the coefficient for mub; an overflowed mub rate raises LimitExceededError);
-    padded blocks are zero. ``select(dt)`` equals ``exp(-i * generator_scale * dt * extended_hamiltonian)``.
+    (1 for standard, the coefficient for mub); padded blocks are zero.
+    ``select(dt)`` equals ``exp(-i * generator_scale * dt * extended_hamiltonian)``.
     """
-    if not is_real(max(sys.block_rates)):
-        raise LimitExceededError(f"select block rate {max(sys.block_rates):g} is not finite")
     scales = np.array(sys.block_rates[: sys.hamiltonian.num_terms]) / sys.generator_scale
     return _combined(sys, [s * term_matrix(term) for s, term in zip(scales, sys.hamiltonian.terms)])
 

@@ -1,8 +1,14 @@
+import os
+
 import numpy as np
 import pytest
 from ceiling import FILES as CEILING_FILES
 
 from zenosim import build_extended, hamiltonian_matrix, load_hamiltonian, parse_hamiltonian
+
+# pyproject's filterwarnings rule reaches this process only; the environment carries it to the child processes
+# the tests start (the demos, `python -m zenosim`, the VmHWM script), so a RuntimeWarning there fails too.
+os.environ["PYTHONWARNINGS"] = ",".join(filter(None, [os.environ.get("PYTHONWARNINGS"), "error::RuntimeWarning"]))
 
 TWO_TERM = "0.6*X + 0.4*Z"
 THREE_TERM = "0.5*X + 0.3*Z + 0.2*Y"

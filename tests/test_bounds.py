@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from zenosim import (
+    LimitExceededError,
     bounds,
     build_extended,
     channels,
@@ -155,6 +156,14 @@ class TestStepFormulas:
         with pytest.raises(ValueError, match=f"^coefficient 1-norm must be finite and positive, got {lam!r}$"):
             bounds.steps_for_precision(lam, 1.0, 0.1)
 
+    @pytest.mark.parametrize("lam,t,epsilon", [(1e200, 1.0, 0.1), (1.0, 1e200, 0.1), (1.0, 1.0, 1e-320)])
+    def test_steps_for_precision_rejects_a_step_count_too_large_for_a_float(self, lam, t, epsilon):
+        # Before, math.ceil let "OverflowError: cannot convert float infinity to integer" escape.
+        message = f"^epsilon {re.escape(repr(epsilon))} needs a step count \\(lam t\\)\\^2 / epsilon that is not finite$"
+        with pytest.raises(LimitExceededError, match=message) as caught:
+            bounds.steps_for_precision(lam, t, epsilon)
+        assert isinstance(caught.value, ValueError)
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             bounds.steps_for_precision(1, 1, 0.0)
@@ -250,6 +259,11 @@ class TestRecord:
 
     def test_infinite_measured_error_fails_its_bound(self):
         assert not bounds.sweep_point("zeno1", GATE_H, 1.0, 10, math.inf).bound_satisfied
+
+    @pytest.mark.parametrize("p_succ", [1.5, math.nan])
+    def test_success_probability_must_be_in_range(self, p_succ):
+        with pytest.raises(ValueError, match=f"^success probability out of range: {p_succ}$"):
+            bounds.ZenoRunResult("zeno1", 10, 0.1, 0.01, 0.1, p_succ, 0.5)
 
     @pytest.mark.parametrize("n", [True, 2.5, np.int64(0)])
     def test_step_count_must_be_a_count(self, n):

@@ -528,6 +528,15 @@ class TestChannelRepValidation:
         with pytest.raises(ValueError, match="superoperator"):
             ChannelRep(dim=2, superoperator=np.eye(3))
 
+    @pytest.mark.parametrize("u", [np.ones((2, 3)), 2 * np.eye(2), np.full((2, 2), np.nan), np.eye(2) + 1e-9])
+    def test_unitary_channel_needs_a_square_unitary(self, u):
+        with pytest.raises(ValueError, match="^input is not unitary within tolerance 1e-10$"):
+            unitary_channel(u)
+
+    def test_unitary_channel_needs_a_matrix(self):
+        with pytest.raises(ValueError, match="^expected a 2-D matrix"):
+            unitary_channel(np.eye(2)[0])
+
     def test_cp_check_of_a_nan_channel_is_convergence_error(self):
         # Before, numpy's LinAlgError ("Eigenvalues did not converge") escaped.
         with pytest.raises(ConvergenceError, match="^Choi matrix eigenvalue decomposition did not converge"):

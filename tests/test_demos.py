@@ -17,3 +17,10 @@ def test_demo_runs(script):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_children_turn_runtime_warnings_into_errors():
+    # conftest carries pyproject's filterwarnings rule to child processes through PYTHONWARNINGS.
+    script = "import warnings; warnings.warn('overflow', RuntimeWarning)"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode != 0 and "RuntimeWarning: overflow" in proc.stderr

@@ -3,10 +3,12 @@
 import contextlib
 import io
 import json
+import math
 import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +161,14 @@ class TestConfigValidation:
     def test_sampled_needs_shots(self, hfile):
         with pytest.raises(ConfigError, match="shots"):
             run_experiment(config(hfile, mode="sampled"))
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"method": "zeno3"}, "^unknown method 'zeno3'; choose from "),
+        ({"output_format": "xml"}, "^unknown output format 'xml'$"),
+    ])
+    def test_unknown_method_or_format(self, hfile, fields, message):
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(config(hfile, **fields))
 
     @pytest.mark.parametrize("psi0", [[1j, 0], np.array([0.6, 0.8j]), 0.0, "1", True])
     def test_psi0_must_be_an_index(self, hfile, psi0):
@@ -431,6 +441,12 @@ class TestCliExitCodes:
         assert main(args) == code
         err = capsys.readouterr().err
         assert message in err and len(err.splitlines()) == 1
+
+    def test_epsilon_whose_step_count_is_not_finite(self, hfile, capsys):
+        # (lam t)^2 / epsilon = 1 / 1e-320 overflows; steps_for_precision raises the limit error itself.
+        assert main(["--hamiltonian", hfile(TWO_TERM), "--method", "zeno1", "--t", "1", "--epsilon", "1e-320"]) == 3
+        err = capsys.readouterr().err
+        assert err == "zenosim: limit exceeded: epsilon 1e-320 needs a step count (lam t)^2 / epsilon that is not finite\n"
 
     @pytest.mark.parametrize("method", ["zeno1", "zeno2", "mub", "kicks", "trotter1", "qdrift"])
     def test_psi0_out_of_range_for_every_method(self, hfile, capsys, method):
@@ -796,3 +812,13 @@ class TestSlopeFit:
         ns = [10, 20, 40, 80]
         eps = [1.0 / n for n in ns]
         assert fit_loglog_slope(ns, eps) == pytest.approx(-1.0, abs=1e-12)
+
+    def test_needs_four_distinct_step_counts(self):
+        # Before, one repeated N read -0.238 with numpy's RankWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fit_loglog_slope([10, 10, 10, 10], [1.0, 0.5, 0.25, 0.1]) is None
+
+    def test_infinite_reading_is_left_out(self):
+        # A ZenoRunResult keeps an inf reading; before, it made the slope nan.
+        assert fit_loglog_slope([10, 20, 40, 80, 160], [math.inf, 1.0, 0.5, 0.25, 0.125]) == pytest.approx(-1.0)

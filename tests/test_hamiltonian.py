@@ -1,5 +1,7 @@
 """Parser grammar, term algebra, and the dense Hamiltonian builder."""
 
+import math
+
 import numpy as np
 import pytest
 from conftest import random_hamiltonian
@@ -7,6 +9,7 @@ from conftest import random_hamiltonian
 from zenosim import (
     CancellationError,
     HamiltonianParseError,
+    LimitExceededError,
     hamiltonian_matrix,
     load_hamiltonian,
     matexp_hermitian,
@@ -15,7 +18,7 @@ from zenosim import (
     term_matrix,
     to_text,
 )
-from zenosim.hamiltonian import PauliTerm, pauli_rotations
+from zenosim.hamiltonian import PauliHamiltonian, PauliTerm, pauli_rotations
 
 
 def pauli_word_oracle(word, sign):
@@ -114,6 +117,13 @@ class TestParseErrors:
         with pytest.raises(HamiltonianParseError, match="finite"):
             parse_hamiltonian(text)
 
+    def test_coefficient_one_norm_must_be_finite(self):
+        # Each coefficient is finite, but lam = 2e308 is not; before, run_zeno and run_kicks on it ended in
+        # "math domain error".
+        with pytest.raises(LimitExceededError, match="^coefficient 1-norm inf is not finite$") as caught:
+            parse_hamiltonian("1e308*X + 1e308*Z")
+        assert isinstance(caught.value, ValueError)
+
     def test_exact_cancellation_is_distinct_error(self):
         with pytest.raises(CancellationError):
             parse_hamiltonian("0.5*X - 0.5*X")
@@ -121,6 +131,34 @@ class TestParseErrors:
     def test_cancellation_is_a_parse_error_subclass(self):
         with pytest.raises(HamiltonianParseError):
             parse_hamiltonian("0.5*XZ - 0.5*XZ + 0.1*II")
+
+
+class TestConstructorChecks:
+    @pytest.mark.parametrize("coefficient", [0.0, -0.5, math.nan, math.inf, True])
+    def test_term_coefficient_must_be_finite_and_positive(self, coefficient):
+        # Before, inf and True built a term.
+        with pytest.raises(ValueError, match="^coefficient must be finite and strictly positive"):
+            PauliTerm(coefficient, 1, "X")
+
+    @pytest.mark.parametrize("sign", [0, 2, -1.5, True])
+    def test_term_sign_must_be_plus_or_minus_one(self, sign):
+        # Before, True built a term: True == 1.
+        with pytest.raises(ValueError, match="^sign must be \\+1 or -1"):
+            PauliTerm(1.0, sign, "X")
+
+    @pytest.mark.parametrize("axes", ["", "XA", "x"])
+    def test_term_word_must_be_a_pauli_word(self, axes):
+        with pytest.raises(ValueError, match="^axes must be a nonempty word over IXYZ"):
+            PauliTerm(1.0, 1, axes)
+
+    @pytest.mark.parametrize("num_qubits,words,message", [
+        (1, [], "^a Hamiltonian needs at least one term$"),
+        (1, ["X", "XZ"], "^term 'XZ' acts on 2 qubits, expected 1$"),
+        (1, ["X", "X"], "^duplicate Pauli words must be merged before construction$"),
+    ])
+    def test_hamiltonian_terms_checked(self, num_qubits, words, message):
+        with pytest.raises(ValueError, match=message):
+            PauliHamiltonian(num_qubits, tuple(PauliTerm(0.5, 1, word) for word in words))
 
 
 class TestMerging:

@@ -20,7 +20,7 @@ from zenosim import (
     trace_norm,
     unitary_channel,
 )
-from zenosim.linalg import hermitian_trace_norm
+from zenosim.linalg import as_matrix, hermitian_trace_norm
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -110,6 +110,12 @@ class TestMatexpHermitian:
                 matexp_hermitian(hamiltonian_matrix(h), theta)
             else:
                 exact_evolution(h, theta)
+
+
+class TestAsMatrix:
+    def test_rejects_a_vector(self):
+        with pytest.raises(ValueError, match=re.escape("expected a 2-D matrix, got shape (3,)")):
+            as_matrix(np.ones(3))
 
 
 class TestSpectralNorm:

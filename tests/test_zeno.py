@@ -41,6 +41,14 @@ from zenosim import (
 
 
 class TestBuildExtended:
+    def test_overflowed_block_rate_fails_when_built(self):
+        # 4 * 5e307 overflows. Before, the system was built, select_unitary held NaN entries and run_zeno ended in a
+        # false "SVD did not converge".
+        h = parse_hamiltonian("5e307*XI + 5e307*ZI + 5e307*IY")
+        with pytest.raises(LimitExceededError, match="^select block rate inf is not finite$") as caught:
+            build_extended(h, "mub")
+        assert isinstance(caught.value, ValueError)
+
     def test_single_term_degenerate_register(self, h1):
         sys = build_extended(h1)
         assert sys.n_ancilla == 0
@@ -146,8 +154,8 @@ class TestSelectUnitary:
 
     def test_overflowed_mub_rate_is_rejected(self):
         # d_a * c = 4 * 5e307 overflows, so the generator block would be inf * term.
-        sys = build_extended(parse_hamiltonian("5e307*XI + 5e307*ZI + 5e307*IY"), "mub")
         with pytest.raises(LimitExceededError, match="select block rate inf is not finite"):
+            sys = build_extended(parse_hamiltonian("5e307*XI + 5e307*ZI + 5e307*IY"), "mub")
             extended_hamiltonian(sys)
 
     def test_negative_time_is_adjoint(self, sys2):
@@ -306,6 +314,11 @@ class TestRunZeno:
         # "zero-size array to reduction operation maximum".
         with pytest.raises(ValueError, match="^psi0 must be normalized$"):
             run(sys2, np.array([np.nan, 0.0]))
+
+    @pytest.mark.parametrize("variant", ["standard", "mub"])
+    def test_initial_state_of_the_wrong_dimension_rejected(self, h2, variant):
+        with pytest.raises(ValueError, match="^psi0 must have dimension 2, got 4$"):
+            run_zeno(build_extended(h2, variant), 1.0, 10, psi0=np.eye(4)[0])
 
     @pytest.mark.parametrize("order", [True, 1.0])
     def test_non_integer_order_rejected(self, sys2, order):
