@@ -1,23 +1,19 @@
-"""A sweep point: the check of its time and step count, its closed-form bounds, and its record.
+"""A sweep point: the checks of its time, step count and rotation angle, its closed-form bounds, and its record.
 
 Every method, Zeno sequence or baseline, reduces to points of a time t, a step count N, a measured error and
 its closed-form bound. ``step_time`` is the one check of t and N, beside ``is_real``, the one finite-real rule that
 every check of a time, angle, rate or precision reads; ``sweep_point`` builds the ``ZenoRunResult``.
 
-``_CLOSED_FORMS`` holds every method's bounds, one row per method, as
-functions of the angles ``x = lam * t`` (coefficient 1-norm times time) and
-``y = w * h_max * t`` (ancilla register width ``w = 2^n_ancilla`` times the
-peak weight times time), and of the step count ``n``. The command line
-proves both angles finite before it runs, so a bound stays finite where
-``t * t`` alone would underflow or ``lam * lam`` overflow. ``method_bounds``
-is the one place that evaluates them. Success-probability lower bounds are
-clamped at zero (the raw expressions go negative for small ``n``). The
-forms use products, not powers: a float ``**`` raises OverflowError where
-``*`` gives ``inf``.
+Every sequence turns Pauli rotations by a rate times a time. ``method_rate`` states each method's largest rate,
+and ``check_angle`` is the one check that a rate times a time is a finite float: ``step_time`` runs it for every
+sweep point, the select blocks and ``linalg.spectral_exp`` for theirs. ``_CLOSED_FORMS`` holds every method's
+bounds, one row per method, as functions of that angle ``x = method_rate * t`` and of the step count ``n``, so a
+bound stays finite where ``t * t`` alone would underflow or ``lam * lam`` overflow. ``method_bounds`` is the one
+place that evaluates them. Success-probability lower bounds are clamped at zero (the raw expressions go negative
+for small ``n``). The forms use products, not powers: a float ``**`` raises OverflowError where ``*`` gives ``inf``.
 
-The step-count formula uses a ceiling with a 1e-12 relative nudge so that
-exact-ratio inputs (for example ``t=1, lam=1, epsilon=0.01``) are not
-pushed up by floating-point roundoff.
+The step-count formula uses a ceiling with a 1e-12 relative nudge so that exact-ratio inputs (for example
+``t=1, lam=1, epsilon=0.01``) are not pushed up by floating-point roundoff.
 """
 
 from __future__ import annotations
@@ -31,16 +27,15 @@ from .errors import LimitExceededError
 _CEIL_NUDGE = 1e-12
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
-# method -> (x, y, n) -> (error bound or None, unclamped success bound). mub is zeno1
-# at y in place of x; methods that post-select nothing succeed with probability 1;
-# trotter1 states no error bound.
+# method -> (x, n) -> (error bound or None, unclamped success bound). mub is zeno1 at its own rate; methods that
+# post-select nothing succeed with probability 1; trotter1 states no error bound.
 _CLOSED_FORMS = {
-    "zeno1": lambda x, y, n: (x * x / n, 1.0 - 2.0 * x * x / n),
-    "zeno2": lambda x, y, n: (x * x * x / (3.0 * n * n), 1.0 - 4.0 * x * x * x / (3.0 * n * n)),
-    "kicks": lambda x, y, n: ((2.0 / n) * (SQRT_HALF + 1.0) * x * (1.0 + 2.0 * x), 1.0),
-    "mub": lambda x, y, n: _CLOSED_FORMS["zeno1"](y, y, n),
-    "qdrift": lambda x, y, n: (4.0 * x * x / n, 1.0),
-    "trotter1": lambda x, y, n: (None, 1.0),
+    "zeno1": lambda x, n: (x * x / n, 1.0 - 2.0 * x * x / n),
+    "zeno2": lambda x, n: (x * x * x / (3.0 * n * n), 1.0 - 4.0 * x * x * x / (3.0 * n * n)),
+    "kicks": lambda x, n: ((2.0 / n) * (SQRT_HALF + 1.0) * x * (1.0 + 2.0 * x), 1.0),
+    "mub": lambda x, n: _CLOSED_FORMS["zeno1"](x, n),
+    "qdrift": lambda x, n: (4.0 * x * x / n, 1.0),
+    "trotter1": lambda x, n: (None, 1.0),
 }
 
 
@@ -57,12 +52,24 @@ def is_real(value) -> bool:
         return False
 
 
-def step_time(t: float, n: int) -> float:
-    """The step time t / n of a sweep point, once ``n`` is an integer >= 1 and ``t`` a finite real time >= 0."""
+def method_rate(method: str, h) -> float:
+    """``method``'s largest rotation rate on ``h``: lam, or 2^n_ancilla h_max for mub, padded ancillas included."""
+    return float(1 << h.n_ancilla) * h.h_max if method == "mub" else h.lam
+
+
+def check_angle(rate: float, t: float) -> None:
+    """LimitExceededError unless the rotation angle rate * t of a finite real ``rate`` and ``t`` is a finite float."""
+    if not is_real(float(rate) * float(t)):  # as Python floats, so an overflow gives inf and no NumPy warning
+        raise LimitExceededError(f"largest rotation angle (rate {rate:g} times t {t:g}) is not finite")
+
+
+def step_time(t: float, n: int, rate: float) -> float:
+    """The step time t / n of a sweep point, once ``n`` is an integer >= 1, ``t`` real >= 0 and rate * t finite."""
     if not is_count(n, 1):
         raise ValueError(f"step count must be an integer >= 1, got {n!r}")
     if not (is_real(t) and t >= 0):
         raise ValueError(f"time must be finite and nonnegative, got {t}")
+    check_angle(rate, t)
     return t / n
 
 
@@ -106,15 +113,12 @@ class ZenoRunResult:
 
 
 def method_bounds(method: str, h, t: float, n: int) -> tuple[float | None, float]:
-    """(error bound or None, success lower bound) for one sweep point of ``method`` on ``h``.
-
-    Only mub reads ``h.n_ancilla``: its projector spans all 2^n_ancilla
-    ancilla states, padded ones included.
-    """
-    step_time(t, n)
+    """(error bound or None, success lower bound) for one sweep point of ``method`` on ``h``."""
+    rate = method_rate(method, h)
+    step_time(t, n, rate)
     if method not in _CLOSED_FORMS:
         raise ValueError(f"no bounds recorded for method {method!r}")
-    error, success = _CLOSED_FORMS[method](h.lam * t, float(1 << h.n_ancilla) * h.h_max * t, n)
+    error, success = _CLOSED_FORMS[method](rate * t, n)
     return error, max(0.0, success)
 
 
@@ -129,9 +133,9 @@ def steps_for_precision(lam: float, t: float, epsilon: float) -> int:
     """Steps for the first-order error bound to reach ``epsilon``; LimitExceededError if (lam t)^2 / epsilon is inf."""
     if not (is_real(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
-    step_time(t, 1)
     if not (is_real(lam) and lam > 0):
         raise ValueError(f"coefficient 1-norm must be finite and positive, got {lam!r}")
+    step_time(t, 1, lam)
     x = lam * t
     if not is_real(steps := x * x / epsilon):
         raise LimitExceededError(f"epsilon {epsilon!r} needs a step count (lam t)^2 / epsilon that is not finite")

@@ -1,6 +1,6 @@
 """The qdrift and trotter1 baselines, their sweep points, and the randomized-compilation channel machinery.
 
-Each point's t and N pass ``bounds.step_time``, and its record is ``bounds.sweep_point``, as for the Zeno runs.
+Each point's t, N and rotation angle lam * t pass ``bounds.step_time``; its record is ``bounds.sweep_point``.
 
 Superoperators act on column-stacked density matrices: ``vec(M)`` stacks
 the columns of ``M``, so ``vec(A X B) = (B^T kron A) vec(X)`` and the
@@ -89,7 +89,7 @@ def trotter_first_order(h: PauliHamiltonian, t: float, n_steps: int) -> np.ndarr
     Each factor is the analytic exp(-i * h_j * H_j * delta_t) of one
     weighted term of the physical Hamiltonian.
     """
-    delta_t = step_time(t, n_steps)
+    delta_t = step_time(t, n_steps, h.lam)
     step = reduce(np.matmul, pauli_rotations(h, [term.coefficient * delta_t for term in h.terms]))
     return np.linalg.matrix_power(step, n_steps)
 
@@ -103,7 +103,7 @@ def qdrift_sample(h: PauliHamiltonian, t: float, n_steps: int, seed: int) -> Qdr
     """Sample one randomized product of ``n_steps`` factors from ``default_rng(seed)``, the seed an integer >= 0."""
     if not is_count(seed, 0):
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-    probs, angle = _qdrift_ensemble(h, step_time(t, n_steps))
+    probs, angle = _qdrift_ensemble(h, step_time(t, n_steps, h.lam))
     unitaries = pauli_rotations(h, [angle] * h.num_terms)
     picks = np.random.default_rng(seed).choice(h.num_terms, size=n_steps, p=probs)
     product = np.eye(2**h.num_qubits, dtype=complex)
@@ -197,11 +197,9 @@ def _qdrift_choi(h: PauliHamiltonian, t: float, n_steps: int) -> np.ndarray:
     A point allocates two arrays: the step's PTM, which the power overwrites, and a pair of PTM-sized buffers
     that holds the power's spares and then, viewed as one complex matrix, the Choi matrix.
     """
-    delta_t = step_time(t, n_steps)
+    delta_t = step_time(t, n_steps, h.lam)
     if h.num_qubits > CHANNEL_MAX_QUBITS:
-        raise LimitExceededError(
-            f"channel mode supports at most {CHANNEL_MAX_QUBITS} qubits, got {h.num_qubits}"
-        )
+        raise LimitExceededError(f"channel mode supports at most {CHANNEL_MAX_QUBITS} qubits, got {h.num_qubits}")
     ptm = _qdrift_step_ptm(h, delta_t)
     pair = np.empty((2, *ptm.shape))
     _ptm_power(ptm, n_steps, pair)
@@ -289,9 +287,9 @@ def _distance_to_unitary(j: np.ndarray, w: np.ndarray) -> float:
 
 def qdrift_point(h: PauliHamiltonian, t: float, n_steps: int) -> ZenoRunResult:
     """qdrift's sweep point: the trace norm over d of the Choi difference from the exact channel."""
-    step_time(t, n_steps)
+    choi = _qdrift_choi(h, t, n_steps)
     w = _checked_unitary(exact_evolution(h, t)).reshape(-1)  # the exact channel's Choi matrix is w w^dagger
-    return sweep_point("qdrift", h, t, n_steps, _distance_to_unitary(_qdrift_choi(h, t, n_steps), w))
+    return sweep_point("qdrift", h, t, n_steps, _distance_to_unitary(choi, w))
 
 
 def trotter_point(h: PauliHamiltonian, t: float, n_steps: int) -> ZenoRunResult:

@@ -11,7 +11,7 @@ and files that are not UTF-8); 3 desk-scale limit exceeded (a step count
 above ``MAX_STEPS``, a sweep of more than ``MAX_SWEEP_POINTS`` step counts,
 sampled mode with more than ``MAX_SHOTS`` shots or more than
 ``MAX_SHOT_STEPS`` shots times steps, and a float overflowing in lam, a mub
-block rate, lam * t, the largest rotation angle or the --epsilon step count);
+block rate, the largest rotation angle rate * t or the --epsilon step count);
 4 at least one measured value violated its analytic bound. The error classes
 in ``errors`` carry these codes.
 """

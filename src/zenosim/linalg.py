@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bounds import is_real
+from .bounds import check_angle, is_real
 from .errors import ConvergenceError
 
 HERMITICITY_TOL = 1e-10
@@ -52,9 +52,10 @@ def hermitian_eigen(h) -> tuple[np.ndarray, np.ndarray]:
 
 
 def spectral_exp(w: np.ndarray, u: np.ndarray, theta: float) -> np.ndarray:
-    """exp(-i * theta * h) = U diag(exp(-i * theta * w)) U^dagger from h = U diag(w) U^dagger, theta any finite real."""
+    """exp(-i * theta * h) = U diag(exp(-i * theta * w)) U^dagger from h = U diag(w) U^dagger; theta * max|w| finite."""
     if not is_real(theta):
         raise ValueError(f"time or angle must be a finite real number, got {theta!r}")
+    check_angle(np.max(np.abs(w), initial=0.0), theta)
     return (u * np.exp(-1j * float(theta) * w)) @ u.conj().T
 
 

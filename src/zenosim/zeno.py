@@ -40,9 +40,9 @@ different angles, so it powers A(dt) against ``exact_evolution`` (read from
 that spectrum); its sampled points read the spectrum of H' in
 A(dt) = alpha - i H' (alpha real, H' Hermitian). The kick sequence leaves the
 range of P but splits into one invariant plane per eigenvalue of H, where it
-is a 2x2 unitary (``run_kicks``), on the same spectrum. Only ``select_unitary`` and
-``extended_hamiltonian`` build combined-register matrices. Each run checks its t and N with
-``bounds.step_time`` and returns the ``bounds.sweep_point`` record, as the baselines in ``channels`` do.
+is a 2x2 unitary (``run_kicks``), on the same spectrum. Only ``select_unitary`` and ``extended_hamiltonian``
+build combined-register matrices. Each run checks t, N and its largest rotation angle, ``bounds.method_rate`` times
+t, with ``bounds.step_time`` and returns the ``bounds.sweep_point`` record, as the baselines in ``channels`` do.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from functools import cache
 
 import numpy as np
 
-from .bounds import ZenoRunResult, is_count, is_real, step_time, sweep_point
+from .bounds import ZenoRunResult, check_angle, is_count, is_real, method_rate, step_time, sweep_point
 from .errors import LimitExceededError
 from .hamiltonian import PauliHamiltonian, exact_evolution, pauli_rotations, term_matrix
 from .linalg import hermitian_eigen, spectral_norm
@@ -140,6 +140,7 @@ def _blocks(sys: ExtendedSystem, delta_t: float) -> np.ndarray:
     """Select blocks U_k(dt) stacked as (d_a, d_t, d_t); padded ancilla states get identity blocks."""
     if not is_real(delta_t):
         raise ValueError(f"step time must be a finite real number, got {delta_t!r}")
+    check_angle(max(sys.block_rates), delta_t)
     h = sys.hamiltonian
     rotations = pauli_rotations(h, np.array(sys.block_rates[: h.num_terms]) * delta_t)
     eye = np.eye(sys.target_dim, dtype=complex)
@@ -262,10 +263,11 @@ def _mub(sys: ExtendedSystem, t: float, n_steps: int, psi: np.ndarray):
 def _projected(sys: ExtendedSystem, t: float, n_steps: int, order: int, psi0: np.ndarray | None):
     """``run_zeno``'s point, and the step's log r_j^2, the weights of psi0 on its eigenvectors and the fidelity of
     the state that survives all N steps (None when none can)."""
-    step_time(t, n_steps)
+    method = "mub" if sys.variant == VARIANT_MUB else f"zeno{order}"
+    step_time(t, n_steps, method_rate(method, sys.hamiltonian))
     if not (is_count(order, 1) and order <= 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
-    if sys.variant == VARIANT_MUB and order != 1:
+    if method == "mub" and order != 1:
         raise ValueError("the second-order sequence is defined for the standard projector only")
 
     psi = _initial_state(sys, psi0)
@@ -273,7 +275,6 @@ def _projected(sys: ExtendedSystem, t: float, n_steps: int, order: int, psi0: np
         epsilon, p_succ, survival = _standard(sys, t, n_steps, order, psi)
     else:
         epsilon, p_succ, survival = _mub(sys, t, n_steps, psi)
-    method = "mub" if sys.variant == VARIANT_MUB else f"zeno{order}"
     return sweep_point(method, sys.hamiltonian, t, n_steps, epsilon, min(p_succ, 1.0)), survival
 
 
@@ -312,11 +313,11 @@ def run_kicks(sys: ExtendedSystem, t: float, n_steps: int) -> ZenoRunResult:
     error is the largest per-plane distance between the first column of the
     N-th power and (exp(-i E_j t), 0).
     """
-    delta_t = step_time(t, n_steps)
+    h = sys.hamiltonian
+    delta_t = step_time(t, n_steps, h.lam)
     if sys.variant != VARIANT_STANDARD:
         raise ValueError("kick sequence requires the standard projector variant")
 
-    h = sys.hamiltonian
     energies = h.spectrum[0]
     a = energies / h.lam
     b = np.sqrt(np.maximum(0.0, 1.0 - a**2))

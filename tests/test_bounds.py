@@ -23,23 +23,24 @@ from zenosim import (
 GATE_H = parse_hamiltonian("0.6*XI + 0.4*IZ - 0.1*YY")
 
 
-def _trajectory(t, n):
-    sample = qdrift_sample(GATE_H, t, n, seed=2)
+def _trajectory(h, t, n):
+    sample = qdrift_sample(h, t, n, seed=2)
     return sample.sampled_indices, sample.resulting_unitary.tolist()
 
 
-# Every entry point that takes a sweep point's (t, N), as f(t, n) on GATE_H, returning data that == compares.
+# Every entry point that takes a sweep point's (t, N), as f(h, t, n), returning data that == compares.
 GATED = {
-    "run_zeno": lambda t, n: run_zeno(build_extended(GATE_H), t, n),
-    "run_zeno-mub": lambda t, n: run_zeno(build_extended(GATE_H, "mub"), t, n),
-    "run_sampled": lambda t, n: run_sampled(build_extended(GATE_H), t, n, shots=5, seed=1),
-    "run_kicks": lambda t, n: run_kicks(build_extended(GATE_H), t, n),
-    "trotter_first_order": lambda t, n: trotter_first_order(GATE_H, t, n).tolist(),
-    "trotter_point": lambda t, n: channels.trotter_point(GATE_H, t, n),
+    "run_zeno": lambda h, t, n: run_zeno(build_extended(h), t, n),
+    "run_zeno-order2": lambda h, t, n: run_zeno(build_extended(h), t, n, order=2),
+    "run_zeno-mub": lambda h, t, n: run_zeno(build_extended(h, "mub"), t, n),
+    "run_sampled": lambda h, t, n: run_sampled(build_extended(h), t, n, shots=5, seed=1),
+    "run_kicks": lambda h, t, n: run_kicks(build_extended(h), t, n),
+    "trotter_first_order": lambda h, t, n: trotter_first_order(h, t, n).tolist(),
+    "trotter_point": channels.trotter_point,
     "qdrift_sample": _trajectory,
-    "qdrift_channel": lambda t, n: qdrift_channel(GATE_H, t, n).superoperator.tolist(),
-    "qdrift_point": lambda t, n: channels.qdrift_point(GATE_H, t, n),
-    "method_bounds": lambda t, n: bounds.method_bounds("zeno1", GATE_H, t, n),
+    "qdrift_channel": lambda h, t, n: qdrift_channel(h, t, n).superoperator.tolist(),
+    "qdrift_point": channels.qdrift_point,
+    "method_bounds": lambda h, t, n: bounds.method_bounds("zeno1", h, t, n),
 }
 
 
@@ -221,8 +222,8 @@ class TestStructure:
 
 class TestStepTime:
     def test_examples(self):
-        assert bounds.step_time(1.0, 4) == 0.25
-        assert bounds.step_time(-0.0, np.int64(3)) == 0.0
+        assert bounds.step_time(1.0, 4, 1.0) == 0.25
+        assert bounds.step_time(-0.0, np.int64(3), 1.0) == 0.0
         assert [bounds.is_count(v, 1) for v in (1, np.int64(2), 0, 1.0, True, np.bool_(True))] == [
             True, True, False, False, False, False
         ]
@@ -236,11 +237,20 @@ class TestStepTime:
     @pytest.mark.parametrize("entry", GATED)
     def test_every_entry_point_rejects_a_bad_point(self, entry, t, n, word):
         with pytest.raises(ValueError, match=word):
-            GATED[entry](t, n)
+            GATED[entry](GATE_H, t, n)
+
+    @pytest.mark.parametrize("entry", GATED)
+    def test_every_entry_point_rejects_an_angle_that_is_not_finite(self, entry):
+        # lam and t are finite, lam t = 2e310 is not; so is mub's 2^n_a h_max t. Before, the runs ended in "math
+        # domain error", a ConvergenceError or "input is not unitary", trotter_first_order and the qdrift ones in NaN
+        # matrices, and method_bounds in an inf bound.
+        message = r"^largest rotation angle \(rate 2e\+300 times t 1e\+10\) is not finite$"
+        with pytest.raises(LimitExceededError, match=message):
+            GATED[entry](parse_hamiltonian("1e300*X + 1e300*Z"), 1e10, 10)
 
     @pytest.mark.parametrize("entry", GATED)
     def test_numpy_step_count_runs_as_int(self, entry):
-        assert GATED[entry](1.0, np.int64(10)) == GATED[entry](1.0, 10)
+        assert GATED[entry](GATE_H, 1.0, np.int64(10)) == GATED[entry](GATE_H, 1.0, 10)
 
     @pytest.mark.parametrize("value,real", [
         (1.5, True), (-2, True), (np.float32(0.5), True), (np.int64(3), True), (1.7976931348623157e308, True),

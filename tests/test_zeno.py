@@ -1,6 +1,7 @@
 """Extended-system construction and the measured sequences."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -644,6 +645,18 @@ class TestStepSuccessProbability:
         # True ran as dt = 1.
         with pytest.raises(ValueError, match=f"^step time must be a finite real number, got {dt!r}$"):
             entry(sys2, dt)
+
+    @pytest.mark.parametrize("dt", [1e308, -1e308])
+    @pytest.mark.parametrize("entry", [
+        step_success_probability, block_encoding_matrix, select_unitary,
+        lambda sys, dt: matexp_hermitian(hamiltonian_matrix(sys.hamiltonian), dt),
+    ], ids=["step_success_probability", "block_encoding_matrix", "select_unitary", "matexp_hermitian"])
+    def test_rotation_angle_must_be_finite(self, entry, dt):
+        # lam = 2 and H's largest |eigenvalue| is 2, so 2 dt overflows. Before, NumPy warned "overflow encountered
+        # in multiply" and, with warnings off, the result held NaN.
+        message = re.escape(f"largest rotation angle (rate 2 times t {dt:g}) is not finite")
+        with pytest.raises(LimitExceededError, match=f"^{message}$"):
+            entry(build_extended(parse_hamiltonian("ZI + IZ")), dt)
 
 
 @st.composite
