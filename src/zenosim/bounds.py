@@ -64,13 +64,13 @@ def check_angle(rate: float, t: float) -> None:
 
 
 def step_time(t: float, n: int, rate: float) -> float:
-    """The step time t / n of a sweep point, once ``n`` is an integer >= 1, ``t`` real >= 0 and rate * t finite."""
+    """A sweep point's step time float(t) / n, once ``n`` is an integer >= 1, ``t`` real >= 0 and rate * t finite."""
     if not is_count(n, 1):
         raise ValueError(f"step count must be an integer >= 1, got {n!r}")
     if not (is_real(t) and t >= 0):
         raise ValueError(f"time must be finite and nonnegative, got {t}")
     check_angle(rate, t)
-    return t / n
+    return float(t) / n
 
 
 @dataclass(frozen=True)
@@ -118,14 +118,14 @@ def method_bounds(method: str, h, t: float, n: int) -> tuple[float | None, float
     step_time(t, n, rate)
     if method not in _CLOSED_FORMS:
         raise ValueError(f"no bounds recorded for method {method!r}")
-    error, success = _CLOSED_FORMS[method](rate * t, n)
+    error, success = _CLOSED_FORMS[method](rate * float(t), n)
     return error, max(0.0, success)
 
 
 def sweep_point(method: str, h, t: float, n: int, epsilon: float, p_succ: float = 1.0) -> ZenoRunResult:
     """The (method, N) point of a measured error and success probability, with ``method_bounds`` attached."""
     eps_bound, p_bound = method_bounds(method, h, t, n)
-    return ZenoRunResult(method=method, N=int(n), delta_t=t / n, epsilon_measured=epsilon,
+    return ZenoRunResult(method=method, N=int(n), delta_t=float(t) / n, epsilon_measured=epsilon,
                          epsilon_bound=eps_bound, p_succ_exact=p_succ, p_succ_bound=p_bound)
 
 
@@ -135,8 +135,7 @@ def steps_for_precision(lam: float, t: float, epsilon: float) -> int:
         raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
     if not (is_real(lam) and lam > 0):
         raise ValueError(f"coefficient 1-norm must be finite and positive, got {lam!r}")
-    step_time(t, 1, lam)
-    x = lam * t
-    if not is_real(steps := x * x / epsilon):
+    x = lam * step_time(t, 1, lam)
+    if not is_real(steps := x * x / float(epsilon)):
         raise LimitExceededError(f"epsilon {epsilon!r} needs a step count (lam t)^2 / epsilon that is not finite")
     return max(1, math.ceil(steps * (1.0 - _CEIL_NUDGE)))

@@ -11,14 +11,12 @@ norm divided by d is a lower bound on the diamond distance; the exact
 diamond norm (a semidefinite program) is intentionally out of scope and
 every reported value is labeled as a lower bound.
 
-The qdrift channel is a real Pauli transfer matrix, built in O(L d^2) and
-powered in its own buffer with two spares of its size; Walsh-Hadamard
-transforms in (x, z) Pauli coordinates turn its N-th power into the Choi
-matrix J, one X part at a time, written into the spares' memory. The exact
-channel's Choi matrix is the rank-one w w^dagger (w = vec(exp(-iHt))), so
-J - w w^dagger has trace 0 and, J being positive semidefinite, at most one
-negative eigenvalue lam_1 (Weyl interlacing): its trace norm is 2 |lam_1|,
-and every other eigenvalue lies in [0, |lam_1|].
+The qdrift channel is a real Pauli transfer matrix, built in O(L d^2) and powered in its own buffer with two spares
+of its size; Walsh-Hadamard transforms in the (x, z) coordinates of ``hamiltonian.pauli_tables`` turn its N-th power
+into the Choi matrix J, one X part at a time, written into the spares' memory. The exact channel's Choi matrix is
+the rank-one w w^dagger (w = vec(exp(-iHt))), so J - w w^dagger has trace 0 and, J being positive semidefinite, at
+most one negative eigenvalue lam_1 (Weyl interlacing): its trace norm is 2 |lam_1|, and every other eigenvalue lies
+in [0, |lam_1|].
 """
 
 from __future__ import annotations
@@ -31,16 +29,13 @@ import numpy as np
 
 from .bounds import ZenoRunResult, is_count, step_time, sweep_point
 from .errors import LimitExceededError
-from .hamiltonian import PAULI_AXES, PauliHamiltonian, exact_evolution, pauli_rotations
+from .hamiltonian import PauliHamiltonian, exact_evolution, pauli_rotations, pauli_tables
 from .linalg import as_matrix, hermitian_eigen, hermitian_trace_norm, lapack, spectral_norm
 
 CHANNEL_MAX_QUBITS = 5
 
 CP_TOL = 1e-9
 TP_TOL = 1e-9
-
-# sigma_w sigma_b = _PAULI_PHASES[w, b] sigma_(w ^ b), with I, X, Y, Z numbered 0-3.
-_PAULI_PHASES = np.array([[1, 1, 1, 1], [1, 1, 1j, -1j], [1, -1j, 1, 1j], [1, 1j, -1j, 1]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,19 +114,20 @@ def qdrift_sample(h: PauliHamiltonian, t: float, n_steps: int, seed: int) -> Qdr
 def _qdrift_step_ptm(h: PauliHamiltonian, delta_t: float) -> np.ndarray:
     """Real Pauli transfer matrix Tr(sigma_a E(sigma_b)) / d of one qDRIFT step.
 
-    Pauli strings are in kron order (qubit 0 is the most significant base-4 digit). With
-    c, s = cos, sin(lam * dt), term j maps sigma_b to c^2 sigma_b + s^2 P_j sigma_b P_j
-    - i c s [P_j, sigma_b]: a diagonal part, plus 2 P_j sigma_b where they anticommute.
+    Pauli strings are numbered in kron order, ``pauli_tables``'s index. With c, s = cos, sin(lam * dt), term j maps
+    sigma_b to c^2 sigma_b + s^2 P_j sigma_b P_j - i c s [P_j, sigma_b]: a diagonal part, plus 2 P_j sigma_b where
+    they anticommute. For term j's word (x_j, z_j), sigma_(x_j,z_j) sigma_(x,z) = product[x, z] sigma_(x^x_j, z^z_j).
     """
     probs, angle = _qdrift_ensemble(h, delta_t)
     c, s = np.cos(angle), np.sin(angle)
-    b = np.arange(4**h.num_qubits)
-    ptm = np.zeros((b.size, b.size))
+    index, phase, sign = pauli_tables(h.num_qubits)
+    r, ptm = np.arange(len(index)), np.zeros((index.size, index.size))
     for p, term in zip(probs, h.terms):
-        digits = [PAULI_AXES.index(axis) for axis in term.axes]
-        phase = reduce(np.kron, _PAULI_PHASES[digits])  # word_j sigma_b = phase[b] sigma_(b ^ w_j)
-        ptm[b, b] += p * (c * c + s * s * (phase * phase).real)  # phase^2 is -1 where they anticommute
-        ptm[b ^ int("".join(map(str, digits)), 4), b] += 2.0 * p * c * s * term.sign * phase.imag
+        xj, zj = term.masks
+        partner = np.ix_(r ^ xj, r ^ zj)
+        product = phase[xj, zj] * phase * sign[xj] * phase[partner].conj()  # phase is a power of -i: conj inverts it
+        ptm[index, index] += p * (c * c + s * s * (product * product).real)  # -1 where they anticommute
+        ptm[index[partner], index] += 2.0 * p * c * s * term.sign * product.imag
     return ptm
 
 
@@ -158,35 +154,21 @@ def _ptm_power(step: np.ndarray, n_steps: int, spares: np.ndarray) -> None:
         np.copyto(step, power)
 
 
-def _xz_tables(num_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Tables of the (x, z) Pauli coordinates: I, X, Y, Z are (0,0), (1,0), (1,1), (0,1), qubit 0 the top bit.
-
-    index[x, z] numbers that Pauli in kron order, phase[x, z] = (-i)^|x & z|, hadamard[r, z] = (-1)^|r & z|,
-    and scatter[r, x', r'] is the flat position of J[(r, r'), (0, r' ^ x')].
-    """
-    d = 2**num_qubits
-    r, x = np.arange(d), np.arange(d)[:, None]
-    index = overlap = 0
-    for bit in reversed(range(num_qubits)):
-        xb, zb = (x >> bit) & 1, (r >> bit) & 1
-        index, overlap = 4 * index + np.array([[0, 3], [1, 2]])[xb, zb], overlap + (xb & zb)
-    return index, (-1j) ** overlap, (-1.0) ** overlap, (r * d**3)[:, None, None] + r * d * d + (x ^ r)
-
-
 def _choi_of_ptm(ptm: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write the Choi matrix (1/d) sum_(a,b) R[a, b] sigma_a kron conj(sigma_b) of a real PTM R into ``out``.
 
-    As sigma_(x,z)[r, r ^ x] = (-i)^|x & z| (-1)^(z.r), J[(r, r'), (r ^ x, r' ^ x')] comes from the d rows (x, z)
-    of R, phased and Walsh-Hadamard transformed over z' and then z, one x-block at a time. ``out`` is a
-    C-contiguous complex array of R's shape that shares no memory with R; a block's temporaries are d x d^2.
+    As sigma_(x,z)[r, r ^ x] = phase[x, z] sign[r, z] (``pauli_tables``), J[(r, r'), (r ^ x, r' ^ x')] comes from
+    the d rows (x, z) of R, phased and transformed by the sign table over z' and then z, one x-block at a time.
+    ``out`` is a C-contiguous complex array of R's shape sharing no memory with R; block temporaries are d x d^2.
     """
-    index, phase, hadamard, scatter = _xz_tables(ptm.shape[0].bit_length() // 2)
+    index, phase, sign = pauli_tables(ptm.shape[0].bit_length() // 2)
     d, r = index.shape[0], np.arange(index.shape[0])
+    scatter = (r * d**3)[:, None, None] + r * d * d + (r[:, None] ^ r)  # [r, x', r']: J[(r, r'), (0, r' ^ x')]
     for x in range(d):  # each entry of out is written by exactly one block
         block = ptm.take(index[x], axis=0).take(index.reshape(-1), axis=1).reshape(d, d, d)
         block = block * (phase[x] / d)[:, None, None]
-        block = ((block * phase.conj()).reshape(d * d, d) @ hadamard).reshape(d, d * d)
-        block = (hadamard @ block.view(float)).view(complex)  # z on the real view: H is real
+        block = ((block * phase.conj()).reshape(d * d, d) @ sign).reshape(d, d * d)
+        block = (sign @ block.view(float)).view(complex)  # z on the real view: the sign table is real
         out.reshape(-1)[scatter + ((r ^ x) * d)[:, None, None]] = block.reshape(d, d, d)
     return out
 

@@ -102,7 +102,7 @@ def _modes(method: str) -> tuple[str, ...]:
 
 
 def _validate_config(config: ExperimentConfig) -> ExperimentConfig:
-    """The checked config, with t = -0 as 0 and its shots, seed and psi0 as ``int`` (so the JSON serialises)."""
+    """The checked config: t (-0 as 0) and epsilon as floats, shots, seed and psi0 as ints, so the JSON serialises."""
     modes = _modes(config.method)
     if config.mode not in modes:
         raise ConfigError(f"method {config.method!r} runs in mode {' or '.join(modes)}, not {config.mode!r}")
@@ -124,7 +124,7 @@ def _validate_config(config: ExperimentConfig) -> ExperimentConfig:
     if config.output_format not in ("json", "csv"):
         raise ConfigError(f"unknown output format {config.output_format!r}")
     counts = {k: int(v) for k in ("shots", "seed", "psi0") if (v := getattr(config, k)) is not None}
-    return replace(config, t=abs(config.t), **counts)  # t >= 0, so abs only turns -0.0 into 0.0
+    return replace(config, t=abs(float(config.t)), epsilon=config.epsilon and float(config.epsilon), **counts)
 
 
 def _resolve(config: ExperimentConfig, h: PauliHamiltonian) -> tuple[list[int], np.ndarray | None]:

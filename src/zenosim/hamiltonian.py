@@ -1,9 +1,9 @@
 """Pauli-string Hamiltonian model and its text format.
 
-A Hamiltonian is a weighted sum of signed Pauli strings with strictly
-positive weights: every input coefficient's sign is folded into the
-operator, so each stored term is ``coefficient * sign * (Pauli word)`` with
-``coefficient > 0`` and the operator part having spectral norm exactly 1.
+A Hamiltonian is a weighted sum of signed Pauli strings with strictly positive weights: every input coefficient's
+sign is folded into the operator, so each stored term is ``coefficient * sign * (Pauli word)`` with
+``coefficient > 0`` and the operator part having spectral norm exactly 1. Every Pauli word is read through one
+convention, ``pauli_tables``, by its (x, z) bit masks (``PauliTerm.masks``).
 
 Text grammar (whitespace is insignificant):
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -36,13 +36,6 @@ from .errors import CancellationError, ConfigError, HamiltonianParseError, Limit
 from .linalg import hermitian_eigen, spectral_exp
 
 PAULI_AXES = "IXYZ"
-
-PAULI_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 COEFFICIENT_THRESHOLD = 1e-15
 MAX_FILE_BYTES = 64 * 1024  # a 6-qubit, 32-term expression takes under 2 KB
@@ -70,6 +63,11 @@ class PauliTerm:
     @property
     def num_qubits(self) -> int:
         return len(self.axes)
+
+    @property
+    def masks(self) -> tuple[int, int]:
+        """The word's (x, z) bit masks of ``pauli_tables``, qubit 0 the top bit: I, X, Y, Z set x bits 0110, z 0011."""
+        return tuple(int(self.axes.translate(str.maketrans("IXYZ", bits)), 2) for bits in ("0110", "0011"))
 
 
 @dataclass(frozen=True)
@@ -119,19 +117,37 @@ class PauliHamiltonian:
         return hermitian_eigen(hamiltonian_matrix(self))
 
 
+@cache
+def pauli_tables(num_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one Pauli convention: read-only (index, phase, sign) tables over the (x, z) masks of n qubits.
+
+    Per qubit I, X, Y, Z are (x, z) = (0,0), (1,0), (1,1), (0,1), qubit 0 the top bit, and with d = 2^n
+    sigma_(x,z)[r, r ^ x] = phase[x, z] sign[r, z], where phase[x, z] = (-i)^|x & z| and sign[r, z] = (-1)^|r & z|.
+    index[x, z] numbers sigma_(x,z) in kron order: the kron of I, X, Y, Z as digits 0-3, qubit 0 the most significant.
+    """
+    d = 2**num_qubits
+    z, x = np.arange(d), np.arange(d)[:, None]
+    index = overlap = 0
+    for bit in reversed(range(num_qubits)):
+        xb, zb = (x >> bit) & 1, (z >> bit) & 1
+        index, overlap = 4 * index + np.array([[0, 3], [1, 2]])[xb, zb], overlap + (xb & zb)
+    tables = (index, (-1j) ** overlap, (-1.0) ** overlap)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def term_matrix(term: PauliTerm) -> np.ndarray:
-    """Dense matrix of the signed Pauli string (spectral norm 1)."""
-    mats = [PAULI_MATRICES[c] for c in term.axes]
-    return term.sign * reduce(np.kron, mats)
+    """Dense matrix of the signed Pauli string (spectral norm 1), scattered from ``pauli_tables``."""
+    (x, z), (_, phase, sign) = term.masks, pauli_tables(term.num_qubits)
+    r, out = np.arange(len(sign)), np.zeros(sign.shape, dtype=complex)
+    out[r, r ^ x] = term.sign * phase[x, z] * sign[:, z]
+    return out
 
 
 def hamiltonian_matrix(h: PauliHamiltonian) -> np.ndarray:
     """Dense Hermitian matrix of the full weighted sum."""
-    dim = 2**h.num_qubits
-    out = np.zeros((dim, dim), dtype=complex)
-    for term in h.terms:
-        out += term.coefficient * term_matrix(term)
-    return out
+    return sum(term.coefficient * term_matrix(term) for term in h.terms)
 
 
 def exact_evolution(h: PauliHamiltonian, t: float) -> np.ndarray:

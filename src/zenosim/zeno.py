@@ -203,7 +203,7 @@ def _survival(log_r: np.ndarray, weights: np.ndarray, start: int, stop: int) -> 
     return math.exp(top) * totals[1:] / totals[:-1]
 
 
-def _standard(sys: ExtendedSystem, t: float, n_steps: int, order: int, psi: np.ndarray):
+def _standard(sys: ExtendedSystem, delta_t: float, n_steps: int, order: int, psi: np.ndarray):
     """(error, ||A^N psi||^2, survival) from the spectrum of H, where survival is (log r_j^2, w_j, fidelity).
 
     On the eigenvector psi_j of H, with a = E_j / lam, theta = lam dt and u = 1 - cos(theta), the step is
@@ -218,7 +218,7 @@ def _standard(sys: ExtendedSystem, t: float, n_steps: int, order: int, psi: np.n
     lam = sys.hamiltonian.lam
     a = energies / lam
     gap = np.maximum(0.0, (1.0 - a) * (1.0 + a))  # 1 - a^2; eigh may put |a| a rounding above 1
-    theta = lam * (t / n_steps)
+    theta = lam * delta_t
     sin_t, u = math.sin(theta), 2.0 * math.sin(theta / 2.0) ** 2
     if order == 1:
         drop, modulus = u, -sin_t * sin_t * gap
@@ -240,13 +240,13 @@ def _standard(sys: ExtendedSystem, t: float, n_steps: int, order: int, psi: np.n
     return epsilon, p_succ, (log_r, weights, float(abs(overlap) ** 2 / p_succ) if p_succ else None)
 
 
-def _mub(sys: ExtendedSystem, t: float, n_steps: int, psi: np.ndarray):
+def _mub(sys: ExtendedSystem, t: float, delta_t: float, n_steps: int, psi: np.ndarray):
     """``_standard``'s tuple for the mub projector, whose blocks turn at different angles: A(dt) is no function of H.
 
     The error and success probability come from A(dt)^N. A(dt) = alpha - i H' with alpha = A[0, 0] real and H'
     Hermitian, so on the eigenvector of H' with eigenvalue mu_j the step has modulus r_j^2 = alpha^2 + mu_j^2.
     """
-    step = _corner(sys, t / n_steps)
+    step = _corner(sys, delta_t)
     exact = exact_evolution(sys.hamiltonian, t)
     repeated = np.linalg.matrix_power(step, n_steps)
     epsilon = spectral_norm(repeated - exact)
@@ -264,7 +264,7 @@ def _projected(sys: ExtendedSystem, t: float, n_steps: int, order: int, psi0: np
     """``run_zeno``'s point, and the step's log r_j^2, the weights of psi0 on its eigenvectors and the fidelity of
     the state that survives all N steps (None when none can)."""
     method = "mub" if sys.variant == VARIANT_MUB else f"zeno{order}"
-    step_time(t, n_steps, method_rate(method, sys.hamiltonian))
+    delta_t = step_time(t, n_steps, method_rate(method, sys.hamiltonian))
     if not (is_count(order, 1) and order <= 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     if method == "mub" and order != 1:
@@ -272,9 +272,9 @@ def _projected(sys: ExtendedSystem, t: float, n_steps: int, order: int, psi0: np
 
     psi = _initial_state(sys, psi0)
     if sys.variant == VARIANT_STANDARD:
-        epsilon, p_succ, survival = _standard(sys, t, n_steps, order, psi)
+        epsilon, p_succ, survival = _standard(sys, delta_t, n_steps, order, psi)
     else:
-        epsilon, p_succ, survival = _mub(sys, t, n_steps, psi)
+        epsilon, p_succ, survival = _mub(sys, t, delta_t, n_steps, psi)
     return sweep_point(method, sys.hamiltonian, t, n_steps, epsilon, min(p_succ, 1.0)), survival
 
 
@@ -325,7 +325,7 @@ def run_kicks(sys: ExtendedSystem, t: float, n_steps: int) -> ZenoRunResult:
     c, s = math.cos(theta), math.sin(theta)
     kick = np.array([[c - 1j * s * a, -1j * s * b], [1j * s * b, -c - 1j * s * a]]).transpose(2, 0, 1)
     alpha, beta = np.linalg.matrix_power(kick, n_steps)[:, :, 0].T
-    epsilon = float(np.max(np.hypot(np.abs(alpha - np.exp(-1j * t * energies)), np.abs(beta))))
+    epsilon = float(np.max(np.hypot(np.abs(alpha - np.exp(-1j * float(t) * energies)), np.abs(beta))))
     return sweep_point("kicks", h, t, n_steps, epsilon)
 
 

@@ -2,7 +2,8 @@ import os
 
 import numpy as np
 import pytest
-from ceiling import FILES as CEILING_FILES
+from ceiling import FILES as CEILING_FILES  # puts perfbench/ on the path, as for its run_child
+from instances import conftest_instance
 
 from zenosim import build_extended, hamiltonian_matrix, load_hamiltonian, parse_hamiltonian
 
@@ -77,17 +78,7 @@ def ceiling_hamiltonian(name):
 
 
 def random_hamiltonian(rng, num_terms, num_qubits):
-    """Random instance with positive weights and distinct signed Pauli words."""
+    """Random instance with positive weights and distinct signed Pauli words: perfbench's recipe, parsed."""
     if num_terms > 4**num_qubits - 1:
         raise ValueError(f"only {4**num_qubits - 1} distinct words exist on {num_qubits} qubits")
-    words = set()
-    while len(words) < num_terms:
-        word = "".join(rng.choice(list("IXYZ")) for _ in range(num_qubits))
-        if word != "I" * num_qubits:
-            words.add(word)
-    parts = []
-    for word in sorted(words):
-        coeff = float(rng.uniform(0.1, 1.0))
-        sign = "-" if rng.random() < 0.5 else ""
-        parts.append(f"{sign}{coeff:.6f}*{word}")
-    return parse_hamiltonian(" + ".join(parts))
+    return parse_hamiltonian(conftest_instance(rng, num_terms, num_qubits).text())

@@ -252,6 +252,18 @@ class TestStepTime:
     def test_numpy_step_count_runs_as_int(self, entry):
         assert GATED[entry](GATE_H, 1.0, np.int64(10)) == GATED[entry](GATE_H, 1.0, 10)
 
+    @pytest.mark.parametrize("t", [np.float32(0.1), np.longdouble(0.1)], ids=lambda t: type(t).__name__)
+    @pytest.mark.parametrize("entry", GATED)
+    def test_numpy_float_time_runs_as_its_float(self, entry, t):
+        assert GATED[entry](GATE_H, t, 10) == GATED[entry](GATE_H, float(t), 10)
+
+    @pytest.mark.parametrize("t", [np.float32(0.1), np.longdouble(0.1)], ids=lambda t: type(t).__name__)
+    def test_step_time_and_step_count_read_a_numpy_time_as_its_float(self, t):
+        assert type(bounds.step_time(t, 3, 1.0)) is float and bounds.step_time(t, 3, 1.0) == float(t) / 3
+        assert bounds.steps_for_precision(3.7, t, 1e-7) == bounds.steps_for_precision(3.7, float(t), 1e-7)
+        epsilon = type(t)(1e-7)
+        assert bounds.steps_for_precision(3.7, 0.1, epsilon) == bounds.steps_for_precision(3.7, 0.1, float(epsilon))
+
     @pytest.mark.parametrize("value,real", [
         (1.5, True), (-2, True), (np.float32(0.5), True), (np.int64(3), True), (1.7976931348623157e308, True),
         (math.nan, False), (-math.inf, False), (np.float32("inf"), False), pytest.param(10**400, False, id="10**400"),

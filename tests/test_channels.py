@@ -42,7 +42,7 @@ from zenosim.channels import (
     conjugation_superoperator,
     qdrift_point,
 )
-from zenosim.hamiltonian import PAULI_AXES, PAULI_MATRICES, pauli_rotations
+from zenosim.hamiltonian import pauli_rotations
 from test_linalg import matexp_taylor
 
 
@@ -64,8 +64,29 @@ def qdrift_step_by_kron_sum(h, delta_t):
     return sum(t.coefficient / h.lam * conjugation_superoperator(u) for t, u in zip(h.terms, unitaries))
 
 
+# The 2 x 2 Paulis as literals, independent of the package's (x, z) tables.
+PAULIS = {"I": [[1, 0], [0, 1]], "X": [[0, 1], [1, 0]], "Y": [[0, -1j], [1j, 0]], "Z": [[1, 0], [0, -1]]}
+
 # PAULI_VEC[2 r + c, w] = sigma_w[r, c] / sqrt(2): one qubit's leg of the Pauli basis change.
-PAULI_VEC = np.stack([PAULI_MATRICES[axis].reshape(-1) for axis in PAULI_AXES], axis=1) / np.sqrt(2)
+PAULI_VEC = np.stack([np.array(PAULIS[axis], dtype=complex).reshape(-1) for axis in "IXYZ"], axis=1) / np.sqrt(2)
+
+# sigma_w sigma_b = DIGIT_PHASES[w, b] sigma_(w ^ b), with I, X, Y, Z numbered 0-3.
+DIGIT_PHASES = np.array([[1, 1, 1, 1], [1, 1, 1j, -1j], [1, -1j, 1, 1j], [1, 1j, -1j, 1]])
+
+
+def qdrift_step_by_digits(h, delta_t):
+    """Oracle: the step PTM in base-4 digits, each word's phases the kron of DIGIT_PHASES rows, in the package's
+    accumulation order, so that it is bit for bit the package's PTM."""
+    probs = np.array([term.coefficient for term in h.terms]) / h.lam
+    c, s = np.cos(h.lam * delta_t), np.sin(h.lam * delta_t)
+    b = np.arange(4**h.num_qubits)
+    ptm = np.zeros((b.size, b.size))
+    for p, term in zip(probs, h.terms):
+        digits = ["IXYZ".index(axis) for axis in term.axes]
+        phase = functools.reduce(np.kron, DIGIT_PHASES[digits])  # word_j sigma_b = phase[b] sigma_(b ^ w_j)
+        ptm[b, b] += p * (c * c + s * s * (phase * phase).real)
+        ptm[b ^ int("".join(map(str, digits)), 4), b] += 2.0 * p * c * s * term.sign * phase.imag
+    return ptm
 
 
 def choi_by_pauli_legs(ptm):
@@ -206,6 +227,14 @@ class TestQdriftPtm:
         h = ceiling_hamiltonian("ceiling_5q32")
         expected = np.linalg.matrix_power(qdrift_step_by_kron_sum(h, 1.0 / 3), 3)
         assert np.max(np.abs(qdrift_channel(h, 1.0, 3).superoperator - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3, 4, 5])
+    def test_step_bit_equal_to_digit_construction(self, num_qubits):
+        # The (x, z) table build against base-4 digits with a phase product table: every entry is the same float.
+        terms = min(4**num_qubits - 1, 2 ** (num_qubits + 1))
+        h = random_hamiltonian(np.random.default_rng(num_qubits), terms, num_qubits)
+        for dt in (0.0, 0.013, 0.8):
+            assert _qdrift_step_ptm(h, dt).tobytes() == qdrift_step_by_digits(h, dt).tobytes()
 
     @pytest.mark.parametrize("num_qubits", [1, 2, 3])
     def test_identity_ptm_is_identity_choi(self, num_qubits):

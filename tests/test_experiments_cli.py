@@ -199,6 +199,17 @@ class TestConfigValidation:
         result = run_experiment(config(hfile, t=np.float64(1.0), n=None, epsilon=np.float64(0.1)))
         assert render_json(result) == render_json(run_experiment(config(hfile, n=None, epsilon=0.1)))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.longdouble])
+    @pytest.mark.parametrize("method", ["zeno1", "qdrift"])
+    def test_numpy_time_and_precision_run_as_their_floats(self, hfile, dtype, method):
+        # A float32 or longdouble t or epsilon used to reach the JSON writer, which cannot serialise it.
+        mode = "channel" if method == "qdrift" else "projected"
+        t, epsilon = dtype(0.1), dtype(0.003)
+        result = run_experiment(config(hfile, method=method, mode=mode, t=t, n=None, epsilon=epsilon))
+        assert [type(result.resolved_config[k]) for k in ("t", "epsilon")] == [float, float]
+        expected = run_experiment(config(hfile, method=method, mode=mode, t=float(t), n=None, epsilon=float(epsilon)))
+        assert render_json(result) == render_json(expected) and render_csv(result) == render_csv(expected)
+
     def test_numpy_counts_run_as_int(self, hfile):
         counts = dict(n=10, shots=10, seed=3, psi0=1)
         result = run_experiment(config(hfile, mode="sampled", **{k: np.int64(v) for k, v in counts.items()}))

@@ -1,10 +1,12 @@
 """Parser grammar, term algebra, and the dense Hamiltonian builder."""
 
+import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
-from conftest import random_hamiltonian
+from conftest import ceiling_hamiltonian, random_hamiltonian
 
 from zenosim import (
     CancellationError,
@@ -18,7 +20,15 @@ from zenosim import (
     term_matrix,
     to_text,
 )
-from zenosim.hamiltonian import PauliHamiltonian, PauliTerm, pauli_rotations
+from zenosim.hamiltonian import PauliHamiltonian, PauliTerm, pauli_rotations, pauli_tables
+
+# The 2 x 2 Paulis as literals, independent of the package's (x, z) tables.
+PAULIS = {"I": [[1, 0], [0, 1]], "X": [[0, 1], [1, 0]], "Y": [[0, -1j], [1j, 0]], "Z": [[1, 0], [0, -1]]}
+
+
+def pauli_word_by_kron(word, sign):
+    """Oracle: the kron of the literal 2 x 2 Paulis, first letter the most significant qubit."""
+    return sign * functools.reduce(np.kron, [np.array(PAULIS[c], dtype=complex) for c in word])
 
 
 def pauli_word_oracle(word, sign):
@@ -203,6 +213,19 @@ class TestTermMatrix:
         term = PauliTerm(coefficient=1.0, sign=sign, axes=word)
         np.testing.assert_allclose(term_matrix(term), pauli_word_oracle(word, sign), atol=1e-15)
 
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3])
+    def test_every_word_equals_kron_of_literal_paulis(self, num_qubits):
+        for word in map("".join, itertools.product("IXYZ", repeat=num_qubits)):
+            for sign in (1, -1):
+                term = PauliTerm(coefficient=1.0, sign=sign, axes=word)
+                assert np.array_equal(term_matrix(term), pauli_word_by_kron(word, sign)), (word, sign)
+
+    def test_ceiling_words_equal_kron_of_literal_paulis(self):
+        h = ceiling_hamiltonian("ceiling_6q32")
+        assert h.num_terms == 32
+        for term in h.terms:
+            assert np.array_equal(term_matrix(term), pauli_word_by_kron(term.axes, term.sign)), term.axes
+
     def test_involution_and_hermiticity(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
@@ -212,6 +235,27 @@ class TestTermMatrix:
             m = term_matrix(PauliTerm(coefficient=1.0, sign=sign, axes=word))
             assert np.max(np.abs(m - m.conj().T)) < 1e-14
             assert np.max(np.abs(m @ m - np.eye(2**n))) < 1e-14
+
+
+class TestPauliTables:
+    @pytest.mark.parametrize("num_qubits", [1, 3])
+    def test_every_table_rejects_writes(self, num_qubits):
+        for table in pauli_tables(num_qubits):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = table[0, 1]
+
+    def test_tables_are_built_once_per_size(self):
+        assert pauli_tables(2) is pauli_tables(2)
+
+    def test_masks_put_qubit_0_on_the_top_bit(self):
+        assert PauliTerm(coefficient=1.0, sign=1, axes="XIZY").masks == (0b1001, 0b0011)
+        assert PauliTerm(coefficient=1.0, sign=1, axes="IIII").masks == (0, 0)
+
+    def test_index_numbers_each_word_in_kron_order(self):
+        index = pauli_tables(2)[0]
+        for number, word in enumerate(map("".join, itertools.product("IXYZ", repeat=2))):
+            assert index[PauliTerm(coefficient=1.0, sign=1, axes=word).masks] == number, word
 
 
 class TestPauliRotations:
