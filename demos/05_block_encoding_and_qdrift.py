@@ -36,8 +36,8 @@ dt = 0.25
 
 corner = block_encoding_matrix(sys, dt)
 weighted_sum = sum(
-    (term.coefficient / h.lam) * matexp_hermitian(h.lam * term_matrix(term), dt)
-    for term in h.terms
+    weight * matexp_hermitian(h.lam * term_matrix(term), dt)
+    for weight, term in zip(sys.weights, h.terms)
 )
 print("block-encoding corner equals the weighted sum of block unitaries:",
       f"{np.max(np.abs(corner - weighted_sum)):.2e}")

@@ -1,6 +1,8 @@
 """The qdrift and trotter1 baselines, their sweep points, and the randomized-compilation channel machinery.
 
 Each point's t, N and rotation angle lam * t pass ``bounds.step_time``; its record is ``bounds.sweep_point``.
+qdrift draws term j with its select weight h_j / lam, which ``zeno.ExtendedSystem.weights`` owns, and turns it by
+its block angle lam * dt: one select step with the ancilla traced out is one qdrift step (arXiv:1811.08017).
 
 Superoperators act on column-stacked density matrices: ``vec(M)`` stacks
 the columns of ``M``, so ``vec(A X B) = (B^T kron A) vec(X)`` and the
@@ -31,6 +33,7 @@ from .bounds import ZenoRunResult, is_count, step_time, sweep_point
 from .errors import LimitExceededError
 from .hamiltonian import PauliHamiltonian, exact_evolution, pauli_rotations, pauli_tables
 from .linalg import as_matrix, hermitian_eigen, hermitian_trace_norm, lapack, spectral_norm
+from .zeno import build_extended
 
 CHANNEL_MAX_QUBITS = 5
 
@@ -89,18 +92,13 @@ def trotter_first_order(h: PauliHamiltonian, t: float, n_steps: int) -> np.ndarr
     return np.linalg.matrix_power(step, n_steps)
 
 
-def _qdrift_ensemble(h: PauliHamiltonian, delta_t: float) -> tuple[np.ndarray, float]:
-    """qDRIFT's sampling probabilities h_j / lam and its rotation angle lam * dt."""
-    return np.array([term.coefficient for term in h.terms]) / h.lam, h.lam * delta_t
-
-
 def qdrift_sample(h: PauliHamiltonian, t: float, n_steps: int, seed: int) -> QdriftTrajectory:
     """Sample one randomized product of ``n_steps`` factors from ``default_rng(seed)``, the seed an integer >= 0."""
     if not is_count(seed, 0):
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-    probs, angle = _qdrift_ensemble(h, step_time(t, n_steps, h.lam))
-    unitaries = pauli_rotations(h, [angle] * h.num_terms)
-    picks = np.random.default_rng(seed).choice(h.num_terms, size=n_steps, p=probs)
+    sys = build_extended(h)
+    unitaries = pauli_rotations(h, np.array(sys.block_rates[: h.num_terms]) * step_time(t, n_steps, h.lam))
+    picks = np.random.default_rng(seed).choice(h.num_terms, size=n_steps, p=sys.weights[: h.num_terms])
     product = np.eye(2**h.num_qubits, dtype=complex)
     for j in picks:
         product = unitaries[int(j)] @ product
@@ -114,15 +112,15 @@ def qdrift_sample(h: PauliHamiltonian, t: float, n_steps: int, seed: int) -> Qdr
 def _qdrift_step_ptm(h: PauliHamiltonian, delta_t: float) -> np.ndarray:
     """Real Pauli transfer matrix Tr(sigma_a E(sigma_b)) / d of one qDRIFT step.
 
-    Pauli strings are numbered in kron order, ``pauli_tables``'s index. With c, s = cos, sin(lam * dt), term j maps
-    sigma_b to c^2 sigma_b + s^2 P_j sigma_b P_j - i c s [P_j, sigma_b]: a diagonal part, plus 2 P_j sigma_b where
+    Pauli strings are numbered in kron order, ``pauli_tables``'s index. With c, s = cos, sin of its block angle, term j
+    maps sigma_b to c^2 sigma_b + s^2 P_j sigma_b P_j - i c s [P_j, sigma_b]: a diagonal part, plus 2 P_j sigma_b where
     they anticommute. For term j's word (x_j, z_j), sigma_(x_j,z_j) sigma_(x,z) = product[x, z] sigma_(x^x_j, z^z_j).
     """
-    probs, angle = _qdrift_ensemble(h, delta_t)
-    c, s = np.cos(angle), np.sin(angle)
+    sys = build_extended(h)
     index, phase, sign = pauli_tables(h.num_qubits)
     r, ptm = np.arange(len(index)), np.zeros((index.size, index.size))
-    for p, term in zip(probs, h.terms):
+    for p, rate, term in zip(sys.weights, sys.block_rates, h.terms):
+        c, s = np.cos(rate * delta_t), np.sin(rate * delta_t)
         xj, zj = term.masks
         partner = np.ix_(r ^ xj, r ^ zj)
         product = phase[xj, zj] * phase * sign[xj] * phase[partner].conj()  # phase is a power of -i: conj inverts it

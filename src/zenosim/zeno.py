@@ -17,32 +17,28 @@ with analytically evaluated blocks ``U_j(dt) = cos(theta) I - i sin(theta) P``
 ``hamiltonian.pauli_rotations``). Two projector
 variants are supported:
 
-* ``standard``: ancilla state has amplitudes sqrt(h_j / lam); block angle
-  ``lam * dt`` on every real block.
-* ``mub``: ancilla state is the uniform superposition over all 2^n_ancilla
-  basis states (Hadamard word); block angle ``2^n_ancilla * h_j * dt``.
+* ``standard``: block weights h_j / lam; block angle ``lam * dt`` on every real block.
+* ``mub``: the uniform superposition over all 2^n_ancilla basis states (Hadamard word); block angle
+  ``2^n_ancilla * h_j * dt``.
 
-When L is not a power of two, the ancilla register is padded: the prepared
-state has zero amplitude on padded basis states (standard variant) and
-select acts as the identity there.
+``ExtendedSystem.weights`` owns the block weights |phi_j|^2, which ``A(dt)`` below and qdrift in ``channels`` read;
+the prepared state phi is their square root. When L is not a power of two, the ancilla register is padded: the
+weights are zero on padded basis states (standard variant) and select acts as the identity there.
 
 Post-selection keys on the all-zeros ancilla outcome after undoing the
 prepare unitary; its probability over a run is the success probability.
 
-The runs stay on the target register: with ``P = 1 (x) |phi><phi|`` (``phi``
-the prepared ancilla state), ``P select(dt) P = A(dt) (x) |phi><phi|`` where
-``A(dt) = sum_k |phi_k|^2 U_k(dt)``. For the standard projector every block
-turns by ``theta = lam dt``, so ``A(dt) = cos(theta) - i sin(theta) H / lam``
-is a function of H, and so is the second-order step ``2 A(dt/2)^2 - A(dt)``:
-zeno1 and zeno2 act on each eigenvector of H as a scalar, and all their
-points read the Hamiltonian's cached ``spectrum``. mub's blocks turn at
-different angles, so it powers A(dt) against ``exact_evolution`` (read from
-that spectrum); its sampled points read the spectrum of H' in
-A(dt) = alpha - i H' (alpha real, H' Hermitian). The kick sequence leaves the
-range of P but splits into one invariant plane per eigenvalue of H, where it
-is a 2x2 unitary (``run_kicks``), on the same spectrum. Only ``select_unitary`` and ``extended_hamiltonian``
-build combined-register matrices. Each run checks t, N and its largest rotation angle, ``bounds.method_rate`` times
-t, with ``bounds.step_time`` and returns the ``bounds.sweep_point`` record, as the baselines in ``channels`` do.
+The runs stay on the target register: with ``P = 1 (x) |phi><phi|`` (``phi`` the prepared ancilla state),
+``P select(dt) P = A(dt) (x) |phi><phi|`` where ``A(dt) = sum_k w_k U_k(dt)`` with the weights w_k = |phi_k|^2. For the
+standard projector every block turns by ``theta = lam dt``, so ``A(dt) = cos(theta) - i sin(theta) H / lam`` is a
+function of H, and so is the second-order step ``2 A(dt/2)^2 - A(dt)``: zeno1 and zeno2 act on each eigenvector of H
+as a scalar, and all their points read the Hamiltonian's cached ``spectrum``. mub's blocks turn at different angles,
+so it powers A(dt) against ``exact_evolution`` (read from that spectrum); its sampled points read the spectrum of H'
+in A(dt) = alpha - i H' (alpha real, H' Hermitian). The kick sequence leaves the range of P but splits into one
+invariant plane per eigenvalue of H, where it is a 2x2 unitary (``run_kicks``), on the same spectrum. Only
+``select_unitary`` and ``extended_hamiltonian`` build combined-register matrices. Each run checks t, N and its
+largest rotation angle, ``bounds.method_rate`` times t, with ``bounds.step_time`` and returns the
+``bounds.sweep_point`` record, as the baselines in ``channels`` do.
 """
 
 from __future__ import annotations
@@ -80,7 +76,8 @@ class ExtendedSystem:
     target_dim: int = field(init=False, compare=False)
     n_ancilla: int = field(init=False, compare=False)
     ancilla_dim: int = field(init=False, compare=False)
-    projector_state: np.ndarray = field(init=False, compare=False)  # ancilla state defining the projector
+    weights: np.ndarray = field(init=False, compare=False)  # |phi_k|^2 per select block, 0 when padded
+    projector_state: np.ndarray = field(init=False, compare=False)  # the ancilla state phi = sqrt(weights)
     generator_scale: float = field(init=False, compare=False)  # lam (standard) or 2^n_ancilla (mub)
     block_rates: tuple[float, ...] = field(init=False, compare=False)  # angle per unit time, 0 when padded
 
@@ -93,19 +90,21 @@ class ExtendedSystem:
         lam = h.lam
 
         if variant == VARIANT_STANDARD:
-            state = np.zeros(ancilla_dim, dtype=complex)
-            state[:num_terms] = np.sqrt([t.coefficient / lam for t in h.terms])
+            weights = np.zeros(ancilla_dim)
+            weights[:num_terms] = np.array([t.coefficient for t in h.terms]) / lam
             scale = lam
             rates = [lam] * num_terms
-        else:
-            state = np.full(ancilla_dim, 1.0 / math.sqrt(ancilla_dim), dtype=complex)
+        else:  # |1/sqrt(d_a)|^2, 1 ulp below 1/d_a for odd n_ancilla (ROADMAP item 3)
+            weights = np.full(ancilla_dim, 1.0 / math.sqrt(ancilla_dim)) ** 2
             scale = float(ancilla_dim)
             rates = [scale * t.coefficient for t in h.terms]
         rates.extend(0.0 for _ in range(ancilla_dim - num_terms))
         if not is_real(max(rates)):  # 2^n_ancilla times a coefficient can overflow
             raise LimitExceededError(f"select block rate {max(rates):g} is not finite")
-        state.setflags(write=False)
-        derived = dict(target_dim=2**h.num_qubits, n_ancilla=h.n_ancilla, ancilla_dim=ancilla_dim,
+        state = np.sqrt(weights).astype(complex)
+        for array in (weights, state):
+            array.setflags(write=False)
+        derived = dict(target_dim=2**h.num_qubits, n_ancilla=h.n_ancilla, ancilla_dim=ancilla_dim, weights=weights,
                        projector_state=state, generator_scale=scale, block_rates=tuple(rates))
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -154,8 +153,8 @@ def select_unitary(sys: ExtendedSystem, delta_t: float) -> np.ndarray:
 
 
 def _corner(sys: ExtendedSystem, delta_t: float) -> np.ndarray:
-    """A(dt) = sum_k |phi_k|^2 U_k(dt), so that P select(dt) P = A(dt) (x) |phi><phi|."""
-    return np.tensordot(np.abs(sys.projector_state) ** 2, _blocks(sys, delta_t), axes=1)
+    """A(dt) = sum_k w_k U_k(dt) with w_k = |phi_k|^2 (``weights``), so that P select(dt) P = A(dt) (x) |phi><phi|."""
+    return np.tensordot(sys.weights, _blocks(sys, delta_t), axes=1)
 
 
 def _initial_state(sys: ExtendedSystem, psi0: np.ndarray | None) -> np.ndarray:

@@ -184,6 +184,20 @@ class TestQdriftSample:
         freq = sum(1 for j in traj.sampled_indices if j == 1) / 10_000
         assert abs(freq - 0.6) <= 3 * np.sqrt(0.24 / 10_000)
 
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3, 4, 5])
+    def test_draws_and_product_bit_equal_to_term_probabilities(self, num_qubits):
+        # Probabilities h_j / lam and angle lam * dt, built here without build_extended: the same picks and the same
+        # product, bit for bit, as the select ensemble gives.
+        h = random_hamiltonian(np.random.default_rng(num_qubits), min(4**num_qubits - 1, 3 * num_qubits), num_qubits)
+        unitaries = pauli_rotations(h, [h.lam * (0.7 / 40)] * h.num_terms)
+        for seed in (0, 1, 2):
+            picks = np.random.default_rng(seed).choice(
+                h.num_terms, size=40, p=np.array([term.coefficient for term in h.terms]) / h.lam)
+            product = functools.reduce(lambda u, j: unitaries[j] @ u, picks, np.eye(2**num_qubits, dtype=complex))
+            traj = qdrift_sample(h, 0.7, 40, seed)
+            assert traj.sampled_indices == tuple(int(j) + 1 for j in picks)
+            assert traj.resulting_unitary.tobytes() == product.tobytes()
+
     def test_unitary_output(self, h2q):
         traj = qdrift_sample(h2q, 0.8, 30, seed=5)
         u = traj.resulting_unitary
@@ -231,6 +245,7 @@ class TestQdriftPtm:
     @pytest.mark.parametrize("num_qubits", [1, 2, 3, 4, 5])
     def test_step_bit_equal_to_digit_construction(self, num_qubits):
         # The (x, z) table build against base-4 digits with a phase product table: every entry is the same float.
+        # The oracle takes its probabilities h_j / lam and angle lam * dt from h, not from the select ensemble.
         terms = min(4**num_qubits - 1, 2 ** (num_qubits + 1))
         h = random_hamiltonian(np.random.default_rng(num_qubits), terms, num_qubits)
         for dt in (0.0, 0.013, 0.8):

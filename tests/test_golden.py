@@ -69,26 +69,46 @@ def test_golden_output(name, args):
     assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
 
 
-def zeno_golden_files():
-    return [name for name, args in golden_configs() if {"zeno1", "zeno2", "--compare"} & set(args)]
+def golden_files(*methods):
+    return [name for name, args in golden_configs() if {*methods, "--compare"} & set(args)]
 
 
-@pytest.mark.parametrize("name", zeno_golden_files())
+def golden_rows(name):
+    """The printed points of golden file ``name``, JSON or CSV."""
+    text = (GOLDEN / name).read_text(encoding="utf-8")
+    return json.loads(text)["points"] if name.endswith(".json") else list(csv.DictReader(io.StringIO(text)))
+
+
+def printed(value):
+    """A reference of tests/zeno_references.json rounded to the 12 significant digits the CLI prints."""
+    return float(format(Decimal(value), ".12g"))
+
+
+@pytest.mark.parametrize("name", golden_files("zeno1", "zeno2"))
 def test_zeno_digits(name):
     # Every printed zeno1/zeno2 error and success probability is its 40-digit per-eigenvalue reference
     # (tests/zeno_references.py), rounded to the 12 significant digits the CLI prints.
     references = json.loads(REFERENCES.read_text(encoding="utf-8"))
-    text = (GOLDEN / name).read_text(encoding="utf-8")
-    rows = json.loads(text)["points"] if name.endswith(".json") else list(csv.DictReader(io.StringIO(text)))
     instance, psi_index = name.split("-")[0], 1 if "psi1" in name else 0
     checked = 0
-    for row in rows:
+    for row in golden_rows(name):
         if row["method"] in ("zeno1", "zeno2"):
             reference = references[f"{instance} {row['method']} {row['N']}"]
             for column, value in (("epsilon_measured", reference["epsilon"]), ("p_succ_exact", reference["p_succ"][psi_index])):
-                assert float(row[column]) == float(format(Decimal(value), ".12g")), (row["N"], column)
+                assert float(row[column]) == printed(value), (row["N"], column)
                 checked += 1
     assert checked >= 4
+
+
+@pytest.mark.parametrize("name", golden_files("kicks"))
+def test_kicks_digits(name):
+    # Every printed kicks error is its per-plane reference (tests/zeno_references.py) at 12 digits.
+    references = json.loads(REFERENCES.read_text(encoding="utf-8"))
+    instance = name.split("-")[0]
+    rows = [row for row in golden_rows(name) if row["method"] == "kicks"]
+    for row in rows:
+        assert float(row["epsilon_measured"]) == printed(references[f"{instance} kicks {row['N']}"]["epsilon"]), row["N"]
+    assert len(rows) >= 2
 
 
 if __name__ == "__main__":

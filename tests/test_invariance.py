@@ -8,8 +8,9 @@ float it converts to.
 
 Reversing the term list, or conjugating H by a qubit permutation and local Cliffords (perfbench's ``relabel``),
 keeps its spectrum, so every error must agree to a relative ``SPREAD``, fixed before any reading was taken. The
-success probability is left out: ``relabel`` moves the initial state |0..0> relative to H. trotter1's error
-depends on the term order and on more than the spectrum, so it is not checked here.
+success probability is left out: ``relabel`` moves the initial state |0..0> relative to H. Relabelling maps each
+term to a term in the same place of the list, so it conjugates trotter1's product formula as it conjugates H and
+keeps trotter1's error too; only the term-order check leaves trotter1 out, as its error depends on the order.
 """
 
 from dataclasses import fields, replace
@@ -124,13 +125,30 @@ def test_term_order_keeps_the_error(instance, method, t, n):
     _assert_same_error(h, {"reversed": _reversed(h)}, method, t, n)
 
 
-@pytest.mark.parametrize("method,t,n", [
-    pytest.param(method, t, n, id=f"{method}-t{t:g}-N{n}",
-                 marks=[MUB_ROUNDOFF] if method == "mub" and n == 10**6 else [])
-    for method in PROJECTED for t, n in INVARIANT_POINTS
+TROTTER_RELABEL_ROUNDOFF = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 3, trotter1 slice: binary powering of the product formula leaves roundoff "
+    "that depends on the labels, a relative spread of 1.9e-1 at (1e-4, 10^6) and 3.5e-10 at (1, 10^6)")
+QDRIFT_RELABEL_ROUNDOFF = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 3, qdrift slice: the PTM power's roundoff depends on the labels, a relative "
+    "spread of 1.5e-1 at (1e-4, 10^6)")
+
+
+def _relabelling_cases():
+    """(instance, method, t, n, seeds, marks): every projected method and trotter1 on 6q/32, qdrift on 5q/32."""
+    for method in (*PROJECTED, "trotter1"):
+        for t, n in INVARIANT_POINTS:
+            roundoff = {"mub": [MUB_ROUNDOFF], "trotter1": [TROTTER_RELABEL_ROUNDOFF]}.get(method, [])
+            yield "ceiling_6q32", method, t, n, range(4), roundoff if n == 10**6 else []
+    for t, n in ((1e-4, 10**6), (1.0, 10**3)):
+        yield "ceiling_5q32", "qdrift", t, n, range(3), [QDRIFT_RELABEL_ROUNDOFF] if n == 10**6 else []
+
+
+@pytest.mark.parametrize("instance,method,t,n,seeds", [
+    pytest.param(instance, method, t, n, seeds, id=f"{method}-t{t:g}-N{n}", marks=marks)
+    for instance, method, t, n, seeds, marks in _relabelling_cases()
 ])
-def test_relabelling_keeps_the_error(method, t, n):
-    h = ceiling_hamiltonian("ceiling_6q32")
-    instance = Instance([(repr(term.coefficient), term.sign, term.axes) for term in h.terms])
-    variants = {f"seed {seed}": parse_hamiltonian(relabel(instance, seed).text()) for seed in range(4)}
+def test_relabelling_keeps_the_error(instance, method, t, n, seeds):
+    h = ceiling_hamiltonian(instance)
+    labelled = Instance([(repr(term.coefficient), term.sign, term.axes) for term in h.terms])
+    variants = {f"seed {seed}": parse_hamiltonian(relabel(labelled, seed).text()) for seed in seeds}
     _assert_same_error(h, variants, method, t, n)

@@ -77,6 +77,42 @@ class TestBuildExtended:
             atol=1e-15,
         )
 
+    @pytest.mark.parametrize("instance", ["1q", "2q", "3q", "4q", "5q", "6q", "ceiling_5q32", "ceiling_6q32"])
+    def test_weights_are_the_term_probabilities(self, instance):
+        # Bit for bit h_j / lam as one array division, the probabilities qdrift draws with; 0 on padded states.
+        if instance.startswith("ceiling"):
+            h = ceiling_hamiltonian(instance)
+        else:
+            n = int(instance[0])
+            h = random_hamiltonian(np.random.default_rng(n), min(4**n - 1, 3 * n), n)
+        sys = build_extended(h)
+        weights = sys.weights
+        assert weights.shape == (sys.ancilla_dim,) and weights.dtype == np.float64
+        assert np.array_equal(weights[: h.num_terms], np.array([term.coefficient for term in h.terms]) / h.lam)
+        assert not weights[h.num_terms :].any()
+
+    @pytest.mark.parametrize("num_terms", [1, 2, 3, 5, 8, 13, 32])
+    def test_projector_state_is_the_square_root_of_the_weights(self, num_terms):
+        # The prepared states are those built from amplitudes directly, bit for bit, and mub's weights are
+        # |1/sqrt(d_a)|^2, 1 ulp below 1/d_a for odd n_a.
+        h = random_hamiltonian(np.random.default_rng(num_terms), num_terms, 3)
+        standard, mub = build_extended(h), build_extended(h, "mub")
+        d_a = standard.ancilla_dim
+        amplitudes = np.zeros(d_a, dtype=complex)
+        amplitudes[:num_terms] = np.sqrt([term.coefficient / h.lam for term in h.terms])
+        uniform = np.full(d_a, 1.0 / math.sqrt(d_a), dtype=complex)
+        assert standard.projector_state.tobytes() == amplitudes.tobytes()
+        assert mub.projector_state.tobytes() == uniform.tobytes()
+        assert mub.weights.tobytes() == (np.abs(uniform) ** 2).tobytes()
+        assert (mub.weights[0] == 1.0 / d_a) == (mub.n_ancilla % 2 == 0)
+
+    @pytest.mark.parametrize("variant", ["standard", "mub"])
+    def test_weights_and_state_reject_writes(self, h3, variant):
+        sys = build_extended(h3, variant)
+        for array in (sys.weights, sys.projector_state):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
+
     def test_prepare_creates_state_and_is_unitary(self, h3):
         sys = build_extended(h3)
         e0 = np.zeros(sys.ancilla_dim)
@@ -608,6 +644,18 @@ class TestBlockEncoding:
                 u_j = matexp_hermitian(h.lam * term_matrix(term), dt)
                 expected += (term.coefficient / h.lam) * u_j
             assert spectral_norm(block_encoding_matrix(sys, dt) - expected) < 1e-10
+
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3, 4, 5, 6])
+    def test_weighted_sum_of_rotations(self, num_qubits):
+        # The corner is sum_k (h_k / lam) (cos(theta) 1 - i sin(theta) P_k) at theta = lam dt, every block's angle.
+        rng = np.random.default_rng(40 + num_qubits)
+        h = random_hamiltonian(rng, min(4**num_qubits - 1, 5 * num_qubits), num_qubits)
+        eye = np.eye(2**num_qubits)
+        for dt in (0.0, 1e-9 / h.lam, float(rng.uniform(0.0, 1.0)) / h.lam, 1.5 / h.lam):
+            theta = h.lam * dt
+            rotations = [math.cos(theta) * eye - 1j * math.sin(theta) * term_matrix(term) for term in h.terms]
+            expected = sum((term.coefficient / h.lam) * u for term, u in zip(h.terms, rotations))
+            assert np.max(np.abs(block_encoding_matrix(build_extended(h), dt) - expected)) <= 1e-15
 
     def test_mub_variant_rejected(self, sys3_mub):
         with pytest.raises(ValueError, match="standard"):
