@@ -7,10 +7,8 @@ against its quadratic lower bound, the full-run probability against the
 1 - 2 lam^2 t^2 / N bound, and the step counts that invert those bounds.
 """
 
-import math
+import bisect
 from pathlib import Path
-
-import numpy as np
 
 from zenosim import bounds, build_extended, load_hamiltonian, run_zeno, step_success_probability
 
@@ -34,10 +32,13 @@ for n in (5, 10, 25, 50, 100):
     print(f"{n:>6} {r.p_succ_exact:>12.8f} {r.p_succ_bound:>12.8f}")
 print()
 
+# Both budgets invert the bounds the verdict reads (bounds.method_bounds): the least N whose bound meets the target.
+cap = 10**6
 for eps in (0.1, 0.01):
-    n = bounds.steps_for_precision(h.lam, t, eps)
+    n = bounds.steps_for_precision("zeno1", h, t, eps, cap)
     print(f"steps for error bound <= {eps}: N = {n}")
 for p_target in (0.9, 0.98):
-    # Solve 1 - 2 lam^2 t^2 / N >= p_target for N.
-    n = math.ceil(2 * (h.lam * t) ** 2 / (1 - p_target) * (1 - 1e-12))
+    # The success bound 1 - 2 lam^2 t^2 / N grows with N, so the least N that reaches p_target is found by bisection.
+    n = 1 + bisect.bisect_left(range(1, cap + 1), True,
+                               key=lambda k: bounds.method_bounds("zeno1", h, t, k)[1] >= p_target)
     print(f"step budget for success bound >= {p_target}: N = {n}")

@@ -11,20 +11,19 @@ bounds, one row per method, as functions of that angle ``x = method_rate * t`` a
 bound stays finite where ``t * t`` alone would underflow or ``lam * lam`` overflow. ``method_bounds`` is the one
 place that evaluates them. Success-probability lower bounds are clamped at zero (the raw expressions go negative
 for small ``n``). The forms use products, not powers: a float ``**`` raises OverflowError where ``*`` gives ``inf``.
-
-The step-count formula uses a ceiling with a 1e-12 relative nudge so that exact-ratio inputs (for example
-``t=1, lam=1, epsilon=0.01``) are not pushed up by floating-point roundoff.
+Every error row is non-increasing in ``n`` in float arithmetic, so ``steps_for_precision`` finds the least ``n``
+whose bound meets a precision by bisection over the same row, and inverts no formula by hand.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from numbers import Integral, Real
 
-from .errors import LimitExceededError
+from .errors import ConfigError, LimitExceededError
 
-_CEIL_NUDGE = 1e-12
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 # method -> (x, n) -> (error bound or None, unclamped success bound). mub is zeno1 at its own rate; methods that
@@ -129,13 +128,14 @@ def sweep_point(method: str, h, t: float, n: int, epsilon: float, p_succ: float 
                          epsilon_bound=eps_bound, p_succ_exact=p_succ, p_succ_bound=p_bound)
 
 
-def steps_for_precision(lam: float, t: float, epsilon: float) -> int:
-    """Steps for the first-order error bound to reach ``epsilon``; LimitExceededError if (lam t)^2 / epsilon is inf."""
+def steps_for_precision(method: str, h, t: float, epsilon: float, cap: int) -> int:
+    """The least N <= ``cap`` whose ``method_bounds`` error bound is at most ``epsilon``: LimitExceededError if none
+    is, ConfigError (a usage error) for a method that states no error bound."""
     if not (is_real(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
-    if not (is_real(lam) and lam > 0):
-        raise ValueError(f"coefficient 1-norm must be finite and positive, got {lam!r}")
-    x = lam * step_time(t, 1, lam)
-    if not is_real(steps := x * x / float(epsilon)):
-        raise LimitExceededError(f"epsilon {epsilon!r} needs a step count (lam t)^2 / epsilon that is not finite")
-    return max(1, math.ceil(steps * (1.0 - _CEIL_NUDGE)))
+    epsilon, at_cap = float(epsilon), method_bounds(method, h, t, cap)[0]
+    if at_cap is None:
+        raise ConfigError(f"method {method!r} states no error bound, so epsilon cannot resolve its step count")
+    if at_cap > epsilon:
+        raise LimitExceededError(f"the step count {method} needs for epsilon {epsilon!r} exceeds the cap of {cap}")
+    return 1 + bisect.bisect_left(range(1, cap + 1), True, key=lambda n: method_bounds(method, h, t, n)[0] <= epsilon)

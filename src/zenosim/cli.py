@@ -2,18 +2,18 @@
 
 Exit codes: 0 all bounds satisfied; 1 usage error (bad flags, neither or both
 of --method and --compare, a Hamiltonian path that cannot be read, a method
-and mode the method table does not pair, non-finite or negative t, epsilon
-not finite and positive, shots below 1 in any mode, a negative seed, a psi0
-index outside the target register, an empty --compare list, an --out path
-that cannot be written) or numerical failure (a LAPACK decomposition that did
-not converge); 2 Hamiltonian parse error (including non-finite coefficients
-and files that are not UTF-8); 3 desk-scale limit exceeded (a step count
-above ``MAX_STEPS``, a sweep of more than ``MAX_SWEEP_POINTS`` step counts,
-sampled mode with more than ``MAX_SHOTS`` shots or more than
-``MAX_SHOT_STEPS`` shots times steps, and a float overflowing in lam, a mub
-block rate, the largest rotation angle rate * t or the --epsilon step count);
-4 at least one measured value violated its analytic bound. The error classes
-in ``errors`` carry these codes.
+and mode the method table does not pair, non-finite or negative t, epsilon not
+finite and positive, --epsilon with trotter1 or --compare, shots below 1 in
+any mode, a negative seed, a psi0 index outside the target register, an empty
+--compare list, an --out path that cannot be written) or numerical failure (a
+LAPACK decomposition that did not converge); 2 Hamiltonian parse error
+(including non-finite coefficients and files that are not UTF-8); 3 desk-scale
+limit exceeded (a step count above ``MAX_STEPS``, --epsilon's included, a
+sweep of more than ``MAX_SWEEP_POINTS`` step counts, sampled mode with more
+than ``MAX_SHOTS`` shots or more than ``MAX_SHOT_STEPS`` shots times steps,
+and a float overflowing in lam, a mub block rate or the largest rotation angle
+rate * t); 4 at least one measured value violated its analytic bound. The
+error classes in ``errors`` carry these codes.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Experiment harness: configs, sweeps, slope fits, and output rendering.
 
 A config names a Hamiltonian file, a method, an evolution time, and exactly
-one way to choose step counts: a fixed ``n``, a target ``epsilon`` (which
-resolves to the first-order step formula), or an explicit ``sweep`` list.
-Runs are deterministic: the same config (seed included) produces
-byte-identical output files.
+one way to choose step counts: a fixed ``n``, a target ``epsilon`` (the least
+N whose method's error bound meets it), or an explicit ``sweep`` list. Runs
+are deterministic: the same config (seed included) produces byte-identical
+output files.
 
 CSV columns are fixed (``CSV_COLUMNS``, one ``ZenoRunResult`` attribute
 each). Floats are printed with 12 significant digits, a non-finite one as
@@ -144,7 +144,7 @@ def _resolve(config: ExperimentConfig, h: PauliHamiltonian) -> tuple[list[int], 
             raise ConfigError(f"n must be >= 1 and an integer, got {config.n!r}")
         ns = [int(config.n)]
     else:
-        ns = [bounds.steps_for_precision(h.lam, config.t, config.epsilon)]
+        ns = [bounds.steps_for_precision(config.method, h, config.t, config.epsilon, MAX_STEPS)]
     if ns[-1] > MAX_STEPS:
         raise LimitExceededError(f"step count {ns[-1]} exceeds the cap of {MAX_STEPS}")
     if config.mode == "sampled" and config.shots > MAX_SHOTS:
@@ -237,11 +237,14 @@ def compare_methods(config: ExperimentConfig, methods) -> MethodComparison:
     """Run several methods on the shared Hamiltonian, time, and sweep.
 
     Each method runs in the first of its modes; ``config.mode`` is ignored. Every method reads the one
-    Hamiltonian's cached spectrum, so the comparison takes one ``eigh`` of H.
+    Hamiltonian's cached spectrum, so the comparison takes one ``eigh`` of H. The methods share their step
+    counts, so ``config`` sets ``n`` or ``sweep``; an ``epsilon`` (one N per method) is a ConfigError.
     """
     methods = list(methods)
     if not methods:
         raise ConfigError("compare needs at least one method")
+    if config.epsilon is not None:
+        raise ConfigError("compare runs every method at shared step counts: set n or sweep, not epsilon")
     if len(set(methods)) != len(methods):
         raise ConfigError("compare methods must be distinct")
     configs = [replace(config, method=m, mode=_modes(m)[0]) for m in methods]

@@ -203,15 +203,15 @@ def _survival(log_r: np.ndarray, weights: np.ndarray, start: int, stop: int) -> 
 
 
 def _standard(sys: ExtendedSystem, delta_t: float, n_steps: int, order: int, psi: np.ndarray):
-    """(error, ||A^N psi||^2, survival) from the spectrum of H, where survival is (log r_j^2, w_j, fidelity).
+    """(error, overlap <e^(-iHt) psi, A^N psi>, log r_j^2, w_j) from the spectrum of H.
 
     On the eigenvector psi_j of H, with a = E_j / lam, theta = lam dt and u = 1 - cos(theta), the step is
     mu_j = cos(theta) - i a sin(theta) (order 1) or 1 - a^2 u - i a sin(theta) (order 2). The step is
     normal, so the error is max_j |mu_j^N - e^(-i E_j t)| = sqrt((r^N - 1)^2 + 4 r^N sin^2(delta_j / 2))
-    with r = |mu_j| and delta_j = N arg(mu_j) + E_j t, and the success probability is sum_j w_j r^(2N)
-    with w_j = |<psi_j|psi>|^2. Nothing is formed by cancellation: |mu|^2 - 1 is -sin(theta)^2 (1 - a^2)
+    with r = |mu_j| and delta_j = N arg(mu_j) + E_j t, and the overlap is sum_j w_j r^N e^(i delta_j) with
+    w_j = |<psi_j|psi>|^2. Nothing is formed by cancellation: |mu|^2 - 1 is -sin(theta)^2 (1 - a^2)
     or -a^2 (1 - a^2) u^2, and as E_j t = N a theta, delta_j is N arg(mu_j e^(i a theta)), whose O(theta)
-    terms cancel exactly. The surviving state's fidelity is |sum_j w_j r^N e^(i delta_j)|^2 / sum_j w_j r^(2N).
+    terms cancel exactly.
     """
     energies, vectors = sys.hamiltonian.spectrum
     lam = sys.hamiltonian.lam
@@ -234,29 +234,23 @@ def _standard(sys: ExtendedSystem, delta_t: float, n_steps: int, order: int, psi
 
     half = 0.5 * n_steps * log_r  # log r^N
     epsilon = float(np.max(np.hypot(np.expm1(half), 2.0 * np.exp(0.5 * half) * np.sin(0.5 * phase))))
-    p_succ = float(np.dot(weights, np.exp(n_steps * log_r)))
-    overlap = np.dot(weights * np.exp(half), np.exp(1j * phase))  # <e^(-iHt) psi, A^N psi>
-    return epsilon, p_succ, (log_r, weights, float(abs(overlap) ** 2 / p_succ) if p_succ else None)
+    return epsilon, np.dot(weights * np.exp(half), np.exp(1j * phase)), log_r, weights
 
 
 def _mub(sys: ExtendedSystem, t: float, delta_t: float, n_steps: int, psi: np.ndarray):
     """``_standard``'s tuple for the mub projector, whose blocks turn at different angles: A(dt) is no function of H.
 
-    The error and success probability come from A(dt)^N. A(dt) = alpha - i H' with alpha = A[0, 0] real and H'
-    Hermitian, so on the eigenvector of H' with eigenvalue mu_j the step has modulus r_j^2 = alpha^2 + mu_j^2.
+    The error and overlap come from A(dt)^N. A(dt) = alpha - i H' with alpha = A[0, 0] real and H' Hermitian,
+    so on the eigenvector of H' with eigenvalue mu_j the step has modulus r_j^2 = alpha^2 + mu_j^2.
     """
     step = _corner(sys, delta_t)
     exact = exact_evolution(sys.hamiltonian, t)
     repeated = np.linalg.matrix_power(step, n_steps)
-    epsilon = spectral_norm(repeated - exact)
-    final = repeated @ psi
-    p_succ = float(np.linalg.norm(final) ** 2)
     mu, basis = hermitian_eigen(0.5j * (step - step.conj().T))
     with np.errstate(divide="ignore"):  # r = 0 where alpha = mu_j = 0
         log_r = np.log(step[0, 0].real ** 2 + mu**2)
     weights = np.abs(basis.conj().T @ psi) ** 2
-    fidelity = float(abs(np.vdot(exact @ psi, final)) ** 2 / p_succ) if p_succ else None
-    return epsilon, p_succ, (log_r, weights, fidelity)
+    return spectral_norm(repeated - exact), np.vdot(exact @ psi, repeated @ psi), log_r, weights
 
 
 def _projected(sys: ExtendedSystem, t: float, n_steps: int, order: int, psi0: np.ndarray | None):
@@ -271,10 +265,12 @@ def _projected(sys: ExtendedSystem, t: float, n_steps: int, order: int, psi0: np
 
     psi = _initial_state(sys, psi0)
     if sys.variant == VARIANT_STANDARD:
-        epsilon, p_succ, survival = _standard(sys, delta_t, n_steps, order, psi)
+        epsilon, overlap, log_r, weights = _standard(sys, delta_t, n_steps, order, psi)
     else:
-        epsilon, p_succ, survival = _mub(sys, t, delta_t, n_steps, psi)
-    return sweep_point(method, sys.hamiltonian, t, n_steps, epsilon, min(p_succ, 1.0)), survival
+        epsilon, overlap, log_r, weights = _mub(sys, t, delta_t, n_steps, psi)
+    p_succ = float(np.dot(weights, np.exp(n_steps * log_r)))  # sum_j w_j r_j^(2N) = ||A^N psi||^2
+    fidelity = float(abs(overlap) ** 2 / p_succ) if p_succ else None
+    return sweep_point(method, sys.hamiltonian, t, n_steps, epsilon, min(p_succ, 1.0)), (log_r, weights, fidelity)
 
 
 def run_zeno(
@@ -289,8 +285,8 @@ def run_zeno(
     The run is (step (x) |phi><phi|)^N, so the error is the spectral norm of
     step^N minus the exact evolution, and the success probability is
     ||step^N psi0||^2 (exact post-selection, no sampling). For the standard
-    projector both come from the Hamiltonian's spectrum; for mub, from the
-    N-th matrix power of A(dt).
+    projector both come from the Hamiltonian's spectrum; for mub, the error
+    from the N-th matrix power of A(dt), the probability from H'.
     """
     return _projected(sys, t, n_steps, order, psi0)[0]
 

@@ -5,8 +5,10 @@ import re
 
 import numpy as np
 import pytest
+from conftest import random_hamiltonian
 
 from zenosim import (
+    ConfigError,
     LimitExceededError,
     bounds,
     build_extended,
@@ -121,53 +123,90 @@ class TestQdrift:
         assert error_bound("qdrift", 1, 1, 400) == pytest.approx(0.01)
 
 
+CAP = 10**6  # the command line's step cap
+BOUNDED = [m for m in bounds._CLOSED_FORMS if m != "trotter1"]  # every method that states an error bound
+
+
+def old_zeno1_steps(lam, t, epsilon):
+    """The closed-form zeno1 count that steps_for_precision computed before it bisected the bound row."""
+    x = lam * float(t)
+    return max(1, math.ceil(x * x / epsilon * (1.0 - 1e-12)))
+
+
 class TestStepFormulas:
     def test_steps_for_precision_examples(self):
-        assert bounds.steps_for_precision(1, 1, 0.01) == 100
-        assert bounds.steps_for_precision(1, 0, 0.01) == 1
-        assert bounds.steps_for_precision(2, 1, 0.1) == 40
+        assert bounds.steps_for_precision("zeno1", equal_weights(1), 1, 0.01, CAP) == 100
+        assert bounds.steps_for_precision("zeno1", equal_weights(1), 0, 0.01, CAP) == 1
+        assert bounds.steps_for_precision("zeno1", equal_weights(2), 1, 0.1, CAP) == 40
 
     def test_steps_for_precision_is_least_sufficient(self):
+        # Every bounded method, on random instances, t = 0 included and epsilon across six decades.
         rng = np.random.default_rng(6)
-        for _ in range(50):
-            lam = float(rng.uniform(0.2, 3.0))
-            t = float(rng.uniform(0.1, 3.0))
-            epsilon = float(rng.uniform(1e-3, 0.5))
-            n = bounds.steps_for_precision(lam, t, epsilon)
-            assert error_bound("zeno1", lam, t, n) <= epsilon * (1 + 1e-9)
-            if n > 1:
-                assert error_bound("zeno1", lam, t, n - 1) > epsilon * (1 - 1e-9)
+        resolved = 0
+        for method in BOUNDED:
+            for draw in range(100):
+                num_qubits = int(rng.integers(1, 4))
+                h = random_hamiltonian(rng, int(rng.integers(1, min(6, 4**num_qubits - 1) + 1)), num_qubits)
+                t = 0.0 if draw % 10 == 0 else float(rng.uniform(0.0, 3.0))
+                epsilon = float(10 ** rng.uniform(-6, 0))
+
+                def bound(n):
+                    return bounds.method_bounds(method, h, t, n)[0]
+
+                try:
+                    n = bounds.steps_for_precision(method, h, t, epsilon, CAP)
+                except LimitExceededError:
+                    assert bound(CAP) > epsilon
+                    continue
+                resolved += n > 1
+                assert bound(n) <= epsilon
+                assert n == 1 or bound(n - 1) > epsilon
+        assert resolved > 250
+
+    def test_zeno1_count_is_the_closed_form_inverse(self):
+        # Bisecting zeno1's row gives the count of the formula it replaced, ceil((lam t)^2 / epsilon) with a 1e-12
+        # nudge, on every draw; where that count is above the cap, the cap error.
+        rng = np.random.default_rng(7)
+        for _ in range(5000):
+            lam, t = float(rng.uniform(0.1, 5.0)), float(rng.uniform(0.0, 3.0))
+            epsilon = float(10 ** rng.uniform(-5, 0))
+            expected = old_zeno1_steps(lam, t, epsilon)
+            if expected > CAP:
+                with pytest.raises(LimitExceededError, match="exceeds the cap of 1000000"):
+                    bounds.steps_for_precision("zeno1", equal_weights(lam), t, epsilon, CAP)
+            else:
+                assert bounds.steps_for_precision("zeno1", equal_weights(lam), t, epsilon, CAP) == expected
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_steps_for_precision_rejects_non_finite_time(self, t):
         # Before, nan ended in "cannot convert float NaN to integer" and inf in OverflowError.
         with pytest.raises(ValueError, match=f"^time must be finite and nonnegative, got {t}$"):
-            bounds.steps_for_precision(1, t, 0.01)
+            bounds.steps_for_precision("zeno1", equal_weights(1), t, 0.01, CAP)
 
     @pytest.mark.parametrize("epsilon", [True, "0.1", math.nan, math.inf])
     def test_steps_for_precision_rejects_a_non_real_or_infinite_epsilon(self, epsilon):
         # Before, True ran as epsilon = 1 and inf read 1 step; "0.1" raised TypeError and nan "cannot convert float
         # NaN to integer".
         with pytest.raises(ValueError, match=f"^epsilon must be finite and positive, got {epsilon!r}$"):
-            bounds.steps_for_precision(1.0, 1.0, epsilon)
-
-    @pytest.mark.parametrize("lam", [math.nan, math.inf, True])
-    def test_steps_for_precision_rejects_a_non_real_or_infinite_lam(self, lam):
-        # Before, nan raised "cannot convert float NaN to integer", inf OverflowError, and True ran as lam = 1.
-        with pytest.raises(ValueError, match=f"^coefficient 1-norm must be finite and positive, got {lam!r}$"):
-            bounds.steps_for_precision(lam, 1.0, 0.1)
+            bounds.steps_for_precision("zeno1", equal_weights(1), 1.0, epsilon, CAP)
 
     @pytest.mark.parametrize("lam,t,epsilon", [(1e200, 1.0, 0.1), (1.0, 1e200, 0.1), (1.0, 1.0, 1e-320)])
     def test_steps_for_precision_rejects_a_step_count_too_large_for_a_float(self, lam, t, epsilon):
-        # Before, math.ceil let "OverflowError: cannot convert float infinity to integer" escape.
-        message = f"^epsilon {re.escape(repr(epsilon))} needs a step count \\(lam t\\)\\^2 / epsilon that is not finite$"
+        # (lam t)^2 / epsilon is not a finite float, so no count up to the cap meets epsilon. Before, math.ceil let
+        # "OverflowError: cannot convert float infinity to integer" escape.
+        message = f"^the step count zeno1 needs for epsilon {re.escape(repr(epsilon))} exceeds the cap of 1000000$"
         with pytest.raises(LimitExceededError, match=message) as caught:
-            bounds.steps_for_precision(lam, t, epsilon)
+            bounds.steps_for_precision("zeno1", equal_weights(lam), t, epsilon, CAP)
         assert isinstance(caught.value, ValueError)
 
     def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            bounds.steps_for_precision(1, 1, 0.0)
+        with pytest.raises(ValueError, match="epsilon"):
+            bounds.steps_for_precision("zeno1", GATE_H, 1, 0.0, CAP)
+        with pytest.raises(ValueError, match="method"):
+            bounds.steps_for_precision("trotter2", GATE_H, 1, 0.1, CAP)
+        # trotter1 states no error bound to resolve: a usage error.
+        with pytest.raises(ConfigError, match="^method 'trotter1' states no error bound"):
+            bounds.steps_for_precision("trotter1", GATE_H, 1, 0.1, CAP)
         with pytest.raises(ValueError, match="step count"):
             error_bound("zeno1", 1, 1, 0)
         with pytest.raises(ValueError, match="time"):
@@ -260,9 +299,12 @@ class TestStepTime:
     @pytest.mark.parametrize("t", [np.float32(0.1), np.longdouble(0.1)], ids=lambda t: type(t).__name__)
     def test_step_time_and_step_count_read_a_numpy_time_as_its_float(self, t):
         assert type(bounds.step_time(t, 3, 1.0)) is float and bounds.step_time(t, 3, 1.0) == float(t) / 3
-        assert bounds.steps_for_precision(3.7, t, 1e-7) == bounds.steps_for_precision(3.7, float(t), 1e-7)
+        def steps(t, epsilon):
+            return bounds.steps_for_precision("zeno1", equal_weights(3.7), t, epsilon, 10**7)
+
+        assert steps(t, 1e-7) == steps(float(t), 1e-7)
         epsilon = type(t)(1e-7)
-        assert bounds.steps_for_precision(3.7, 0.1, epsilon) == bounds.steps_for_precision(3.7, 0.1, float(epsilon))
+        assert steps(0.1, epsilon) == steps(0.1, float(epsilon))
 
     @pytest.mark.parametrize("value,real", [
         (1.5, True), (-2, True), (np.float32(0.5), True), (np.int64(3), True), (1.7976931348623157e308, True),

@@ -454,10 +454,28 @@ class TestCliExitCodes:
         assert message in err and len(err.splitlines()) == 1
 
     def test_epsilon_whose_step_count_is_not_finite(self, hfile, capsys):
-        # (lam t)^2 / epsilon = 1 / 1e-320 overflows; steps_for_precision raises the limit error itself.
+        # (lam t)^2 / epsilon = 1 / 1e-320 overflows: no count up to the cap meets the bound.
         assert main(["--hamiltonian", hfile(TWO_TERM), "--method", "zeno1", "--t", "1", "--epsilon", "1e-320"]) == 3
-        err = capsys.readouterr().err
-        assert err == "zenosim: limit exceeded: epsilon 1e-320 needs a step count (lam t)^2 / epsilon that is not finite\n"
+        message = "the step count zeno1 needs for epsilon 1e-320 exceeds the cap of 1000000"
+        assert capsys.readouterr().err == f"zenosim: limit exceeded: {message}\n"
+
+    @pytest.mark.parametrize("name,flags", [
+        ("ceiling_6q32", ["--method", "kicks"]),
+        ("ceiling_5q32", ["--method", "qdrift", "--mode", "channel"]),
+    ])
+    def test_epsilon_beyond_the_cap_for_its_own_bound(self, capsys, name, flags):
+        # Before, both ran at zeno1's count (356113 and 405804) and exited 0 with bounds 7.0e-3 and 4.0e-3.
+        assert main(["--hamiltonian", CEILING_FILES[name], *flags, "--t", "1", "--epsilon", "1e-3"]) == 3
+        message = f"the step count {flags[1]} needs for epsilon 0.001 exceeds the cap of 1000000"
+        assert capsys.readouterr().err == f"zenosim: limit exceeded: {message}\n"
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--method", "trotter1"], "method 'trotter1' states no error bound, so epsilon cannot resolve its step count"),
+        (["--compare", "zeno1,zeno2"], "compare runs every method at shared step counts: set n or sweep, not epsilon"),
+    ])
+    def test_epsilon_without_one_bound_to_invert(self, hfile, capsys, flags, message):
+        assert main(["--hamiltonian", hfile(TWO_TERM), *flags, "--t", "1", "--epsilon", "1e-3"]) == 1
+        assert capsys.readouterr().err == f"zenosim: {message}\n"
 
     @pytest.mark.parametrize("method", ["zeno1", "zeno2", "mub", "kicks", "trotter1", "qdrift"])
     def test_psi0_out_of_range_for_every_method(self, hfile, capsys, method):
@@ -729,6 +747,14 @@ class TestCliBehavior:
         assert payload["points"][0]["epsilon_measured"] <= 0.01
         assert payload["points"][0]["p_succ_exact"] >= 0.98
         assert payload["config"]["epsilon"] == 0.01
+
+    @pytest.mark.parametrize("method,n", [("zeno1", 1000), ("zeno2", 19), ("mub", 1440)])
+    def test_epsilon_reads_each_method_bound(self, capsys, method, n):
+        # Each method runs at the least N whose own bound meets epsilon. Before, every method ran at zeno1's
+        # N = 1000, where mub's bound read 1.44e-3 and zeno2 needed 53 times fewer steps.
+        assert main(["--hamiltonian", TWO_TERM_FILE, "--method", method, "--t", "1", "--epsilon", "1e-3"]) == 0
+        row = dict(zip(CSV_COLUMNS, capsys.readouterr().out.splitlines()[1].split(",")))
+        assert int(row["N"]) == n and float(row["epsilon_bound"]) <= 1e-3
 
     def test_output_files_byte_identical(self, hfile, tmp_path):
         args = [
