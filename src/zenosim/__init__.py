@@ -67,50 +67,8 @@ from .zeno import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CancellationError",
-    "ChannelRep",
-    "ConfigError",
-    "ConvergenceError",
-    "ExperimentConfig",
-    "ExtendedSystem",
-    "HamiltonianParseError",
-    "LimitExceededError",
-    "MethodComparison",
-    "PauliHamiltonian",
-    "PauliTerm",
-    "QdriftTrajectory",
-    "SweepResult",
-    "ZenoRunResult",
-    "ZenosimError",
-    "block_encoding_matrix",
-    "bounds",
-    "build_extended",
-    "choi_matrix",
-    "compare_methods",
-    "diamond_lower_bound",
-    "exact_evolution",
-    "extended_hamiltonian",
-    "fit_loglog_slope",
-    "hamiltonian_matrix",
-    "hermitian_eigen",
-    "is_completely_positive",
-    "is_trace_preserving",
-    "load_hamiltonian",
-    "matexp_hermitian",
-    "parse_hamiltonian",
-    "qdrift_channel",
-    "qdrift_sample",
-    "run_experiment",
-    "run_kicks",
-    "run_sampled",
-    "run_zeno",
-    "select_unitary",
-    "spectral_norm",
-    "step_success_probability",
-    "term_matrix",
-    "to_text",
-    "trace_norm",
-    "trotter_first_order",
-    "unitary_channel",
-]
+# The import block above is the one declaration of the public names: every name it binds, and the bounds module.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and (name == "bounds" or not isinstance(value, type(bounds)))
+)

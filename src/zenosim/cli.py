@@ -24,6 +24,7 @@ from functools import partial
 
 from .errors import ConfigError, ZenosimError
 from .experiments import (
+    FORMATS,
     METHODS,
     MODES,
     ExperimentConfig,
@@ -54,8 +55,8 @@ def _build_parser() -> _Parser:
             "against its analytic bound."
         ),
     )
-    # Dests name ExperimentConfig fields (compare aside). --method and --compare are added apart,
-    # so the usage line still shows both as optional flags.
+    # Dests name ExperimentConfig fields (compare aside), and an omitted flag leaves its field's default to
+    # ExperimentConfig. --method and --compare are added apart, so the usage line still shows both as optional flags.
     parser.add_argument(
         "--hamiltonian", dest="hamiltonian_path", metavar="HAMILTONIAN", required=True,
         help="path to the Hamiltonian text file",
@@ -65,14 +66,15 @@ def _build_parser() -> _Parser:
     parser.add_argument("--t", type=float, required=True, help="evolution time")
     parser.add_argument("--n", type=int, help="fixed step count")
     parser.add_argument("--epsilon", type=float, help="target precision (resolves the step count)")
-    parser.add_argument("--mode", choices=MODES, default="projected", help="execution mode")
+    parser.add_argument("--mode", choices=MODES, default=argparse.SUPPRESS, help="execution mode")
     parser.add_argument("--shots", type=int, help="trajectories for sampled mode")
-    parser.add_argument("--seed", type=int, default=0, help="base seed for sampled mode (shot i uses seed + i)")
+    parser.add_argument(
+        "--seed", type=int, default=argparse.SUPPRESS, help="base seed for sampled mode (shot i uses seed + i)"
+    )
     parser.add_argument("--sweep", help="comma-separated step counts, e.g. 10,20,40")
     parser.add_argument("--psi0", type=int, help="initial target state as a basis-state index")
-    parser.add_argument(
-        "--format", dest="output_format", choices=("json", "csv"), default="csv", help="output format"
-    )
+    parser.add_argument("--format", dest="output_format", choices=FORMATS, default=argparse.SUPPRESS,
+                        help="output format")
     parser.add_argument(
         "--out", dest="output_path", metavar="OUT", help="output file path (defaults to stdout)"
     )

@@ -29,7 +29,7 @@ from .errors import ConfigError, LimitExceededError
 from .hamiltonian import PauliHamiltonian, load_hamiltonian
 from .zeno import VARIANT_MUB, VARIANT_STANDARD, build_extended, run_kicks, run_sampled, run_zeno
 
-MODES = ("projected", "sampled", "channel")
+FORMATS = ("json", "csv")  # --format's choices
 
 MAX_QUBITS = 6
 MAX_TERMS = 32
@@ -77,17 +77,14 @@ class MethodComparison:
     notes: tuple[str, ...]
 
     def render(self) -> str:
-        header = ["N"] + [f"{m}_error {m}_bound" for m in self.results]
-        rows = [" ".join(f"{h:>28}" for h in header)]
-        for i, n in enumerate(self.ns):
-            cells = [f"{n:>28}"]
-            for m, sweep in self.results.items():
-                point = sweep.points[i]
-                bound = "-" if point.epsilon_bound is None else _fmt(point.epsilon_bound)
-                cells.append(f"{_fmt(point.epsilon_measured):>13} {bound:>14}")
-            rows.append(" ".join(cells))
-        rows.extend(f"note: {n}" for n in self.notes)
-        return "\n".join(rows)
+        """A table of N and each method's error and bound, every column as wide as its widest cell, then the notes."""
+        columns = {"N": [str(n) for n in self.ns]}
+        for m, sweep in self.results.items():
+            columns[f"{m}_error"] = [_fmt(p.epsilon_measured) for p in sweep.points]
+            columns[f"{m}_bound"] = ["-" if p.epsilon_bound is None else _fmt(p.epsilon_bound) for p in sweep.points]
+        widths = [max(map(len, [name, *cells])) for name, cells in columns.items()]
+        rows = [" ".join(map(str.rjust, row, widths)) for row in [list(columns), *zip(*columns.values())]]
+        return "\n".join(rows + [f"note: {n}" for n in self.notes])
 
 
 def _fmt(x: float) -> str:
@@ -121,7 +118,7 @@ def _validate_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"psi0 must be a basis-state index, got {config.psi0!r}")
     if not bounds.is_count(config.seed, 0):
         raise ConfigError(f"seed must be >= 0 and an integer, got {config.seed!r}")
-    if config.output_format not in ("json", "csv"):
+    if config.output_format not in FORMATS:
         raise ConfigError(f"unknown output format {config.output_format!r}")
     counts = {k: int(v) for k in ("shots", "seed", "psi0") if (v := getattr(config, k)) is not None}
     return replace(config, t=abs(float(config.t)), epsilon=config.epsilon and float(config.epsilon), **counts)
@@ -179,6 +176,7 @@ METHODS = {
     "qdrift": (("channel",), None, qdrift_point),
     "trotter1": (("projected",), None, trotter_point),
 }
+MODES = tuple(dict.fromkeys(mode for modes, _, _ in METHODS.values() for mode in modes))  # first-seen order
 _qdrift_point, _trotter_point = qdrift_point, trotter_point  # the names perfbench's oracle test imports
 
 
@@ -188,8 +186,9 @@ def fit_loglog_slope(ns, errors) -> float | None:
     Only finite errors above ``SLOPE_FLOOR`` are fitted, so neither the
     floating-point floor nor an infinite reading contaminates the fit;
     returns None unless they span ``SLOPE_MIN_POINTS`` distinct step counts.
+    Lists of unequal length raise ValueError.
     """
-    pairs = [(n, e) for n, e in zip(ns, errors) if bounds.is_real(e) and e > SLOPE_FLOOR]
+    pairs = [(n, e) for n, e in zip(ns, errors, strict=True) if bounds.is_real(e) and e > SLOPE_FLOOR]
     if len({n for n, _ in pairs}) < SLOPE_MIN_POINTS:
         return None
     log_n = np.log([p[0] for p in pairs])

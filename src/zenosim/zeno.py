@@ -33,12 +33,12 @@ The runs stay on the target register: with ``P = 1 (x) |phi><phi|`` (``phi`` the
 standard projector every block turns by ``theta = lam dt``, so ``A(dt) = cos(theta) - i sin(theta) H / lam`` is a
 function of H, and so is the second-order step ``2 A(dt/2)^2 - A(dt)``: zeno1 and zeno2 act on each eigenvector of H
 as a scalar, and all their points read the Hamiltonian's cached ``spectrum``. mub's blocks turn at different angles,
-so it powers A(dt) against ``exact_evolution`` (read from that spectrum); its sampled points read the spectrum of H'
-in A(dt) = alpha - i H' (alpha real, H' Hermitian). The kick sequence leaves the range of P but splits into one
-invariant plane per eigenvalue of H, where it is a 2x2 unitary (``run_kicks``), on the same spectrum. Only
-``select_unitary`` and ``extended_hamiltonian`` build combined-register matrices. Each run checks t, N and its
-largest rotation angle, ``bounds.method_rate`` times t, with ``bounds.step_time`` and returns the
-``bounds.sweep_point`` record, as the baselines in ``channels`` do.
+so it powers A(dt) against ``exact_evolution`` (read from that spectrum) for its error; every mub point reads its
+success probability from the spectrum of H' in A(dt) = alpha - i H' (alpha real, H' Hermitian). The kick sequence
+leaves the range of P but splits into one invariant plane per eigenvalue of H, where it is a 2x2 unitary
+(``run_kicks``), on the same spectrum. Only ``select_unitary`` and ``extended_hamiltonian`` build combined-register
+matrices. Each run checks t, N and its largest rotation angle, ``bounds.method_rate`` times t, with
+``bounds.step_time`` and returns the ``bounds.sweep_point`` record, as the baselines in ``channels`` do.
 """
 
 from __future__ import annotations

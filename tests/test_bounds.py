@@ -2,6 +2,7 @@
 
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from zenosim import (
     run_sampled,
     run_zeno,
     trotter_first_order,
+    zeno,
 )
 
 GATE_H = parse_hamiltonian("0.6*XI + 0.4*IZ - 0.1*YY")
@@ -334,3 +336,39 @@ class TestRecord:
         # Before, True and 2.5 built a record, and 0 read "step count must be >= 1".
         with pytest.raises(ValueError, match=f"^step count must be an integer >= 1, got {re.escape(repr(n))}$"):
             bounds.ZenoRunResult("zeno1", n, 0.1, 0.01, 0.1, 1.0, 0.5)
+
+
+# zeno1, zeno2 and kicks act on each eigenvalue E of H alone, through a = E / lam, so a bound row holds for every
+# Hamiltonian if and only if it holds for the sup over a in [-1, 1]. The a-grid holds 0, +-1, zeno2's maximiser
+# +-1/sqrt(3) and +-(1 - 10^-k); x = lam t runs from 1e-8 to 316, at every N with theta = x / N <= pi (kicks to 10^4).
+SPECTRUM_GRID = np.unique(np.concatenate([
+    np.linspace(-1.0, 1.0, 401), [1.0 / math.sqrt(3.0), -1.0 / math.sqrt(3.0)],
+    [s * (1.0 - 10.0**-k) for k in range(1, 13) for s in (1.0, -1.0)],
+]))
+SPECTRUM_XS = 10.0 ** np.arange(-8.0, 2.75, 0.5)
+SPECTRUM_NS = (1, 2, 3, 5, 10, 30, 100, 10**3, 10**4, 10**6)
+# The sup over the grid of error / row, to 2 digits: zeno1's error is x^2 / (2N) at small x and a = 0, zeno2's
+# peaks at a = +-1/sqrt(3) (1 / (3 sqrt 3) = 0.19245), and kicks' at small x and a = 0.
+SUP_RATIOS = {"zeno1": 0.50, "zeno2": 0.19, "kicks": 0.29}
+
+
+class TestWholeSpectrum:
+    @pytest.mark.parametrize("method", SUP_RATIOS)
+    def test_row_bounds_every_eigenvalue(self, method):
+        # A stub whose spectrum is the a-grid itself (lam = 1); one row of eigenvectors, so every a weighs 1.
+        h = SimpleNamespace(lam=1.0, spectrum=(SPECTRUM_GRID, np.ones((1, SPECTRUM_GRID.size))))
+        sys = SimpleNamespace(hamiltonian=h, variant="standard")
+        ratios = []
+        for x in SPECTRUM_XS:
+            for n in SPECTRUM_NS:
+                if x / n > math.pi or (method == "kicks" and n > 10**4):
+                    continue
+                error_row, success_row = bounds.method_bounds(method, h, x, n)
+                if method == "kicks":
+                    error = run_kicks(sys, x, n).epsilon_measured
+                else:
+                    error, _, log_r, _ = zeno._standard(sys, x / n, n, int(method[-1]), np.ones(1))
+                    assert math.exp(n * log_r.min()) >= success_row, (x, n)
+                assert error <= error_row, (x, n)
+                ratios.append(error / error_row)
+        assert round(max(ratios), 2) == SUP_RATIOS[method]

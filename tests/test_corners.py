@@ -3,16 +3,21 @@
 Each case runs the command line in-process at every t and N of the corner grid in ``tests/ceiling.json``, one
 shot in sampled mode. two_term and tfim_three_qubit run in every mode, each ceiling instance in the modes that
 file lists for it. The bounds are theorems, so every case must exit 0 with every bound satisfied and a success
-probability not below its bound. Channel mode on ``ceiling_6q32`` is the documented limit exit 3.
+probability not below its bound. Channel mode on ``ceiling_6q32`` is the documented limit exit 3. At t = 0, on
+twelve random instances of 1 to 6 qubits, every method must read an error of exactly 0 and a success probability of
+exactly 1.
 """
 
 import contextlib
 import io
 import json
+from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 from ceiling import CEILING, FILES
+from conftest import random_hamiltonian
 from zeno_references import CORNER_INSTANCES, REFERENCES
 
 from zenosim import build_extended, load_hamiltonian, run_kicks
@@ -102,3 +107,63 @@ def test_kicks_corner_matches_reference(instance, t, n):
     reference = float(json.loads(REFERENCES.read_text(encoding="utf-8"))[f"{instance} kicks t={t} N={n}"]["epsilon"])
     reading = run_kicks(build_extended(load_hamiltonian(INSTANCES[instance])), float(t), int(n)).epsilon_measured
     assert abs(reading - reference) <= KICKS_TOLERANCE * reference, (reading, reference)
+
+
+def _zero_time_instance(seed: int):
+    """Instance ``seed``: 1 + seed % 6 qubits and 1 to 32 distinct words."""
+    rng = np.random.default_rng(seed)
+    num_qubits = 1 + seed % 6
+    return random_hamiltonian(rng, int(rng.integers(1, min(32, 4**num_qubits - 1) + 1)), num_qubits)
+
+
+ZERO_TIME_INSTANCES = [_zero_time_instance(seed) for seed in range(12)]
+ZERO_TIME_STEPS = (1, 10**3, 10**6)
+
+
+def _zero_time_points(method: str, n: int):
+    """``method``'s points at t = 0 and N = ``n`` on every instance (qdrift's channel on those of <= 3 qubits)."""
+    modes, variant, point = METHODS[method]
+    if "sampled" in modes:
+        point = partial(point, psi0=None, shots=None, seed=0)
+    return [point(h if variant is None else build_extended(h, variant), 0.0, n)
+            for h in ZERO_TIME_INSTANCES if method != "qdrift" or h.num_qubits <= 3]
+
+
+def _zero_time_cases(failing: dict):
+    return [pytest.param(method, n, marks=[failing[method]] if method in failing else [], id=f"{method}-N{n}")
+            for method in METHODS for n in ZERO_TIME_STEPS]
+
+
+def _item(reason: str):
+    return pytest.mark.xfail(strict=True, raises=AssertionError, reason=f"ROADMAP {reason}")
+
+
+UNEQUAL_WEIGHTS = _item("item 12, deficit form: the weights |V^dag psi|^2 do not sum to exactly 1, so p_succ reads up "
+                        "to 1e-15 below 1")
+ODD_ANCILLA = "item 3, mub slice: for odd n_a the step at t = 0 is (1 - 2.2e-16) I"
+ZERO_TIME_ERRORS = {
+    "mub": _item(f"{ODD_ANCILLA}, and exact_evolution(h, 0) is U U^dag, not I: up to 3.6e-15 at N = 1 and 2.2e-10 "
+                 "at N = 10^6"),
+    "qdrift": _item("item 3, qdrift slice: the step's PTM diagonal can round to 1 + 2.2e-16; up to 2.3e-15 at N = 1 "
+                    "and 6.7e-10 at N = 10^6"),
+    "trotter1": _item("item 3, trotter1 slice: exact_evolution(h, 0) is U U^dag, not I; up to 3.5e-15 at every N"),
+}
+ZERO_TIME_SUCCESSES = {
+    "zeno1": UNEQUAL_WEIGHTS,
+    "zeno2": UNEQUAL_WEIGHTS,
+    "mub": _item(f"{ODD_ANCILLA}, so p_succ reads up to 4.4e-10 below 1 at N = 10^6"),
+}
+
+
+# At t = 0 every method's step is the identity on the target, so its error is exactly 0 and its success probability
+# exactly 1, at every N.
+@pytest.mark.parametrize("method,n", _zero_time_cases(ZERO_TIME_ERRORS))
+def test_time_zero_error_is_exactly_zero(method, n):
+    readings = [p.epsilon_measured for p in _zero_time_points(method, n)]
+    assert readings == [0.0] * len(readings)
+
+
+@pytest.mark.parametrize("method,n", _zero_time_cases(ZERO_TIME_SUCCESSES))
+def test_time_zero_success_is_exactly_one(method, n):
+    readings = [p.p_succ_exact for p in _zero_time_points(method, n)]
+    assert readings == [1.0] * len(readings)

@@ -303,11 +303,19 @@ class TestCompareMethods:
         assert any("channel-level" in note for note in comparison.notes)
 
     def test_render_contains_methods(self, hfile):
-        cfg = config(hfile, n=None, sweep=(10, 20))
-        comparison = compare_methods(cfg, ["zeno1", "qdrift"])
+        # At N = 3 zeno1's error and bound print 15 and 14 characters; fixed 13- and 14-character columns pushed
+        # every later column two characters right of its header.
+        cfg = config(hfile, n=None, sweep=(3, 10, 20))
+        comparison = compare_methods(cfg, ["zeno1", "kicks", "qdrift"])
         text = comparison.render()
         assert "zeno1_error" in text and "qdrift_error" in text
         assert "note:" in text
+        header, *rows = [line for line in text.splitlines() if not line.startswith("note:")]
+        edges = [m.end() for m in re.finditer(r"\S+", header)]
+        assert len(rows) == 3 and len(edges) == 7
+        for row in rows:
+            assert len(row) == len(header)
+            assert [m.end() for m in re.finditer(r"\S+", row)] == edges
 
     def test_duplicate_methods_rejected(self, hfile):
         with pytest.raises(ConfigError, match="distinct"):
@@ -855,6 +863,13 @@ class TestSlopeFit:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert fit_loglog_slope([10, 10, 10, 10], [1.0, 0.5, 0.25, 0.1]) is None
+
+    def test_unequal_lengths_rejected(self):
+        # Before, zip dropped the unpaired entries: the first call read None and the second fitted 4 points.
+        with pytest.raises(ValueError):
+            fit_loglog_slope([1, 2, 3, 4, 5], [1, 2])
+        with pytest.raises(ValueError):
+            fit_loglog_slope([10, 20, 40, 80, 160], [1.0, 0.5, 0.25, 0.125])
 
     def test_infinite_reading_is_left_out(self):
         # A ZenoRunResult keeps an inf reading; before, it made the slope nan.
