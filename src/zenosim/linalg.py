@@ -52,11 +52,14 @@ def hermitian_eigen(h) -> tuple[np.ndarray, np.ndarray]:
 
 
 def spectral_exp(w: np.ndarray, u: np.ndarray, theta: float) -> np.ndarray:
-    """exp(-i * theta * h) = U diag(exp(-i * theta * w)) U^dagger from h = U diag(w) U^dagger; theta * max|w| finite."""
+    """exp(-i * theta * h) = U diag(exp(-i * theta * w)) U^dagger from h = U diag(w) U^dagger; theta * max|w| finite.
+
+    At theta = 0 it is exactly the identity, which U U^dagger misses by roundoff.
+    """
     if not is_real(theta):
         raise ValueError(f"time or angle must be a finite real number, got {theta!r}")
     check_angle(np.max(np.abs(w), initial=0.0), theta)
-    return (u * np.exp(-1j * float(theta) * w)) @ u.conj().T
+    return np.eye(len(u), dtype=complex) if theta == 0 else (u * np.exp(-1j * float(theta) * w)) @ u.conj().T
 
 
 def matexp_hermitian(h, theta: float) -> np.ndarray:

@@ -35,10 +35,11 @@ function of H, and so is the second-order step ``2 A(dt/2)^2 - A(dt)``: zeno1 an
 as a scalar, and all their points read the Hamiltonian's cached ``spectrum``. mub's blocks turn at different angles,
 so it powers A(dt) against ``exact_evolution`` (read from that spectrum) for its error; every mub point reads its
 success probability from the spectrum of H' in A(dt) = alpha - i H' (alpha real, H' Hermitian). The kick sequence
-leaves the range of P but splits into one invariant plane per eigenvalue of H, where it is a 2x2 unitary
-(``run_kicks``), on the same spectrum. Only ``select_unitary`` and ``extended_hamiltonian`` build combined-register
-matrices. Each run checks t, N and its largest rotation angle, ``bounds.method_rate`` times t, with
-``bounds.step_time`` and returns the ``bounds.sweep_point`` record, as the baselines in ``channels`` do.
+leaves the range of P but splits into one invariant plane per eigenvalue of H, where it is a 2x2 unitary whose N-th
+power ``run_kicks`` reads in closed form from the same spectrum, its phase from the same ``_phase`` as zeno1 and
+zeno2. Only ``select_unitary`` and ``extended_hamiltonian`` build combined-register matrices. Each run checks t, N
+and its largest rotation angle, ``bounds.method_rate`` times t, with ``bounds.step_time`` and returns the
+``bounds.sweep_point`` record, as the baselines in ``channels`` do.
 """
 
 from __future__ import annotations
@@ -184,6 +185,17 @@ def _sine_gap(a: np.ndarray, gap: np.ndarray, theta: float) -> np.ndarray:
     return a * gap * total
 
 
+def _phase(a: np.ndarray, gap: np.ndarray, theta: float, drop: np.ndarray, n_steps: int) -> np.ndarray:
+    """N arg(mu e^(i a theta)) for the step eigenvalue mu = (1 - drop) - i a sin(theta), given gap = 1 - a^2.
+
+    Im(mu e^(i a theta)) = (1 - drop) sin(a theta) - a sin(theta) cos(a theta) is regrouped around ``_sine_gap``, so
+    its O(theta) terms cancel exactly.
+    """
+    sin_t, sin_at = math.sin(theta), np.sin(a * theta)
+    im = _sine_gap(a, gap, theta) - drop * sin_at + 2.0 * a * sin_t * np.sin(a * theta / 2.0) ** 2
+    return n_steps * np.arctan2(im, (1.0 - drop) * np.cos(a * theta) + a * sin_t * sin_at)
+
+
 def _survival(log_r: np.ndarray, weights: np.ndarray, start: int, stop: int) -> np.ndarray:
     """The survival probabilities q_k of steps k = start+1..stop on a normal step with eigenvalue moduli r_j.
 
@@ -223,11 +235,7 @@ def _standard(sys: ExtendedSystem, delta_t: float, n_steps: int, order: int, psi
         drop, modulus = u, -sin_t * sin_t * gap
     else:
         drop, modulus = a * a * u, -((a * u) ** 2) * gap
-    # mu = (1 - drop) - i a sin(theta); Im(mu e^(i a theta)) = (1 - drop) sin(a theta) - a sin(theta) cos(a theta).
-    sin_at = np.sin(a * theta)
-    im = _sine_gap(a, gap, theta) - drop * sin_at + 2.0 * a * sin_t * np.sin(a * theta / 2.0) ** 2
-    re = (1.0 - drop) * np.cos(a * theta) + a * sin_t * sin_at
-    phase = n_steps * np.arctan2(im, re)
+    phase = _phase(a, gap, theta, drop, n_steps)
     with np.errstate(divide="ignore"):  # mu = 0 for a = 0 at theta = pi / 2
         log_r = np.log1p(modulus)
     weights = np.abs(vectors.conj().T @ psi) ** 2
@@ -303,10 +311,17 @@ def run_kicks(sys: ExtendedSystem, t: float, n_steps: int) -> ZenoRunResult:
     which are never populated. So the kick R select(dt) is a qubitization
     walk: for each eigenpair (E_j, psi_j) of H it keeps the plane of
     |phi> (x) psi_j and its orthogonal partner, where it is
-    [[c - i s a_j, -i s b_j], [i s b_j, -c - i s a_j]] with a_j = E_j / lam
+    K = [[c - i s a_j, -i s b_j], [i s b_j, -c - i s a_j]] with a_j = E_j / lam
     and b_j = sqrt(1 - a_j^2). The planes are mutually orthogonal, so the
-    error is the largest per-plane distance between the first column of the
-    N-th power and (exp(-i E_j t), 0).
+    error is the largest per-plane distance between the first column
+    (alpha, beta) of K^N and (exp(-i E_j t), 0).
+
+    K^N is read in closed form. K = -i s a + M with M^2 = kappa^2, kappa = hypot(c, s b) = sqrt(1 - s^2 a^2), so K
+    has the eigenvalues lambda_+ = kappa - i s a = e^(-i phi) and lambda_- = -e^(i phi), phi = arctan2(s a, kappa).
+    With U = (lambda_+^N - lambda_-^N) / (2 kappa), cos(N phi) / kappa for odd N and -i sin(N phi) / kappa for even
+    N, alpha = lambda_+^N - (kappa - c) U and beta = i s b U. lambda_+ is zeno's step with drop = 1 - kappa, so
+    ``_phase`` gives lambda_+^N e^(i E_j t) = e^(i phase) without cancellation, and kappa - c is s^2 b^2 / (kappa + c)
+    when c >= 0. The plane's error is hypot(|expm1(i phase) - (kappa - c) U e^(i E_j t)|, |s b U|).
     """
     h = sys.hamiltonian
     delta_t = step_time(t, n_steps, h.lam)
@@ -315,12 +330,17 @@ def run_kicks(sys: ExtendedSystem, t: float, n_steps: int) -> ZenoRunResult:
 
     energies = h.spectrum[0]
     a = energies / h.lam
-    b = np.sqrt(np.maximum(0.0, 1.0 - a**2))
+    gap = np.maximum(0.0, (1.0 - a) * (1.0 + a))  # b^2 = 1 - a^2; eigh may put |a| a rounding above 1
     theta = h.lam * delta_t
     c, s = math.cos(theta), math.sin(theta)
-    kick = np.array([[c - 1j * s * a, -1j * s * b], [1j * s * b, -c - 1j * s * a]]).transpose(2, 0, 1)
-    alpha, beta = np.linalg.matrix_power(kick, n_steps)[:, :, 0].T
-    epsilon = float(np.max(np.hypot(np.abs(alpha - np.exp(-1j * float(t) * energies)), np.abs(beta))))
+    kappa = np.hypot(c, s * np.sqrt(gap))  # > 0, as cos(theta) is never 0 in floating point
+    turn = n_steps * np.arctan2(s * a, kappa)  # N phi
+    split = (np.cos(turn) if n_steps % 2 else -1j * np.sin(turn)) / kappa  # U
+    lift = s * s * gap / (kappa + c) if c >= 0 else kappa - c  # kappa - c
+    phase = _phase(a, gap, theta, (s * a) ** 2 / (1.0 + kappa), n_steps)  # drop = 1 - kappa
+    # alpha e^(i E t) - 1; numpy's complex expm1 of i x is -2 sin^2(x / 2) + i sin(x)
+    alpha_gap = np.expm1(1j * phase) - lift * split * np.exp(1j * float(t) * energies)
+    epsilon = float(np.max(np.hypot(np.abs(alpha_gap), abs(s) * np.sqrt(gap) * np.abs(split))))
     return sweep_point("kicks", h, t, n_steps, epsilon)
 
 

@@ -83,24 +83,13 @@ def test_six_qubit_channel_mode_is_a_limit_exit(t, n):
 
 # Relative, with no absolute slack; fixed before any reading was compared with its reference.
 KICKS_TOLERANCE = 1e-9
-KICKS_ROUNDOFF = pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 15: binary powering of the 2 x 2 kick leaves about N ulps, which reads up to "
-    "200x high at N = 10^6 and small t, and 1.8e-8 relative off on two_term at t = 1")
 KICKS_UNRESOLVED = pytest.mark.xfail(
     strict=True, reason="ROADMAP item 14: at t = 1e150 one ulp of an eigenvalue times t is about 1e134 rad, so no "
     "float64 reading resolves E t modulo 2 pi; the reading stays in [0, 2] but is not the exact one")
 
 
-def _kicks_marks(instance, t, n):
-    if t == "1e150":
-        return [KICKS_UNRESOLVED]
-    if (n == "1000000" and t in ("1e-12", "1e-4")) or (instance, t, n) == ("two_term", "1", "1000000"):
-        return [KICKS_ROUNDOFF]
-    return []
-
-
 @pytest.mark.parametrize("instance,t,n", [
-    pytest.param(instance, t, n, marks=_kicks_marks(instance, t, n), id=f"{instance}-t{t}-N{n}")
+    pytest.param(instance, t, n, marks=[KICKS_UNRESOLVED] if t == "1e150" else [], id=f"{instance}-t{t}-N{n}")
     for instance in CORNER_INSTANCES for t in TIMES for n in STEPS
 ])
 def test_kicks_corner_matches_reference(instance, t, n):
@@ -142,11 +131,9 @@ UNEQUAL_WEIGHTS = _item("item 12, deficit form: the weights |V^dag psi|^2 do not
                         "to 1e-15 below 1")
 ODD_ANCILLA = "item 3, mub slice: for odd n_a the step at t = 0 is (1 - 2.2e-16) I"
 ZERO_TIME_ERRORS = {
-    "mub": _item(f"{ODD_ANCILLA}, and exact_evolution(h, 0) is U U^dag, not I: up to 3.6e-15 at N = 1 and 2.2e-10 "
-                 "at N = 10^6"),
-    "qdrift": _item("item 3, qdrift slice: the step's PTM diagonal can round to 1 + 2.2e-16; up to 2.3e-15 at N = 1 "
+    "mub": _item(f"{ODD_ANCILLA}: up to 2.2e-16 at N = 1 and 2.2e-10 at N = 10^6"),
+    "qdrift": _item("item 3, qdrift slice: the step's PTM diagonal can round to 1 + 2.2e-16; up to 6.3e-16 at N = 1 "
                     "and 6.7e-10 at N = 10^6"),
-    "trotter1": _item("item 3, trotter1 slice: exact_evolution(h, 0) is U U^dag, not I; up to 3.5e-15 at every N"),
 }
 ZERO_TIME_SUCCESSES = {
     "zeno1": UNEQUAL_WEIGHTS,

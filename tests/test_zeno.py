@@ -428,6 +428,21 @@ class TestRunKicks:
         if t == 0.0 or sys.hamiltonian.num_terms == 1:
             assert epsilon < 1e-12
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("text,above", [
+        ("0.7*XZ", False),                                  # a = +-1, b = 0, kappa = |cos(theta)|
+        ("0.3*IX + 0.15*XX", True),                         # eigh puts an |E| a rounding above lam
+        ("0.3333333333333333*XZ + 0.1*ZX", True),
+    ])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_quarter_turn_matches_full_register(self, text, above, n):
+        # theta = lam t / N = pi / 2: the closed form's kappa is as small as it gets, and |a| may exceed 1.
+        sys = build_extended(parse_hamiltonian(text))
+        lam = sys.hamiltonian.lam
+        assert (np.max(np.abs(sys.hamiltonian.spectrum[0])) > lam) == above
+        t = n * np.pi / (2 * lam)
+        assert abs(run_kicks(sys, t, n).epsilon_measured - kicks_full(sys, t, n)) <= 1e-9
+
 
 def survival_probabilities(sys, t, n):
     """The library's survival probability of each of the N order-1 steps, one _CHUNK at a time."""
