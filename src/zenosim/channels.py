@@ -13,12 +13,13 @@ norm divided by d is a lower bound on the diamond distance; the exact
 diamond norm (a semidefinite program) is intentionally out of scope and
 every reported value is labeled as a lower bound.
 
-The qdrift channel is a real Pauli transfer matrix, built in O(L d^2) and powered in its own buffer with two spares
-of its size; Walsh-Hadamard transforms in the (x, z) coordinates of ``hamiltonian.pauli_tables`` turn its N-th power
-into the Choi matrix J, one X part at a time, written into the spares' memory. The exact channel's Choi matrix is
-the rank-one w w^dagger (w = vec(exp(-iHt))), so J - w w^dagger has trace 0 and, J being positive semidefinite, at
-most one negative eigenvalue lam_1 (Weyl interlacing): its trace norm is 2 |lam_1|, and every other eigenvalue lies
-in [0, |lam_1|].
+trotter1's product of rotations and the qdrift step are powered by ``linalg.compose``, the one N-fold power, which
+mub's step shares. The qdrift channel is a real Pauli transfer matrix, built in O(L d^2) and powered in its own buffer
+with two spares of its size; Walsh-Hadamard transforms in the (x, z) coordinates of ``hamiltonian.pauli_tables`` turn
+its N-th power into the Choi matrix J, one X part at a time, written into the spares' memory. The exact channel's Choi
+matrix is the rank-one w w^dagger (w = vec(exp(-iHt))), so J - w w^dagger has trace 0 and, J being positive
+semidefinite, at most one negative eigenvalue lam_1 (Weyl interlacing): its trace norm is 2 |lam_1|, and every other
+eigenvalue lies in [0, |lam_1|].
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from .bounds import ZenoRunResult, is_count, step_time, sweep_point
 from .errors import LimitExceededError
 from .hamiltonian import PauliHamiltonian, exact_evolution, pauli_rotations, pauli_tables
-from .linalg import as_matrix, hermitian_eigen, hermitian_trace_norm, lapack, spectral_norm
+from .linalg import as_matrix, compose, hermitian_eigen, hermitian_trace_norm, lapack, spectral_norm
 from .zeno import build_extended
 
 CHANNEL_MAX_QUBITS = 5
@@ -88,8 +89,7 @@ def trotter_first_order(h: PauliHamiltonian, t: float, n_steps: int) -> np.ndarr
     weighted term of the physical Hamiltonian.
     """
     delta_t = step_time(t, n_steps, h.lam)
-    step = reduce(np.matmul, pauli_rotations(h, [term.coefficient * delta_t for term in h.terms]))
-    return np.linalg.matrix_power(step, n_steps)
+    return compose(reduce(np.matmul, pauli_rotations(h, [term.coefficient * delta_t for term in h.terms])), n_steps)
 
 
 def qdrift_sample(h: PauliHamiltonian, t: float, n_steps: int, seed: int) -> QdriftTrajectory:
@@ -129,29 +129,6 @@ def _qdrift_step_ptm(h: PauliHamiltonian, delta_t: float) -> np.ndarray:
     return ptm
 
 
-def _ptm_power(step: np.ndarray, n_steps: int, spares: np.ndarray) -> None:
-    """Overwrite step with step^N in numpy.linalg.matrix_power's product order, bit for bit (N = 3 by its short cut).
-
-    ``spares`` holds two more buffers of step's shape; the products go there and into step, and nothing else is
-    written. A power that ends in a spare is copied back into step.
-    """
-    if n_steps == 3:  # matrix_power's (step @ step) @ step; the loop would take step @ (step @ step)
-        power = np.matmul(np.matmul(step, step, out=spares[0]), step, out=spares[1])
-    else:  # for N = 1 and 2 the loop takes matrix_power's step and step @ step
-        buffers, z, power = (step, *spares), None, None
-
-        def spare():
-            return next(b for b in buffers if b is not z and b is not power)
-
-        while n_steps:
-            z = step if z is None else np.matmul(z, z, out=spare())
-            n_steps, bit = divmod(n_steps, 2)
-            if bit:
-                power = z if power is None else np.matmul(power, z, out=spare())
-    if power is not step:
-        np.copyto(step, power)
-
-
 def _choi_of_ptm(ptm: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write the Choi matrix (1/d) sum_(a,b) R[a, b] sigma_a kron conj(sigma_b) of a real PTM R into ``out``.
 
@@ -182,8 +159,7 @@ def _qdrift_choi(h: PauliHamiltonian, t: float, n_steps: int) -> np.ndarray:
         raise LimitExceededError(f"channel mode supports at most {CHANNEL_MAX_QUBITS} qubits, got {h.num_qubits}")
     ptm = _qdrift_step_ptm(h, delta_t)
     pair = np.empty((2, *ptm.shape))
-    _ptm_power(ptm, n_steps, pair)
-    return _choi_of_ptm(ptm, pair.reshape(ptm.shape[0], -1).view(complex))
+    return _choi_of_ptm(compose(ptm, n_steps, pair), pair.reshape(ptm.shape[0], -1).view(complex))
 
 
 def qdrift_channel(h: PauliHamiltonian, t: float, n_steps: int) -> ChannelRep:

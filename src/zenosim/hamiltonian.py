@@ -12,10 +12,12 @@ Text grammar (whitespace is insignificant):
     pauli-word :=  one or more of I, X, Y, Z  (one letter per qubit)
 
 A leading '-' on the expression, a '-' separator, or a negative decimal all
-negate the term's sign. Terms with identical Pauli words are merged by
-signed summation; a merged magnitude at or below 1e-15 is reported as a
-cancellation error rather than silently dropped. A coefficient that is not
-finite, as written (``1e400``) or after merging, is a parse error.
+negate the term's sign. The absolute threshold 1e-15 applies twice: a
+coefficient written at or below it (``1e-16*X``) is a parse error, and terms
+with identical Pauli words are merged by signed summation, a merged magnitude
+at or below it being reported as a cancellation error rather than silently
+dropped. A coefficient that is not finite, as written (``1e400``) or after
+merging, is a parse error.
 
 File format: UTF-8 text, at most ``MAX_FILE_BYTES`` bytes, holding one
 expression; ``#`` starts a comment that runs to end of line; blank lines are
@@ -219,7 +221,9 @@ def parse_hamiltonian(text: str) -> PauliHamiltonian:
 
 
 def to_text(h: PauliHamiltonian) -> str:
-    """Render to the text format; parsing the result reproduces ``h`` exactly."""
+    """Render to the text format; parsing the result reproduces ``h`` exactly when ``h`` is what
+    ``parse_hamiltonian`` returns. A term built directly with a coefficient at or below 1e-15 renders as text the
+    parser rejects."""
     parts = []
     for i, term in enumerate(h.terms):
         body = f"{term.coefficient!r}*{term.axes}"

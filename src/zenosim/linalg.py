@@ -1,12 +1,13 @@
 """Dense complex linear algebra used by every other module.
 
-All operators are plain ``numpy.ndarray`` objects with dtype ``complex128``;
-state vectors are 1-D arrays. Matrices stay dense throughout: the measured
-sequences run on the target register (dimension at most 2^6 = 64); the
-largest are 5-qubit qdrift's 4^5 x 4^5: a real Pauli transfer matrix and
-its power's two spares, whose memory then holds the complex Choi matrix J.
-Lanczos finds the one negative eigenvalue of J - w w^dagger without forming
-it.
+All operators are plain ``numpy.ndarray`` objects with dtype ``complex128``
+(the qdrift Pauli transfer matrix is real); state vectors are 1-D arrays.
+Matrices stay dense throughout: the measured sequences run on the target
+register (dimension at most 2^6 = 64); the largest are 5-qubit qdrift's
+4^5 x 4^5: a real Pauli transfer matrix and its power's two spares, whose
+memory then holds the complex Choi matrix J. Lanczos finds the one negative
+eigenvalue of J - w w^dagger without forming it. ``compose`` is the one
+N-fold power: of mub's A(dt), trotter1's product of rotations and that PTM.
 
 Hermiticity is checked to 1e-10, and so is unitarity, where ``channels``
 takes a unitary (it holds its own ``CP_TOL`` and ``TP_TOL`` too); equality
@@ -60,6 +61,32 @@ def spectral_exp(w: np.ndarray, u: np.ndarray, theta: float) -> np.ndarray:
         raise ValueError(f"time or angle must be a finite real number, got {theta!r}")
     check_angle(np.max(np.abs(w), initial=0.0), theta)
     return np.eye(len(u), dtype=complex) if theta == 0 else (u * np.exp(-1j * float(theta) * w)) @ u.conj().T
+
+
+def compose(step: np.ndarray, n_steps: int, spares: np.ndarray | None = None) -> np.ndarray:
+    """Overwrite step with step^N (N >= 1) and return it: the one N-fold power of mub, trotter1 and the qdrift PTM.
+
+    The products follow numpy.linalg.matrix_power's order: its (step @ step) @ step at N = 3, and otherwise binary
+    powering from the low bit. ``spares`` holds two more buffers of step's shape and dtype (allocated when None); the
+    products go there and into step, and nothing else is written. A power that ends in a spare is copied back.
+    """
+    spares = np.empty((2, *step.shape), step.dtype) if spares is None else spares
+    if n_steps == 3:  # the loop would take step @ (step @ step)
+        power = np.matmul(np.matmul(step, step, out=spares[0]), step, out=spares[1])
+    else:  # N = 1 and 2 give step and step @ step
+        buffers, z, power = (step, *spares), None, None
+
+        def spare():
+            return next(b for b in buffers if b is not z and b is not power)
+
+        while n_steps:
+            z = step if z is None else np.matmul(z, z, out=spare())
+            n_steps, bit = divmod(n_steps, 2)
+            if bit:
+                power = z if power is None else np.matmul(power, z, out=spare())
+    if power is not step:
+        np.copyto(step, power)
+    return step
 
 
 def matexp_hermitian(h, theta: float) -> np.ndarray:

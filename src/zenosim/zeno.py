@@ -33,13 +33,14 @@ The runs stay on the target register: with ``P = 1 (x) |phi><phi|`` (``phi`` the
 standard projector every block turns by ``theta = lam dt``, so ``A(dt) = cos(theta) - i sin(theta) H / lam`` is a
 function of H, and so is the second-order step ``2 A(dt/2)^2 - A(dt)``: zeno1 and zeno2 act on each eigenvector of H
 as a scalar, and all their points read the Hamiltonian's cached ``spectrum``. mub's blocks turn at different angles,
-so it powers A(dt) against ``exact_evolution`` (read from that spectrum) for its error; every mub point reads its
-success probability from the spectrum of H' in A(dt) = alpha - i H' (alpha real, H' Hermitian). The kick sequence
-leaves the range of P but splits into one invariant plane per eigenvalue of H, where it is a 2x2 unitary whose N-th
-power ``run_kicks`` reads in closed form from the same spectrum, its phase from the same ``_phase`` as zeno1 and
-zeno2. Only ``select_unitary`` and ``extended_hamiltonian`` build combined-register matrices. Each run checks t, N
-and its largest rotation angle, ``bounds.method_rate`` times t, with ``bounds.step_time`` and returns the
-``bounds.sweep_point`` record, as the baselines in ``channels`` do.
+so it powers A(dt) with ``linalg.compose``, the N-fold power of the baselines in ``channels`` too, against
+``exact_evolution`` (read from that spectrum) for its error; every mub point reads its success probability from the
+spectrum of H' in A(dt) = alpha - i H' (alpha real, H' Hermitian). The kick sequence leaves the range of P but splits
+into one invariant plane per eigenvalue of H, where it is a 2x2 unitary whose N-th power ``run_kicks`` reads in closed
+form from the same spectrum, its phase from the same ``_phase`` as zeno1 and zeno2. Only ``select_unitary`` and
+``extended_hamiltonian`` build combined-register matrices. Each run checks t, N and its largest rotation angle,
+``bounds.method_rate`` times t, with ``bounds.step_time`` and returns the ``bounds.sweep_point`` record, as the
+baselines in ``channels`` do.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ import numpy as np
 from .bounds import ZenoRunResult, check_angle, is_count, is_real, method_rate, step_time, sweep_point
 from .errors import LimitExceededError
 from .hamiltonian import PauliHamiltonian, exact_evolution, pauli_rotations, term_matrix
-from .linalg import hermitian_eigen, spectral_norm
+from .linalg import compose, hermitian_eigen, spectral_norm
 
 VARIANT_STANDARD = "standard"
 VARIANT_MUB = "mub"
@@ -248,15 +249,16 @@ def _standard(sys: ExtendedSystem, delta_t: float, n_steps: int, order: int, psi
 def _mub(sys: ExtendedSystem, t: float, delta_t: float, n_steps: int, psi: np.ndarray):
     """``_standard``'s tuple for the mub projector, whose blocks turn at different angles: A(dt) is no function of H.
 
-    The error and overlap come from A(dt)^N. A(dt) = alpha - i H' with alpha = A[0, 0] real and H' Hermitian,
-    so on the eigenvector of H' with eigenvalue mu_j the step has modulus r_j^2 = alpha^2 + mu_j^2.
+    The error and overlap come from A(dt)^N, which ``compose`` writes over A(dt). A(dt) = alpha - i H' with
+    alpha = A[0, 0] real and H' Hermitian, so on the eigenvector of H' with eigenvalue mu_j the step has modulus
+    r_j^2 = alpha^2 + mu_j^2; both are read before the power.
     """
     step = _corner(sys, delta_t)
+    alpha, (mu, basis) = step[0, 0].real, hermitian_eigen(0.5j * (step - step.conj().T))
     exact = exact_evolution(sys.hamiltonian, t)
-    repeated = np.linalg.matrix_power(step, n_steps)
-    mu, basis = hermitian_eigen(0.5j * (step - step.conj().T))
+    repeated = compose(step, n_steps)
     with np.errstate(divide="ignore"):  # r = 0 where alpha = mu_j = 0
-        log_r = np.log(step[0, 0].real ** 2 + mu**2)
+        log_r = np.log(alpha**2 + mu**2)
     weights = np.abs(basis.conj().T @ psi) ** 2
     return spectral_norm(repeated - exact), np.vdot(exact @ psi, repeated @ psi), log_r, weights
 

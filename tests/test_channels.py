@@ -36,14 +36,14 @@ from zenosim import (
 from zenosim.channels import (
     ChannelRep,
     _choi_of_ptm,
-    _ptm_power,
     _qdrift_choi,
     _qdrift_step_ptm,
     conjugation_superoperator,
     qdrift_point,
 )
 from zenosim.hamiltonian import pauli_rotations
-from test_linalg import matexp_taylor
+from zenosim.linalg import compose
+from test_linalg import POWER_STEPS, matexp_taylor
 
 
 def choi_by_direct_loop(channel):
@@ -265,11 +265,9 @@ class TestQdriftPtm:
         assert np.max(np.abs(difference)) <= 1e-14 * np.max(np.abs(ptm))
 
 
-POWER_STEPS = [1, 2, 3, 4, 5, 10, 100, 1000, 10**6]
-
-
 class TestPtmPower:
-    """The in-place PTM power against numpy.linalg.matrix_power."""
+    """``linalg.compose`` on the real PTM against numpy.linalg.matrix_power (``test_linalg.TestCompose`` has the
+    complex steps and the spares it allocates)."""
 
     @pytest.mark.parametrize("num_qubits", [1, 2, 3])
     @pytest.mark.parametrize("n", POWER_STEPS)
@@ -277,7 +275,7 @@ class TestPtmPower:
         h = random_hamiltonian(np.random.default_rng(num_qubits), 2 * num_qubits, num_qubits)
         step = _qdrift_step_ptm(h, 0.8 / n)
         expected = np.linalg.matrix_power(step, n)
-        _ptm_power(step, n, np.empty((2, *step.shape)))
+        compose(step, n, np.empty((2, *step.shape)))
         assert np.array_equal(step, expected)
 
     @pytest.mark.parametrize("n", POWER_STEPS)
@@ -287,11 +285,11 @@ class TestPtmPower:
         # no memory and are bit-identical.
         h = random_hamiltonian(np.random.default_rng(3), 6, 3)
         earlier = _qdrift_step_ptm(h, 0.5)
-        _ptm_power(earlier, 7, np.empty((2, *earlier.shape)))
+        compose(earlier, 7, np.empty((2, *earlier.shape)))
         kept = earlier.copy()
         step = _qdrift_step_ptm(h, 0.8 / n)
         buffers = np.full((4, *step.shape), np.nan)  # a guard, the two spares, a guard
-        _ptm_power(step, n, buffers[1:3])
+        compose(step, n, buffers[1:3])
         assert np.array_equal(earlier, kept) and np.isnan(buffers[[0, 3]]).all()
         first, second = _qdrift_choi(h, 0.8, n), _qdrift_choi(h, 0.8, n)
         assert np.array_equal(first, second) and not np.shares_memory(first, second)
@@ -451,7 +449,7 @@ print(first, hwm_kib())
         run = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
                              capture_output=True, text=True, timeout=120, check=True)
         first, last = map(int, run.stdout.split())
-        assert last - first <= 2 * 1024
+        assert last - first <= 2 * 1024, f"VmHWM (first, last) = ({first}, {last}) KiB"
 
 
 class TestUnitaryChannel:

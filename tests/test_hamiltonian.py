@@ -117,7 +117,7 @@ class TestParseErrors:
         with pytest.raises(HamiltonianParseError, match="missing"):
             parse_hamiltonian("0.5*X 0.4*Z")
 
-    @pytest.mark.parametrize("text", ["0.0*X", "1e-20*X", "0*X + 0.5*Z"])
+    @pytest.mark.parametrize("text", ["0.0*X", "1e-20*X", "0*X + 0.5*Z", "1e-16*X + 1e-16*Z"])
     def test_subthreshold_coefficient(self, text):
         with pytest.raises(HamiltonianParseError, match="threshold"):
             parse_hamiltonian(text)
@@ -314,6 +314,12 @@ class TestRoundTrip:
     def test_serialize_then_parse_is_identity(self, text):
         h = parse_hamiltonian(text)
         assert parse_hamiltonian(to_text(h)) == h
+
+    def test_subthreshold_term_built_directly_does_not_round_trip(self):
+        # The round trip holds for what the parser returns; a term it would reject renders as text it rejects.
+        h = PauliHamiltonian(1, (PauliTerm(1e-20, 1, "X"),))
+        with pytest.raises(HamiltonianParseError, match="threshold"):
+            parse_hamiltonian(to_text(h))
 
 
 class TestFileLoading:

@@ -2,10 +2,11 @@
 
 import math
 import re
+from functools import reduce
 
 import numpy as np
 import pytest
-from conftest import THREE_TERM, random_hamiltonian
+from conftest import THREE_TERM, ceiling_hamiltonian, random_hamiltonian
 
 from zenosim import (
     ConvergenceError,
@@ -20,7 +21,11 @@ from zenosim import (
     trace_norm,
     unitary_channel,
 )
-from zenosim.linalg import as_matrix, hermitian_trace_norm
+from zenosim.bounds import method_rate, step_time
+from zenosim.channels import _qdrift_step_ptm
+from zenosim.hamiltonian import pauli_rotations
+from zenosim.linalg import as_matrix, compose, hermitian_trace_norm
+from zenosim.zeno import _corner, build_extended
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -278,3 +283,40 @@ class TestOperatorIdentities:
                 / math.factorial(k + 1)
             )
             assert remainder <= bound + 1e-12
+
+
+POWER_STEPS = [1, 2, 3, 4, 5, 10, 100, 1000, 10**6]
+
+
+def power_step(kind, n):
+    """The step each caller of ``compose`` powers at t = 1 and N = n: qdrift's real PTM on a 2-qubit instance, and
+    mub's A(dt) and trotter1's product of rotations, both complex 64 x 64 on ``ceiling_6q32``."""
+    if kind == "qdrift":
+        h = random_hamiltonian(np.random.default_rng(2), 4, 2)
+        return _qdrift_step_ptm(h, step_time(1.0, n, h.lam))
+    h = ceiling_hamiltonian("ceiling_6q32")
+    if kind == "mub":
+        return _corner(build_extended(h, "mub"), step_time(1.0, n, method_rate("mub", h)))
+    delta_t = step_time(1.0, n, h.lam)
+    return reduce(np.matmul, pauli_rotations(h, [term.coefficient * delta_t for term in h.terms]))
+
+
+class TestCompose:
+    """The one N-fold power against numpy.linalg.matrix_power, on every dtype it serves (``test_channels.TestPtmPower``
+    runs the real qdrift PTM at 1-3 qubits with spares handed in)."""
+
+    @pytest.mark.parametrize("kind", ["qdrift", "mub", "trotter1"])
+    @pytest.mark.parametrize("n", POWER_STEPS)
+    def test_bit_equal_to_matrix_power(self, kind, n):
+        step = power_step(kind, n)
+        expected = np.linalg.matrix_power(step, n)
+        assert compose(step, n) is step and np.array_equal(step, expected)
+
+    @pytest.mark.parametrize("kind", ["mub", "trotter1"])
+    @pytest.mark.parametrize("n", POWER_STEPS)
+    def test_complex_power_writes_only_step_and_spares(self, kind, n):
+        step = power_step(kind, n)
+        expected = np.linalg.matrix_power(step, n)
+        buffers = np.full((4, *step.shape), np.nan, complex)  # a guard, the two spares, a guard
+        compose(step, n, buffers[1:3])
+        assert np.array_equal(step, expected) and np.isnan(buffers[[0, 3]]).all()
