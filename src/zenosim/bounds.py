@@ -2,7 +2,9 @@
 
 Every method, Zeno sequence or baseline, reduces to points of a time t, a step count N, a measured error and
 its closed-form bound. ``step_time`` is the one check of t and N, beside ``is_real``, the one finite-real rule that
-every check of a time, angle, rate or precision reads; ``sweep_point`` builds the ``ZenoRunResult``.
+every check of a time, angle, rate or precision reads; ``sweep_point`` builds the ``ZenoRunResult``. That record is
+the one declaration of the output row: its fields, in declaration order, are the CSV and JSON columns, save
+``fidelity_mean``, which its ``COLUMN`` metadata marks library-only; ``bound_satisfied`` is derived from the others.
 
 Every sequence turns Pauli rotations by a rate times a time. ``method_rate`` states each method's largest rate,
 and ``check_angle`` is the one check that a rate times a time is a finite float: ``step_time`` runs it for every
@@ -19,12 +21,13 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Integral, Real
 
 from .errors import ConfigError, LimitExceededError
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
+COLUMN = "column"  # field-metadata key: False on a ZenoRunResult field that is no output column
 
 # method -> (x, n) -> (error bound or None, unclamped success bound). mub is zeno1 at its own rate; methods that
 # post-select nothing succeed with probability 1; trotter1 states no error bound.
@@ -74,14 +77,16 @@ def step_time(t: float, n: int, rate: float) -> float:
 
 @dataclass(frozen=True)
 class ZenoRunResult:
-    """Measured and analytic quantities for one (method, N) point.
+    """Measured and analytic quantities for one (method, N) point: its fields, in order, are the output columns.
 
     ``epsilon_measured`` is the restricted spectral-norm gate error and
     ``p_succ_exact`` the post-selection probability for the configured
     initial state (the error itself is state independent; the success
     probability is reported for the state actually used, default |0..0>).
-    The package builds every one with ``sweep_point``. ``fidelity_mean``
-    averages |<exact|final>|^2 over successful sampled trajectories.
+    ``bound_satisfied`` is derived: error at most its bound (true when none is stated) and success at least its
+    bound, each with 1e-12 of slack; ``dataclasses.replace`` derives it again. The package builds every one with
+    ``sweep_point``. ``fidelity_mean``, the one field marked ``COLUMN: False``, is library-only: it averages
+    |<exact|final>|^2 over successful sampled trajectories.
     """
 
     method: str
@@ -89,12 +94,13 @@ class ZenoRunResult:
     delta_t: float
     epsilon_measured: float
     epsilon_bound: float | None
+    bound_satisfied: bool = field(init=False)
     p_succ_exact: float
     p_succ_bound: float
     p_succ_sampled: float | None = None
     shots: int | None = None
     seed: int | None = None
-    fidelity_mean: float | None = None
+    fidelity_mean: float | None = field(default=None, metadata={COLUMN: False})
 
     def __post_init__(self):
         if not self.epsilon_measured >= 0:  # NaN fails too; an inf reading stays, and fails any finite bound
@@ -103,12 +109,8 @@ class ZenoRunResult:
             raise ValueError(f"success probability out of range: {self.p_succ_exact}")
         if not is_count(self.N, 1):
             raise ValueError(f"step count must be an integer >= 1, got {self.N!r}")
-
-    @property
-    def bound_satisfied(self) -> bool:
-        """Error at most its bound (true when none is stated), success at least its bound, each with 1e-12 of slack."""
         error_ok = self.epsilon_bound is None or self.epsilon_measured <= self.epsilon_bound + 1e-12
-        return bool(error_ok and self.p_succ_exact >= self.p_succ_bound - 1e-12)
+        object.__setattr__(self, "bound_satisfied", bool(error_ok and self.p_succ_exact >= self.p_succ_bound - 1e-12))
 
 
 def method_bounds(method: str, h, t: float, n: int) -> tuple[float | None, float]:

@@ -30,10 +30,10 @@ from functools import reduce
 
 import numpy as np
 
-from .bounds import ZenoRunResult, is_count, step_time, sweep_point
+from .bounds import ZenoRunResult, is_count, method_rate, step_time, sweep_point
 from .errors import LimitExceededError
 from .hamiltonian import PauliHamiltonian, exact_evolution, pauli_rotations, pauli_tables
-from .linalg import as_matrix, compose, hermitian_eigen, hermitian_trace_norm, lapack, spectral_norm
+from .linalg import MATRIX_TOL, as_matrix, compose, hermitian_eigen, hermitian_trace_norm, lapack, spectral_norm
 from .zeno import build_extended
 
 CHANNEL_MAX_QUBITS = 5
@@ -88,7 +88,7 @@ def trotter_first_order(h: PauliHamiltonian, t: float, n_steps: int) -> np.ndarr
     Each factor is the analytic exp(-i * h_j * H_j * delta_t) of one
     weighted term of the physical Hamiltonian.
     """
-    delta_t = step_time(t, n_steps, h.lam)
+    delta_t = step_time(t, n_steps, method_rate("trotter1", h))
     return compose(reduce(np.matmul, pauli_rotations(h, [term.coefficient * delta_t for term in h.terms])), n_steps)
 
 
@@ -97,7 +97,8 @@ def qdrift_sample(h: PauliHamiltonian, t: float, n_steps: int, seed: int) -> Qdr
     if not is_count(seed, 0):
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     sys = build_extended(h)
-    unitaries = pauli_rotations(h, np.array(sys.block_rates[: h.num_terms]) * step_time(t, n_steps, h.lam))
+    delta_t = step_time(t, n_steps, method_rate("qdrift", h))
+    unitaries = pauli_rotations(h, np.array(sys.block_rates[: h.num_terms]) * delta_t)
     picks = np.random.default_rng(seed).choice(h.num_terms, size=n_steps, p=sys.weights[: h.num_terms])
     product = np.eye(2**h.num_qubits, dtype=complex)
     for j in picks:
@@ -154,7 +155,7 @@ def _qdrift_choi(h: PauliHamiltonian, t: float, n_steps: int) -> np.ndarray:
     A point allocates two arrays: the step's PTM, which the power overwrites, and a pair of PTM-sized buffers
     that holds the power's spares and then, viewed as one complex matrix, the Choi matrix.
     """
-    delta_t = step_time(t, n_steps, h.lam)
+    delta_t = step_time(t, n_steps, method_rate("qdrift", h))
     if h.num_qubits > CHANNEL_MAX_QUBITS:
         raise LimitExceededError(f"channel mode supports at most {CHANNEL_MAX_QUBITS} qubits, got {h.num_qubits}")
     ptm = _qdrift_step_ptm(h, delta_t)
@@ -170,10 +171,10 @@ def qdrift_channel(h: PauliHamiltonian, t: float, n_steps: int) -> ChannelRep:
 
 
 def _checked_unitary(u: np.ndarray) -> np.ndarray:
-    """``u`` as a complex matrix, once it is square and u^dagger u is the identity within 1e-10 (a NaN fails)."""
+    """``u`` as a complex matrix, once square with u^dagger u the identity within ``MATRIX_TOL`` (a NaN fails)."""
     u = as_matrix(u)
-    if u.shape[0] != u.shape[1] or not np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])), initial=0.0) <= 1e-10:
-        raise ValueError("input is not unitary within tolerance 1e-10")
+    if u.shape[0] != u.shape[1] or not np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])), initial=0.0) <= MATRIX_TOL:
+        raise ValueError(f"input is not unitary within tolerance {MATRIX_TOL:g}")
     return u
 
 

@@ -6,19 +6,18 @@ N whose method's error bound meets it), or an explicit ``sweep`` list. Runs
 are deterministic: the same config (seed included) produces byte-identical
 output files.
 
-CSV columns are fixed (``CSV_COLUMNS``, one ``ZenoRunResult`` attribute
-each). Floats are printed with 12 significant digits, a non-finite one as
-``inf`` (a string in JSON); absent values are empty cells (CSV) or null
-(JSON). JSON output mirrors the same per-point fields and adds the resolved
-config and the fitted log-log slope.
+CSV columns are fixed: ``CSV_COLUMNS`` are ``ZenoRunResult``'s column
+fields in declaration order. Floats are printed with 12 significant
+digits, a non-finite one as ``inf`` (a string in JSON); absent values are
+empty cells (CSV) or null (JSON). JSON output mirrors the same per-point
+fields and adds the resolved config and the fitted log-log slope.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
-from operator import attrgetter
 
 import numpy as np
 
@@ -258,19 +257,7 @@ def compare_methods(config: ExperimentConfig, methods) -> MethodComparison:
     return MethodComparison(ns=ns, results=results, notes=tuple(notes))
 
 
-CSV_COLUMNS = (
-    "method",
-    "N",
-    "delta_t",
-    "epsilon_measured",
-    "epsilon_bound",
-    "bound_satisfied",
-    "p_succ_exact",
-    "p_succ_bound",
-    "p_succ_sampled",
-    "shots",
-    "seed",
-)
+CSV_COLUMNS = tuple(f.name for f in fields(ZenoRunResult) if f.metadata.get(bounds.COLUMN, True))
 
 
 def _csv_cell(value) -> str:
@@ -284,7 +271,7 @@ def _csv_cell(value) -> str:
 
 
 def _point_record(point: ZenoRunResult) -> dict:
-    return dict(zip(CSV_COLUMNS, attrgetter(*CSV_COLUMNS)(point)))
+    return {name: getattr(point, name) for name in CSV_COLUMNS}
 
 
 def render_csv(*results: SweepResult) -> str:

@@ -9,9 +9,10 @@ memory then holds the complex Choi matrix J. Lanczos finds the one negative
 eigenvalue of J - w w^dagger without forming it. ``compose`` is the one
 N-fold power: of mub's A(dt), trotter1's product of rotations and that PTM.
 
-Hermiticity is checked to 1e-10, and so is unitarity, where ``channels``
-takes a unitary (it holds its own ``CP_TOL`` and ``TP_TOL`` too); equality
-assertions in callers should use 1e-9.
+Hermiticity is checked to ``MATRIX_TOL`` (1e-10), and so are unitarity, where
+``channels`` takes a unitary (it holds its own ``CP_TOL`` and ``TP_TOL`` too),
+and the norm of an initial state in ``zeno``; equality assertions in callers
+should use 1e-9.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .bounds import check_angle, is_real
 from .errors import ConvergenceError
 
-HERMITICITY_TOL = 1e-10
+MATRIX_TOL = 1e-10  # Hermiticity, unitarity and state normalisation, wherever a caller's input is checked
 
 
 def as_matrix(a) -> np.ndarray:
@@ -44,11 +45,11 @@ def hermitian_eigen(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition h = U diag(w) U^dagger of a Hermitian matrix.
 
     Returns eigenvalues in ascending order and the unitary of column
-    eigenvectors. Input must be Hermitian to within 1e-10.
+    eigenvectors. Input must be Hermitian to within ``MATRIX_TOL``.
     """
     h = as_matrix(h)
-    if h.shape[0] != h.shape[1] or not np.max(np.abs(h - h.conj().T), initial=0.0) <= HERMITICITY_TOL:
-        raise ValueError("matrix is not Hermitian within tolerance 1e-10")
+    if h.shape[0] != h.shape[1] or not np.max(np.abs(h - h.conj().T), initial=0.0) <= MATRIX_TOL:
+        raise ValueError(f"matrix is not Hermitian within tolerance {MATRIX_TOL:g}")
     return lapack(np.linalg.eigh, h, "eigendecomposition")
 
 

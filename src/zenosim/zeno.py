@@ -54,7 +54,7 @@ import numpy as np
 from .bounds import ZenoRunResult, check_angle, is_count, is_real, method_rate, step_time, sweep_point
 from .errors import LimitExceededError
 from .hamiltonian import PauliHamiltonian, exact_evolution, pauli_rotations, term_matrix
-from .linalg import compose, hermitian_eigen, spectral_norm
+from .linalg import MATRIX_TOL, compose, hermitian_eigen, spectral_norm
 
 VARIANT_STANDARD = "standard"
 VARIANT_MUB = "mub"
@@ -164,7 +164,7 @@ def _initial_state(sys: ExtendedSystem, psi0: np.ndarray | None) -> np.ndarray:
     psi = np.asarray(np.eye(sys.target_dim)[0] if psi0 is None else psi0, dtype=complex).reshape(-1)
     if psi.shape[0] != sys.target_dim:
         raise ValueError(f"psi0 must have dimension {sys.target_dim}, got {psi.shape[0]}")
-    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-10:  # a NaN norm fails too
+    if not abs(np.linalg.norm(psi) - 1.0) <= MATRIX_TOL:  # a NaN norm fails too
         raise ValueError("psi0 must be normalized")
     return psi
 
@@ -278,9 +278,11 @@ def _projected(sys: ExtendedSystem, t: float, n_steps: int, order: int, psi0: np
         epsilon, overlap, log_r, weights = _standard(sys, delta_t, n_steps, order, psi)
     else:
         epsilon, overlap, log_r, weights = _mub(sys, t, delta_t, n_steps, psi)
-    p_succ = float(np.dot(weights, np.exp(n_steps * log_r)))  # sum_j w_j r_j^(2N) = ||A^N psi||^2
-    fidelity = float(abs(overlap) ** 2 / p_succ) if p_succ else None
-    return sweep_point(method, sys.hamiltonian, t, n_steps, epsilon, min(p_succ, 1.0)), (log_r, weights, fidelity)
+    survival = np.dot(weights, np.exp(n_steps * log_r))  # sum_j w_j r_j^(2N) = ||A^N psi||^2
+    fidelity = float(abs(overlap) ** 2 / survival) if survival else None
+    # Divided by sum_j w_j in the same dot product, so t = 0 (every r_j = 1) reads exactly 1 whatever the w_j sum to.
+    p_succ = min(float(survival / np.dot(weights, np.ones_like(weights))), 1.0)
+    return sweep_point(method, sys.hamiltonian, t, n_steps, epsilon, p_succ), (log_r, weights, fidelity)
 
 
 def run_zeno(
@@ -326,7 +328,7 @@ def run_kicks(sys: ExtendedSystem, t: float, n_steps: int) -> ZenoRunResult:
     when c >= 0. The plane's error is hypot(|expm1(i phase) - (kappa - c) U e^(i E_j t)|, |s b U|).
     """
     h = sys.hamiltonian
-    delta_t = step_time(t, n_steps, h.lam)
+    delta_t = step_time(t, n_steps, method_rate("kicks", h))
     if sys.variant != VARIANT_STANDARD:
         raise ValueError("kick sequence requires the standard projector variant")
 

@@ -127,8 +127,6 @@ def _item(reason: str):
     return pytest.mark.xfail(strict=True, raises=AssertionError, reason=f"ROADMAP {reason}")
 
 
-UNEQUAL_WEIGHTS = _item("item 12, deficit form: the weights |V^dag psi|^2 do not sum to exactly 1, so p_succ reads up "
-                        "to 1e-15 below 1")
 ODD_ANCILLA = "item 3, mub slice: for odd n_a the step at t = 0 is (1 - 2.2e-16) I"
 ZERO_TIME_ERRORS = {
     "mub": _item(f"{ODD_ANCILLA}: up to 2.2e-16 at N = 1 and 2.2e-10 at N = 10^6"),
@@ -136,8 +134,6 @@ ZERO_TIME_ERRORS = {
                     "and 6.7e-10 at N = 10^6"),
 }
 ZERO_TIME_SUCCESSES = {
-    "zeno1": UNEQUAL_WEIGHTS,
-    "zeno2": UNEQUAL_WEIGHTS,
     "mub": _item(f"{ODD_ANCILLA}, so p_succ reads up to 4.4e-10 below 1 at N = 10^6"),
 }
 

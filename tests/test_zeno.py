@@ -375,6 +375,12 @@ class TestRunZeno:
         # The success probability must reach its bound too, with the same slack.
         assert replace(r, p_succ_exact=r.p_succ_bound - 1e-12).bound_satisfied
         assert not replace(r, p_succ_exact=r.p_succ_bound - 1e-11).bound_satisfied
+        # The verdict is a derived field: replace() derives it again from the fields it is handed and accepts no
+        # verdict of its own.
+        broken = replace(r, epsilon_measured=2.0 * r.epsilon_bound)
+        assert not broken.bound_satisfied and replace(broken, epsilon_measured=r.epsilon_measured) == r
+        with pytest.raises(ValueError, match="bound_satisfied"):
+            replace(r, bound_satisfied=False)
 
 
 class TestRunKicks:
