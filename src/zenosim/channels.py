@@ -14,10 +14,11 @@ diamond norm (a semidefinite program) is intentionally out of scope and
 every reported value is labeled as a lower bound.
 
 trotter1's product of rotations and the qdrift step are powered by ``linalg.compose``, the one N-fold power, which
-mub's step shares. The qdrift channel is a real Pauli transfer matrix, built in O(L d^2) and powered in its own buffer
-with two spares of its size; Walsh-Hadamard transforms in the (x, z) coordinates of ``hamiltonian.pauli_tables`` turn
-its N-th power into the Choi matrix J, one X part at a time, written into the spares' memory. The exact channel's Choi
-matrix is the rank-one w w^dagger (w = vec(exp(-iHt))), so J - w w^dagger has trace 0 and, J being positive
+mub's step shares. The qdrift channel is a real Pauli transfer matrix, its Pauli strings numbered b = x d + z by their
+(x, z) masks of ``hamiltonian.pauli_tables``, built in O(L d^2) as I plus each term's change (so exactly I at t = 0)
+and powered in its own buffer with two spares of its size; Walsh-Hadamard transforms in those masks turn its N-th power
+into the Choi matrix J, one X part (d contiguous rows) at a time, written into the spares' memory. The exact channel's
+Choi matrix is the rank-one w w^dagger (w = vec(exp(-iHt))), so J - w w^dagger has trace 0 and, J being positive
 semidefinite, at most one negative eigenvalue lam_1 (Weyl interlacing): its trace norm is 2 |lam_1|, and every other
 eigenvalue lies in [0, |lam_1|].
 """
@@ -111,38 +112,40 @@ def qdrift_sample(h: PauliHamiltonian, t: float, n_steps: int, seed: int) -> Qdr
 
 
 def _qdrift_step_ptm(h: PauliHamiltonian, delta_t: float) -> np.ndarray:
-    """Real Pauli transfer matrix Tr(sigma_a E(sigma_b)) / d of one qDRIFT step.
+    """Real Pauli transfer matrix Tr(sigma_a E(sigma_b)) / d of one qDRIFT step, exactly I at delta_t = 0.
 
-    Pauli strings are numbered in kron order, ``pauli_tables``'s index. With c, s = cos, sin of its block angle, term j
-    maps sigma_b to c^2 sigma_b + s^2 P_j sigma_b P_j - i c s [P_j, sigma_b]: a diagonal part, plus 2 P_j sigma_b where
-    they anticommute. For term j's word (x_j, z_j), sigma_(x_j,z_j) sigma_(x,z) = product[x, z] sigma_(x^x_j, z^z_j).
+    Pauli string sigma_(x,z) is number b = x d + z, its masks side by side. With c, s = cos, sin of its block angle,
+    term j maps sigma_b to c^2 sigma_b + s^2 P_j sigma_b P_j - i c s [P_j, sigma_b]: sigma_b where they commute, else
+    (c^2 - s^2) sigma_b plus 2 P_j sigma_b. So R = I + sum_j p_j (O_j - I) takes 2 p_j s^2 off the diagonal where term
+    j anticommutes, and for its word w_j = x_j d + z_j, sigma_(x_j,z_j) sigma_b = product[b] sigma_(b ^ w_j).
     """
     sys = build_extended(h)
-    index, phase, sign = pauli_tables(h.num_qubits)
-    r, ptm = np.arange(len(index)), np.zeros((index.size, index.size))
+    phase, sign = pauli_tables(h.num_qubits)
+    d = len(sign)
+    b, ptm = np.arange(d * d), np.eye(d * d)
     for p, rate, term in zip(sys.weights, sys.block_rates, h.terms):
         c, s = np.cos(rate * delta_t), np.sin(rate * delta_t)
         xj, zj = term.masks
-        partner = np.ix_(r ^ xj, r ^ zj)
-        product = phase[xj, zj] * phase * sign[xj] * phase[partner].conj()  # phase is a power of -i: conj inverts it
-        ptm[index, index] += p * (c * c + s * s * (product * product).real)  # -1 where they anticommute
-        ptm[index[partner], index] += 2.0 * p * c * s * term.sign * product.imag
+        partner = b ^ (xj * d + zj)
+        product = (phase[xj, zj] * phase * sign[xj]).reshape(-1) * phase.reshape(-1)[partner].conj()  # conj inverts
+        ptm[b, b] -= 2.0 * p * s * s * product.imag**2  # 1 where they anticommute: the product is then imaginary
+        ptm[partner, b] += 2.0 * p * c * s * term.sign * product.imag
     return ptm
 
 
 def _choi_of_ptm(ptm: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write the Choi matrix (1/d) sum_(a,b) R[a, b] sigma_a kron conj(sigma_b) of a real PTM R into ``out``.
 
-    As sigma_(x,z)[r, r ^ x] = phase[x, z] sign[r, z] (``pauli_tables``), J[(r, r'), (r ^ x, r' ^ x')] comes from
-    the d rows (x, z) of R, phased and transformed by the sign table over z' and then z, one x-block at a time.
+    R is numbered as ``_qdrift_step_ptm`` numbers it, so X part x is the d contiguous rows (x, z) of R. As
+    sigma_(x,z)[r, r ^ x] = phase[x, z] sign[r, z] (``pauli_tables``), J[(r, r'), (r ^ x, r' ^ x')] comes from those
+    rows, phased and transformed by the sign table over z' and then z, one x-block at a time.
     ``out`` is a C-contiguous complex array of R's shape sharing no memory with R; block temporaries are d x d^2.
     """
-    index, phase, sign = pauli_tables(ptm.shape[0].bit_length() // 2)
-    d, r = index.shape[0], np.arange(index.shape[0])
+    phase, sign = pauli_tables(ptm.shape[0].bit_length() // 2)
+    d, r = len(sign), np.arange(len(sign))
     scatter = (r * d**3)[:, None, None] + r * d * d + (r[:, None] ^ r)  # [r, x', r']: J[(r, r'), (0, r' ^ x')]
     for x in range(d):  # each entry of out is written by exactly one block
-        block = ptm.take(index[x], axis=0).take(index.reshape(-1), axis=1).reshape(d, d, d)
-        block = block * (phase[x] / d)[:, None, None]
+        block = ptm[x * d : (x + 1) * d].reshape(d, d, d) * (phase[x] / d)[:, None, None]
         block = ((block * phase.conj()).reshape(d * d, d) @ sign).reshape(d, d * d)
         block = (sign @ block.view(float)).view(complex)  # z on the real view: the sign table is real
         out.reshape(-1)[scatter + ((r ^ x) * d)[:, None, None]] = block.reshape(d, d, d)

@@ -120,20 +120,15 @@ class PauliHamiltonian:
 
 
 @cache
-def pauli_tables(num_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one Pauli convention: read-only (index, phase, sign) tables over the (x, z) masks of n qubits.
+def pauli_tables(num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one Pauli convention: read-only (phase, sign) tables over the (x, z) masks of n qubits.
 
     Per qubit I, X, Y, Z are (x, z) = (0,0), (1,0), (1,1), (0,1), qubit 0 the top bit, and with d = 2^n
     sigma_(x,z)[r, r ^ x] = phase[x, z] sign[r, z], where phase[x, z] = (-i)^|x & z| and sign[r, z] = (-1)^|r & z|.
-    index[x, z] numbers sigma_(x,z) in kron order: the kron of I, X, Y, Z as digits 0-3, qubit 0 the most significant.
     """
-    d = 2**num_qubits
-    z, x = np.arange(d), np.arange(d)[:, None]
-    index = overlap = 0
-    for bit in reversed(range(num_qubits)):
-        xb, zb = (x >> bit) & 1, (z >> bit) & 1
-        index, overlap = 4 * index + np.array([[0, 3], [1, 2]])[xb, zb], overlap + (xb & zb)
-    tables = (index, (-1j) ** overlap, (-1.0) ** overlap)
+    z, x = np.arange(2**num_qubits), np.arange(2**num_qubits)[:, None]
+    overlap = sum(((x & z) >> bit) & 1 for bit in range(num_qubits))
+    tables = ((-1j) ** overlap, (-1.0) ** overlap)
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -141,7 +136,7 @@ def pauli_tables(num_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def term_matrix(term: PauliTerm) -> np.ndarray:
     """Dense matrix of the signed Pauli string (spectral norm 1), scattered from ``pauli_tables``."""
-    (x, z), (_, phase, sign) = term.masks, pauli_tables(term.num_qubits)
+    (x, z), (phase, sign) = term.masks, pauli_tables(term.num_qubits)
     r, out = np.arange(len(sign)), np.zeros(sign.shape, dtype=complex)
     out[r, r ^ x] = term.sign * phase[x, z] * sign[:, z]
     return out

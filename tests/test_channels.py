@@ -74,19 +74,31 @@ PAULI_VEC = np.stack([np.array(PAULIS[axis], dtype=complex).reshape(-1) for axis
 DIGIT_PHASES = np.array([[1, 1, 1, 1], [1, 1, 1j, -1j], [1, -1j, 1, 1j], [1, 1j, -1j, 1]])
 
 
+def kron_order(num_qubits):
+    """Kron-order number of each Pauli word b = x 2^n + z, the package's numbering: the base-4 number whose digits are
+    I, X, Y, Z as 0-3, qubit 0 (the top bit of x and z) the most significant."""
+    x, z = np.divmod(np.arange(4**num_qubits), 2**num_qubits)
+    number = 0
+    for bit in reversed(range(num_qubits)):
+        number = 4 * number + np.array([[0, 3], [1, 2]])[(x >> bit) & 1, (z >> bit) & 1]
+    return number
+
+
 def qdrift_step_by_digits(h, delta_t):
     """Oracle: the step PTM in base-4 digits, each word's phases the kron of DIGIT_PHASES rows, in the package's
-    accumulation order, so that it is bit for bit the package's PTM."""
+    accumulation order (from I, less 2 p s^2 on the diagonal where a term anticommutes), then renumbered by the
+    words' (x, z) masks, so that it is bit for bit the package's PTM."""
     probs = np.array([term.coefficient for term in h.terms]) / h.lam
     c, s = np.cos(h.lam * delta_t), np.sin(h.lam * delta_t)
     b = np.arange(4**h.num_qubits)
-    ptm = np.zeros((b.size, b.size))
+    ptm = np.eye(b.size)
     for p, term in zip(probs, h.terms):
         digits = ["IXYZ".index(axis) for axis in term.axes]
         phase = functools.reduce(np.kron, DIGIT_PHASES[digits])  # word_j sigma_b = phase[b] sigma_(b ^ w_j)
-        ptm[b, b] += p * (c * c + s * s * (phase * phase).real)
+        ptm[b, b] -= 2.0 * p * s * s * phase.imag**2
         ptm[b ^ int("".join(map(str, digits)), 4), b] += 2.0 * p * c * s * term.sign * phase.imag
-    return ptm
+    order = kron_order(h.num_qubits)
+    return ptm[np.ix_(order, order)]
 
 
 def choi_by_pauli_legs(ptm):
@@ -259,9 +271,14 @@ class TestQdriftPtm:
 
     @pytest.mark.parametrize("num_qubits", [1, 2, 3, 4, 5])
     def test_choi_matches_pauli_legs(self, num_qubits):
-        # The (x, z) Walsh-Hadamard build against the per-leg basis change; 4.3e-15 max |R| at 5 qubits.
+        # The (x, z) Walsh-Hadamard build against the per-leg basis change, which reads the PTM in kron order;
+        # 4.3e-15 max |R| at 5 qubits.
         ptm = np.random.default_rng(num_qubits).standard_normal((4**num_qubits, 4**num_qubits))
-        difference = choi_of(ptm) - choi_by_pauli_legs(ptm)
+        order = kron_order(num_qubits)
+        assert np.array_equal(np.sort(order), np.arange(order.size))
+        in_kron_order = np.empty_like(ptm)
+        in_kron_order[np.ix_(order, order)] = ptm
+        difference = choi_of(ptm) - choi_by_pauli_legs(in_kron_order)
         assert np.max(np.abs(difference)) <= 1e-14 * np.max(np.abs(ptm))
 
 
@@ -380,6 +397,22 @@ class TestQdriftPoint:
         for n in (1, 1000):
             assert qdrift_point(h, t, n).epsilon_measured <= 1e-12
 
+    @staticmethod
+    def weights_missing_one():
+        # ROADMAP item 18's t = 0 case, which the corner instances miss: their select weights sum to exactly 1,
+        # this 2-qubit, 15-term draw's to 1 - 1.1e-16 left to right. A step that sums p_j (c^2 + s^2) onto its
+        # diagonal reads (1 - 1.1e-16) I here, and the point 2.2e-16, 2.2e-13 and 2.2e-10 at N = 1, 10^3 and 10^6.
+        h = random_hamiltonian(np.random.default_rng(1), 15, 2)
+        assert sum(build_extended(h).weights) != 1.0
+        return h
+
+    def test_time_zero_step_is_the_identity(self):
+        assert _qdrift_step_ptm(self.weights_missing_one(), 0.0).tobytes() == np.eye(16).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 10**3, 10**6])
+    def test_time_zero_reads_zero(self, n):
+        assert qdrift_point(self.weights_missing_one(), 0.0, n).epsilon_measured == 0.0
+
     def test_ceiling_roundoff_is_not_a_violation(self):
         # At N = 10**6 the PTM power leaves hundreds of eigenvalues below -1e-12 in the computed difference.
         # Summing every |eigenvalue| read 2.2e-9, above the 1.62e-9 bound; the error itself falls as 1/N
@@ -400,14 +433,13 @@ class TestQdriftPoint:
         point = qdrift_point(parse_hamiltonian(text), 1.0, n)
         assert point.epsilon_measured == pytest.approx(reference, rel=1e-12, abs=0.0)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the PTM power loses about N^2 u and reads low")
     @pytest.mark.parametrize("n,reference", [
         (1000, 0.00095959838292187873315),
         (10**4, 0.000095995981292414680315),
     ])
     def test_not_below_high_precision_reference(self, n, reference):
-        # two_term at t = 1, by the recipe of test_matches_high_precision_reference. The point reads low by
-        # 9.4e-11 relative at N = 1000 and 9.1e-9 at N = 10^4: binary powering of the PTM rounds away the signal.
+        # two_term at t = 1, by the recipe of test_matches_high_precision_reference. The point reads high by
+        # 4.3e-11 relative at N = 1000 and 5.2e-9 at N = 10^4: the PTM power's roundoff (ROADMAP item 3).
         assert qdrift_point(parse_hamiltonian(TWO_TERM), 1.0, n).epsilon_measured >= reference
 
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 1000])

@@ -130,8 +130,6 @@ def _item(reason: str):
 ODD_ANCILLA = "item 3, mub slice: for odd n_a the step at t = 0 is (1 - 2.2e-16) I"
 ZERO_TIME_ERRORS = {
     "mub": _item(f"{ODD_ANCILLA}: up to 2.2e-16 at N = 1 and 2.2e-10 at N = 10^6"),
-    "qdrift": _item("item 3, qdrift slice: the step's PTM diagonal can round to 1 + 2.2e-16; up to 6.3e-16 at N = 1 "
-                    "and 6.7e-10 at N = 10^6"),
 }
 ZERO_TIME_SUCCESSES = {
     "mub": _item(f"{ODD_ANCILLA}, so p_succ reads up to 4.4e-10 below 1 at N = 10^6"),

@@ -67,10 +67,7 @@ def _item(reason: str):
 
 MUB_ROUNDOFF = _item("item 3, mub slice: binary powering of mub's step leaves up to 2.2e-10 at large N, and for odd "
                      "n_a its step at t = 0 is (1 - 2.2e-16) I; against a bound of (nearly) 0 that is a false exit 4")
-QDRIFT_ROUNDOFF = _item("item 3, qdrift slice: the step's PTM at t = 0 or tiny t is not exactly I, and its power "
-                        "reads up to 2.1e-10 against a bound of (nearly) 0: a false exit 4")
-FALSE_EXIT_4 = {**dict.fromkeys((36, 136, 182, 276, 278), MUB_ROUNDOFF),
-                **dict.fromkeys((253, 280, 417, 497), QDRIFT_ROUNDOFF)}
+FALSE_EXIT_4 = dict.fromkeys((36, 136, 182, 276, 278), MUB_ROUNDOFF)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

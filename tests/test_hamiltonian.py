@@ -252,11 +252,6 @@ class TestPauliTables:
         assert PauliTerm(coefficient=1.0, sign=1, axes="XIZY").masks == (0b1001, 0b0011)
         assert PauliTerm(coefficient=1.0, sign=1, axes="IIII").masks == (0, 0)
 
-    def test_index_numbers_each_word_in_kron_order(self):
-        index = pauli_tables(2)[0]
-        for number, word in enumerate(map("".join, itertools.product("IXYZ", repeat=2))):
-            assert index[PauliTerm(coefficient=1.0, sign=1, axes=word).masks] == number, word
-
 
 class TestPauliRotations:
     def test_each_slice_is_the_term_exponential(self):

@@ -99,8 +99,8 @@ MUB_ROUNDOFF = pytest.mark.xfail(
     strict=True, reason="ROADMAP item 3, mub slice: binary powering of mub's step leaves roundoff that depends on "
     "the term order and labels at N = 10^6")
 QDRIFT_ROUNDOFF = pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 3, qdrift slice: the PTM power's roundoff at N = 10^6 reads 8.9e-13 in file "
-    "order and 4.3e-10 reversed, against a bound of 1.62e-11")
+    strict=True, reason="ROADMAP item 3, qdrift slice: the PTM power's roundoff at N = 10^6 reads 7.4373e-13 in "
+    "file order and 7.4374e-13 reversed, a relative spread of 9.6e-6")
 
 
 def _assert_same_error(h, variants, method, t, n):
@@ -130,7 +130,7 @@ TROTTER_RELABEL_ROUNDOFF = pytest.mark.xfail(
     "that depends on the labels, a relative spread of 1.9e-1 at (1e-4, 10^6) and 3.5e-10 at (1, 10^6)")
 QDRIFT_RELABEL_ROUNDOFF = pytest.mark.xfail(
     strict=True, reason="ROADMAP item 3, qdrift slice: the PTM power's roundoff depends on the labels, a relative "
-    "spread of 1.5e-1 at (1e-4, 10^6)")
+    "spread of 7.8e-1 at (1e-4, 10^6)")
 
 
 def _relabelling_cases():
