@@ -36,6 +36,7 @@ from zenosim import (
 from zenosim.channels import (
     ChannelRep,
     _choi_of_ptm,
+    _distance_to_unitary,
     _qdrift_choi,
     _qdrift_step_ptm,
     conjugation_superoperator,
@@ -412,6 +413,23 @@ class TestQdriftPoint:
     @pytest.mark.parametrize("n", [1, 10**3, 10**6])
     def test_time_zero_reads_zero(self, n):
         assert qdrift_point(self.weights_missing_one(), 0.0, n).epsilon_measured == 0.0
+
+    def test_floor_reading_keeps_the_kato_temple_term(self):
+        # ROADMAP item 22's survivor: a Choi matrix within roundoff of the identity channel's, where Lanczos stops
+        # at its roundoff floor after one step with a Ritz residual rho above the Ritz value theta. On span{x, y},
+        # x = w / 2 and y a basis vector off w, the difference reads [[a, r], [r, 0]] with a = -ulp(4) / 2,
+        # so lam_1 = (a - sqrt(a^2 + 4 r^2)) / 2 = -2.23e-15 lies below theta = |a| = 4.4e-16: only the rho term
+        # lifts the reading (1.22e-15) above 2 |lam_1| / d = 1.12e-15; without it the point reads 2.2e-16.
+        d, a, r = 4, np.nextafter(4.0, 0.0) - 4.0, 2e-15
+        w = np.eye(d, dtype=complex).reshape(-1)
+        x, y = w / 2, np.eye(d * d)[1]
+        j = (d + a) * np.outer(x, x) + r * (np.outer(x, y) + np.outer(y, x))
+        difference = (j + j.conj().T) / 2 - np.outer(w, w.conj())
+        v = difference @ x
+        theta, rho = abs(np.vdot(x, v).real), np.linalg.norm(v - np.vdot(x, v) * x)
+        assert theta <= rho <= 4 * np.finfo(float).eps * d  # the floor branch, with rho >= theta
+        lam_1 = np.linalg.eigvalsh(difference)[0]
+        assert _distance_to_unitary(j, w) >= 2 * abs(lam_1) / d > 2 * theta / d
 
     def test_ceiling_roundoff_is_not_a_violation(self):
         # At N = 10**6 the PTM power leaves hundreds of eigenvalues below -1e-12 in the computed difference.

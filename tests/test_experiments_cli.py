@@ -1,9 +1,11 @@
 """Experiment harness, output formats, exit codes, and the CLI."""
 
 import contextlib
+import gc
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -29,6 +31,7 @@ from zenosim import (
     run_experiment,
     to_text,
 )
+from zenosim import __main__ as entry
 from zenosim.cli import _build_parser, main
 from zenosim.experiments import CSV_COLUMNS, METHODS, MODES, render_csv, render_json
 from zenosim.hamiltonian import MAX_FILE_BYTES
@@ -827,20 +830,52 @@ class TestCliBehavior:
         table = capsys.readouterr().out
         assert "zeno2_error" in table
 
-    def test_module_entry_point(self, hfile):
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "zenosim",
-                "--hamiltonian", hfile(TWO_TERM),
-                "--method", "zeno1",
-                "--t", "1",
-                "--n", "10",
-            ],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0
-        assert proc.stdout.startswith("method,N,delta_t")
+    def test_module_entry_point(self, hfile, capsys):
+        # The child runs through zenosim.__main__.run (frozen heap, stdout flushed in the entry); its stdout must be
+        # the bytes in-process main prints.
+        base = ["--hamiltonian", hfile(TWO_TERM), "--method", "zeno1", "--t", "1", "--n", "10"]
+        outputs = []
+        for args in (base, [*base, "--mode", "sampled", "--shots", "50", "--seed", "3", "--format", "json"]):
+            proc = subprocess.run([sys.executable, "-m", "zenosim", *args], capture_output=True)
+            assert proc.returncode == main(args) == 0
+            assert proc.stdout == capsys.readouterr().out.encode("utf-8")
+            outputs.append(proc.stdout)
+        assert outputs[0].startswith(b"method,N,delta_t") and outputs[1].startswith(b"{")
+
+    def test_run_freezes_once_before_main(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(entry, "main", lambda argv: calls.append(("main", argv)) or 4)
+        assert entry.run(["--help"]) == 4
+        assert calls == ["freeze", ("main", ["--help"])]
+
+    def test_main_never_freezes(self, hfile, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        assert main(["--hamiltonian", hfile(TWO_TERM), "--method", "zeno1", "--t", "1", "--n", "10"]) == 0
+        assert calls == []
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_closed_stdout_exits_usage(self, hfile, unbuffered):
+        # The read end is closed before the child starts, so its first write to stdout meets a broken pipe: at the
+        # write when stdout is unbuffered, else at the flush in zenosim.__main__.run (without that flush, Python
+        # reports it at shutdown as "Exception ignored ... BrokenPipeError" and exits 120). An empty
+        # PYTHONUNBUFFERED leaves stdout buffered.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "zenosim", "--hamiltonian", hfile(TWO_TERM), "--method", "zeno1", "--t", "1",
+                 "--n", "10", "--format", "json"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("zenosim: cannot write output: ")
 
 
 class TestSlopeFit:
