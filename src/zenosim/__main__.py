@@ -18,9 +18,12 @@ def run(argv=None) -> int:
     # interpreter shutdown included, needs to walk them.
     gc.freeze()
     try:
-        code = main(argv)
-        sys.stdout.flush()  # inside the try, so a closed pipe raises here and not at shutdown
-        return code
+        try:
+            return main(argv)
+        finally:
+            # Inside the try, so a closed pipe raises here and not at shutdown, also when main exits through
+            # SystemExit (--help).
+            sys.stdout.flush()
     except BrokenPipeError as exc:
         # Point stdout at devnull, so the flush at shutdown cannot raise again (the recipe in Python's signal docs).
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -45,6 +45,9 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
+    def print_help(self, file=None):  # argparse swallows a failed write; let a closed stdout raise as a run's does
+        (file or sys.stdout).write(self.format_help())
+
 
 def _build_parser() -> _Parser:
     parser = _Parser(
@@ -134,6 +137,3 @@ def main(argv=None) -> int:
         print(f"zenosim: {exc.label}{exc}", file=sys.stderr)
         return exc.exit_code
 
-
-if __name__ == "__main__":
-    sys.exit(main())

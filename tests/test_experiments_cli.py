@@ -856,18 +856,21 @@ class TestCliBehavior:
         assert calls == []
 
     @pytest.mark.parametrize("unbuffered", ["", "1"])
-    def test_closed_stdout_exits_usage(self, hfile, unbuffered):
+    @pytest.mark.parametrize("run_help", [False, True], ids=["json", "help"])
+    def test_closed_stdout_exits_usage(self, hfile, unbuffered, run_help):
         # The read end is closed before the child starts, so its first write to stdout meets a broken pipe: at the
         # write when stdout is unbuffered, else at the flush in zenosim.__main__.run (without that flush, Python
         # reports it at shutdown as "Exception ignored ... BrokenPipeError" and exits 120). An empty
-        # PYTHONUNBUFFERED leaves stdout buffered.
+        # PYTHONUNBUFFERED leaves stdout buffered. --help leaves main through SystemExit after its write, so the
+        # flush must run on that path too.
+        args = ["--help"] if run_help else [
+            "--hamiltonian", hfile(TWO_TERM), "--method", "zeno1", "--t", "1", "--n", "10", "--format", "json"]
         read_end, write_end = os.pipe()
         os.close(read_end)
         env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
         try:
             proc = subprocess.run(
-                [sys.executable, "-m", "zenosim", "--hamiltonian", hfile(TWO_TERM), "--method", "zeno1", "--t", "1",
-                 "--n", "10", "--format", "json"],
+                [sys.executable, "-m", "zenosim", *args],
                 stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
             )
         finally:
