@@ -26,7 +26,7 @@ eigenvalue lies in [0, |lam_1|].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -45,17 +45,16 @@ TP_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class ChannelRep:
-    """Completely positive trace-preserving map in superoperator form."""
+    """Completely positive trace-preserving map in superoperator form, on d x d matrices for a d^2 x d^2 superoperator."""
 
-    dim: int
+    dim: int = field(init=False)
     superoperator: np.ndarray
 
     def __post_init__(self):
-        d = self.dim
-        if self.superoperator.shape != (d * d, d * d):
-            raise ValueError(
-                f"superoperator must be {d * d} x {d * d}, got {self.superoperator.shape}"
-            )
+        shape = self.superoperator.shape
+        object.__setattr__(self, "dim", math.isqrt(shape[0] if shape else 0))
+        if shape != (self.dim**2,) * 2:
+            raise ValueError(f"superoperator must be square with a perfect-square side, got {shape}")
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Channel output for a density matrix (column stacking in and out)."""
@@ -170,7 +169,7 @@ def qdrift_channel(h: PauliHamiltonian, t: float, n_steps: int) -> ChannelRep:
     """The N-fold composition of the randomized mixture channel."""
     d = 2**h.num_qubits
     j4 = _qdrift_choi(h, t, n_steps).reshape(d, d, d, d)
-    return ChannelRep(dim=d, superoperator=j4.transpose(2, 0, 3, 1).reshape(d * d, d * d))  # undoes choi_matrix
+    return ChannelRep(j4.transpose(2, 0, 3, 1).reshape(d * d, d * d))  # undoes choi_matrix
 
 
 def _checked_unitary(u: np.ndarray) -> np.ndarray:
@@ -184,7 +183,7 @@ def _checked_unitary(u: np.ndarray) -> np.ndarray:
 def unitary_channel(u: np.ndarray) -> ChannelRep:
     """Channel of conjugation by a unitary, whose Choi matrix is w w^dagger with w = u.reshape(-1)."""
     u = _checked_unitary(u)
-    return ChannelRep(dim=u.shape[0], superoperator=conjugation_superoperator(u))
+    return ChannelRep(conjugation_superoperator(u))
 
 
 def choi_matrix(channel: ChannelRep) -> np.ndarray:
@@ -213,7 +212,7 @@ def diamond_lower_bound(c1: ChannelRep, c2: ChannelRep) -> float:
     """Trace norm of the Choi difference over d (the sum of its |eigenvalues|): lower-bounds the diamond distance."""
     if c1.dim != c2.dim:
         raise ValueError(f"channel dimensions differ: {c1.dim} vs {c2.dim}")
-    j = choi_matrix(ChannelRep(c1.dim, c1.superoperator - c2.superoperator))
+    j = choi_matrix(ChannelRep(c1.superoperator - c2.superoperator))
     j += j.conj().T  # J is Hermitian up to roundoff
     return hermitian_trace_norm(j) / (2 * c1.dim)
 

@@ -6,8 +6,8 @@ N whose method's error bound meets it), or an explicit ``sweep`` list. Runs
 are deterministic: the same config (seed included) produces byte-identical
 output files.
 
-CSV columns are fixed: ``CSV_COLUMNS`` are ``ZenoRunResult``'s column
-fields in declaration order. Floats are printed with 12 significant
+CSV columns are derived from ``ZenoRunResult``: ``CSV_COLUMNS`` are its
+column fields in declaration order. Floats are printed with 12 significant
 digits, a non-finite one as ``inf`` (a string in JSON); absent values are
 empty cells (CSV) or null (JSON). JSON output mirrors the same per-point
 fields and adds the resolved config and the fitted log-log slope.
@@ -40,6 +40,9 @@ MAX_SHOT_STEPS = 10**9  # largest shots times step count in sampled mode (one un
 SLOPE_FLOOR = 1e-12
 SLOPE_MIN_POINTS = 4
 
+QDRIFT_NOTE = ("qdrift error is a channel-level diamond-distance lower bound; "
+               "it is not directly comparable to the gate errors of the unitary methods")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -59,21 +62,32 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Run results for every step count, plus the fitted convergence slope."""
+    """Run results for every step count; the fitted convergence slope and the verdict are derived from the points."""
 
     points: tuple[ZenoRunResult, ...]
-    fitted_slope: float | None
-    all_bounds_satisfied: bool
+    fitted_slope: float | None = field(init=False)
+    all_bounds_satisfied: bool = field(init=False)
     resolved_config: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        slope = fit_loglog_slope([p.N for p in self.points], [p.epsilon_measured for p in self.points])
+        object.__setattr__(self, "fitted_slope", slope)
+        object.__setattr__(self, "all_bounds_satisfied", all(p.bound_satisfied for p in self.points))
 
 
 @dataclass(frozen=True)
 class MethodComparison:
-    """Side-by-side error metrics for several methods on one instance."""
+    """Side-by-side error metrics for several methods on one instance; the step counts (the first method's) and the
+    notes are derived from the results."""
 
-    ns: tuple[int, ...]
+    ns: tuple[int, ...] = field(init=False)
     results: dict[str, SweepResult]
-    notes: tuple[str, ...]
+    notes: tuple[str, ...] = field(init=False)
+
+    def __post_init__(self):
+        sweeps = list(self.results.values())
+        object.__setattr__(self, "ns", tuple(p.N for p in sweeps[0].points) if sweeps else ())
+        object.__setattr__(self, "notes", (QDRIFT_NOTE,) if "qdrift" in self.results else ())
 
     def render(self) -> str:
         """A table of N and each method's error and bound, every column as wide as its widest cell, then the notes."""
@@ -221,14 +235,7 @@ def _sweep(config: ExperimentConfig, h: PauliHamiltonian) -> SweepResult:
     subject = h if variant is None else build_extended(h, variant)
     if "sampled" in modes:
         point = partial(point, psi0=psi0, shots=config.shots if config.mode == "sampled" else None, seed=config.seed)
-    points = [point(subject, config.t, n) for n in ns]
-    slope = fit_loglog_slope([p.N for p in points], [p.epsilon_measured for p in points])
-    return SweepResult(
-        points=tuple(points),
-        fitted_slope=slope,
-        all_bounds_satisfied=all(p.bound_satisfied for p in points),
-        resolved_config=_resolved_config_dict(config, ns, h),
-    )
+    return SweepResult(tuple(point(subject, config.t, n) for n in ns), _resolved_config_dict(config, ns, h))
 
 
 def compare_methods(config: ExperimentConfig, methods) -> MethodComparison:
@@ -246,15 +253,7 @@ def compare_methods(config: ExperimentConfig, methods) -> MethodComparison:
     if len(set(methods)) != len(methods):
         raise ConfigError("compare methods must be distinct")
     configs = [replace(config, method=m, mode=_modes(m)[0]) for m in methods]
-    results = dict(zip(methods, _run_configs(configs)))
-    ns = tuple(p.N for p in results[methods[0]].points)
-    notes = []
-    if "qdrift" in results:
-        notes.append(
-            "qdrift error is a channel-level diamond-distance lower bound; "
-            "it is not directly comparable to the gate errors of the unitary methods"
-        )
-    return MethodComparison(ns=ns, results=results, notes=tuple(notes))
+    return MethodComparison(dict(zip(methods, _run_configs(configs))))
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(ZenoRunResult) if f.metadata.get(bounds.COLUMN, True))

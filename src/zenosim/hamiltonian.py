@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
@@ -74,15 +74,16 @@ class PauliTerm:
 
 @dataclass(frozen=True)
 class PauliHamiltonian:
-    """Sum of PauliTerm objects acting on a fixed number of qubits."""
+    """Sum of PauliTerm objects acting on a fixed number of qubits: the first term's, which every term must share."""
 
-    num_qubits: int
+    num_qubits: int = field(init=False)
     terms: tuple[PauliTerm, ...]
 
     def __post_init__(self):
         if not self.terms:
             raise ValueError("a Hamiltonian needs at least one term")
-        for term in self.terms:
+        object.__setattr__(self, "num_qubits", self.terms[0].num_qubits)
+        for term in self.terms[1:]:
             if term.num_qubits != self.num_qubits:
                 raise ValueError(
                     f"term {term.axes!r} acts on {term.num_qubits} qubits, "
@@ -212,7 +213,7 @@ def parse_hamiltonian(text: str) -> PauliHamiltonian:
                 f"terms with word {word!r} cancel to {value:g}; remove them explicitly"
             )
         terms.append(PauliTerm(coefficient=abs(value), sign=1 if value > 0 else -1, axes=word))
-    return PauliHamiltonian(num_qubits=num_qubits, terms=tuple(terms))
+    return PauliHamiltonian(tuple(terms))
 
 
 def to_text(h: PauliHamiltonian) -> str:

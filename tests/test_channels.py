@@ -247,7 +247,7 @@ class TestQdriftPtm:
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(h=small_hamiltonians(), dt=st.floats(0.0, 1.0))
     def test_step_matches_kron_sum(self, h, dt):
-        expected = choi_matrix(ChannelRep(2**h.num_qubits, qdrift_step_by_kron_sum(h, dt)))
+        expected = choi_matrix(ChannelRep(qdrift_step_by_kron_sum(h, dt)))
         assert np.max(np.abs(choi_of(_qdrift_step_ptm(h, dt)) - expected)) <= 1e-12
 
     def test_ceiling_channel_matches_cubed_kron_sum(self):
@@ -430,6 +430,20 @@ class TestQdriftPoint:
         assert theta <= rho <= 4 * np.finfo(float).eps * d  # the floor branch, with rho >= theta
         lam_1 = np.linalg.eigvalsh(difference)[0]
         assert _distance_to_unitary(j, w) >= 2 * abs(lam_1) / d > 2 * theta / d
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_exhausted_krylov_run_keeps_its_basis_orthogonal(self, seed):
+        # ROADMAP item 22's second survivor: J - w w^dagger in a random eigenbasis, with the one negative eigenvalue
+        # -2e-12 that any positive semidefinite J gives it and the rest 2e-11, 1e-4 and 0.5. lam_1 is so poorly
+        # separated that Lanczos runs until the 4-dimensional Krylov space is exhausted, and its last vector has
+        # cancelled down to 1e-9 to 1e-6 of its norm: one Gram-Schmidt pass leaves it far from orthogonal, and on
+        # seeds 3, 4, 6 and 7 the reading then falls 0.6-11 % below 2 |lam_1| / d. Both passes keep it above.
+        d, rng = 2, np.random.default_rng(seed)
+        q = np.linalg.qr(rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d)))[0]
+        w = np.eye(d, dtype=complex).reshape(-1)
+        j = (q * [-2e-12, 2e-11, 1e-4, 0.5]) @ q.conj().T + np.outer(w, w.conj())
+        lam_1 = np.linalg.eigvalsh((j + j.conj().T) / 2 - np.outer(w, w.conj()))[0]
+        assert _distance_to_unitary(j, w) >= 2 * abs(lam_1) / d - CHOI_ROUNDOFF
 
     def test_ceiling_roundoff_is_not_a_violation(self):
         # At N = 10**6 the PTM power leaves hundreds of eigenvalues below -1e-12 in the computed difference.
@@ -618,7 +632,7 @@ class TestTrajectoryChannelConsistency:
 class TestChannelRepValidation:
     def test_shape_checked(self):
         with pytest.raises(ValueError, match="superoperator"):
-            ChannelRep(dim=2, superoperator=np.eye(3))
+            ChannelRep(np.eye(3))
 
     @pytest.mark.parametrize("u", [np.ones((2, 3)), 2 * np.eye(2), np.full((2, 2), np.nan), np.eye(2) + 1e-9])
     def test_unitary_channel_needs_a_square_unitary(self, u):
@@ -632,7 +646,7 @@ class TestChannelRepValidation:
     def test_cp_check_of_a_nan_channel_is_convergence_error(self):
         # Before, numpy's LinAlgError ("Eigenvalues did not converge") escaped.
         with pytest.raises(ConvergenceError, match="^Choi matrix eigenvalue decomposition did not converge"):
-            is_completely_positive(ChannelRep(2, np.full((4, 4), np.nan)))
+            is_completely_positive(ChannelRep(np.full((4, 4), np.nan)))
 
 
 @pytest.mark.parametrize(

@@ -243,7 +243,7 @@ class TestEmitResults:
     """The renderers; the CLI's --out tests cover writing their text to a file."""
 
     def test_header_only_for_empty_sweep(self):
-        empty = SweepResult(points=(), fitted_slope=None, all_bounds_satisfied=True)
+        empty = SweepResult(points=())
         assert render_csv(empty) == ",".join(CSV_COLUMNS) + "\n"
 
     def test_single_point_single_row(self, hfile):
@@ -667,7 +667,7 @@ class TestCliExitCodes:
             p_succ_exact=1.0,
             p_succ_bound=0.8,
         )
-        fake = SweepResult(points=(bad_point,), fitted_slope=None, all_bounds_satisfied=False)
+        fake = SweepResult(points=(bad_point,))
         monkeypatch.setattr("zenosim.cli.run_experiment", lambda cfg: fake)
         code = main(["--hamiltonian", hfile(TWO_TERM), "--method", "zeno1", "--t", "1", "--n", "10"])
         assert code == 4

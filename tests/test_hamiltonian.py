@@ -161,14 +161,14 @@ class TestConstructorChecks:
         with pytest.raises(ValueError, match="^axes must be a nonempty word over IXYZ"):
             PauliTerm(1.0, 1, axes)
 
-    @pytest.mark.parametrize("num_qubits,words,message", [
-        (1, [], "^a Hamiltonian needs at least one term$"),
-        (1, ["X", "XZ"], "^term 'XZ' acts on 2 qubits, expected 1$"),
-        (1, ["X", "X"], "^duplicate Pauli words must be merged before construction$"),
-    ])
-    def test_hamiltonian_terms_checked(self, num_qubits, words, message):
+    @pytest.mark.parametrize("words,message", [
+        ([], "^a Hamiltonian needs at least one term$"),
+        (["X", "XZ"], "^term 'XZ' acts on 2 qubits, expected 1$"),
+        (["X", "X"], "^duplicate Pauli words must be merged before construction$"),
+    ], ids=["no-terms", "mixed-lengths", "duplicate-words"])
+    def test_hamiltonian_terms_checked(self, words, message):
         with pytest.raises(ValueError, match=message):
-            PauliHamiltonian(num_qubits, tuple(PauliTerm(0.5, 1, word) for word in words))
+            PauliHamiltonian(tuple(PauliTerm(0.5, 1, word) for word in words))
 
 
 class TestMerging:
@@ -312,7 +312,7 @@ class TestRoundTrip:
 
     def test_subthreshold_term_built_directly_does_not_round_trip(self):
         # The round trip holds for what the parser returns; a term it would reject renders as text it rejects.
-        h = PauliHamiltonian(1, (PauliTerm(1e-20, 1, "X"),))
+        h = PauliHamiltonian((PauliTerm(1e-20, 1, "X"),))
         with pytest.raises(HamiltonianParseError, match="threshold"):
             parse_hamiltonian(to_text(h))
 

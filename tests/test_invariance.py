@@ -55,7 +55,7 @@ def _load(instance):
 def _scaled(h, k):
     """2^k H, term by term: each coefficient times 2^k is exact."""
     terms = tuple(replace(term, coefficient=term.coefficient * 2.0**k) for term in h.terms)
-    return PauliHamiltonian(h.num_qubits, terms)
+    return PauliHamiltonian(terms)
 
 
 def _readings(point):
@@ -111,7 +111,7 @@ def _assert_same_error(h, variants, method, t, n):
 
 
 def _reversed(h):
-    return PauliHamiltonian(h.num_qubits, h.terms[::-1])
+    return PauliHamiltonian(h.terms[::-1])
 
 
 @pytest.mark.parametrize("instance,method,t,n", [

@@ -606,6 +606,30 @@ class TestSpectralForm:
             tracemalloc.stop()
         assert peak <= 2**20
 
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_step_stays_a_contraction_where_eigh_rounds_beyond_lam(self, order):
+        # eigh may put an eigenvalue a rounding beyond +-lam (0.2 XX + 0.3 ZZ + 0.1 YY reads its singlet at
+        # -lam (1 + 2^-52)); here every eigenvalue of 0.6 X is pushed one ulp beyond +-lam. A(dt) is a contraction,
+        # so no step eigenvalue may read a modulus above 1, and the kicks' plane of b = sqrt(1 - a^2) stays real.
+        from zenosim.zeno import _projected
+
+        h = parse_hamiltonian("0.6*X")
+        energies, vectors = h.spectrum
+        h.__dict__["spectrum"] = (np.nextafter(energies, np.sign(energies) * np.inf), vectors)
+        assert np.all(np.abs(h.spectrum[0]) > h.lam)
+        sys = build_extended(h)
+        for n in (1, 10**6):
+            t = n * np.pi / (2 * h.lam)  # every step turns by pi / 2, where sin^2(theta) = 1
+            point, (log_r, _, _) = _projected(sys, t, n, order, None)
+            assert np.all(log_r <= 0.0) and point.p_succ_exact == 1.0
+            assert np.isfinite(run_kicks(sys, t, n).epsilon_measured)
+
+    def test_single_term_mub_success_is_one(self):
+        # With one term mub's A(dt) is the rotation cos(theta) - i sin(theta) X of modulus 1, yet at theta = 1.05
+        # alpha^2 + mu^2 rounds to 1 + 2^-52: the success probability is clamped at 1, not out of range.
+        point = run_zeno(build_extended(parse_hamiltonian("0.5*X"), "mub"), 2.1, 1)
+        assert point.p_succ_exact == 1.0
+
     @pytest.mark.parametrize("variant,order,text,dead", [
         pytest.param("standard", 1, "0.5*XX + 0.5*ZZ", [1, 2], id="1"),
         pytest.param("standard", 2, "0.5*XX + 0.5*ZZ", [1, 2], id="2"),
@@ -690,6 +714,10 @@ class TestStepSuccessProbability:
     def test_single_term(self, h1):
         sys = build_extended(h1)
         assert step_success_probability(sys, 0.3) == pytest.approx(1.0, abs=1e-12)
+
+    def test_nearly_normalized_state_reads_at_most_one(self, sys2):
+        # psi0 is accepted within MATRIX_TOL of unit norm; at dt = 0 the step keeps its norm, 1 + 1e-11.
+        assert step_success_probability(sys2, 0.0, psi0=np.array([1.0 + 1e-11, 0.0])) == 1.0
 
     def test_two_term_value_in_window(self, sys2):
         p = step_success_probability(sys2, 0.1)
