@@ -14,8 +14,6 @@ from .channels import (
     QdriftTrajectory,
     choi_matrix,
     diamond_lower_bound,
-    is_completely_positive,
-    is_trace_preserving,
     qdrift_channel,
     qdrift_sample,
     trotter_first_order,

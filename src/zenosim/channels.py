@@ -34,13 +34,10 @@ import numpy as np
 from .bounds import ZenoRunResult, is_count, method_rate, step_time, sweep_point
 from .errors import LimitExceededError
 from .hamiltonian import PauliHamiltonian, exact_evolution, pauli_rotations, pauli_tables
-from .linalg import MATRIX_TOL, as_matrix, compose, hermitian_eigen, hermitian_trace_norm, lapack, spectral_norm
+from .linalg import MATRIX_TOL, as_matrix, compose, hermitian_eigen, hermitian_trace_norm, spectral_norm
 from .zeno import build_extended
 
 CHANNEL_MAX_QUBITS = 5
-
-CP_TOL = 1e-9
-TP_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,21 +188,6 @@ def choi_matrix(channel: ChannelRep) -> np.ndarray:
     d = channel.dim
     s4 = channel.superoperator.reshape(d, d, d, d)
     return s4.transpose(1, 3, 0, 2).reshape(d * d, d * d)
-
-
-def is_trace_preserving(channel: ChannelRep) -> bool:
-    """Check that the Choi matrix partial-traces to the identity."""
-    d = channel.dim
-    j4 = choi_matrix(channel).reshape(d, d, d, d)
-    reduced = np.einsum("mimk->ik", j4)
-    return float(np.max(np.abs(reduced - np.eye(d)))) <= TP_TOL
-
-
-def is_completely_positive(channel: ChannelRep) -> bool:
-    """Check that the Choi matrix has no eigenvalue below -CP_TOL."""
-    j = choi_matrix(channel)
-    evals = lapack(np.linalg.eigvalsh, (j + j.conj().T) / 2.0, "Choi matrix eigenvalue decomposition")
-    return float(evals[0]) >= -CP_TOL
 
 
 def diamond_lower_bound(c1: ChannelRep, c2: ChannelRep) -> float:

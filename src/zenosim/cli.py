@@ -100,7 +100,8 @@ def main(argv=None) -> int:
     compare = flags.pop("compare")
 
     try:
-        config = ExperimentConfig(**flags | {"sweep": _parse_sweep(flags["sweep"]) if flags["sweep"] else None})
+        sweep = None if flags["sweep"] is None else _parse_sweep(flags["sweep"])
+        config = ExperimentConfig(**flags | {"sweep": sweep})
 
         # The branches differ only in what they run, their JSON renderer, --out summary and notes.
         if compare is not None:
@@ -120,7 +121,7 @@ def main(argv=None) -> int:
             notes = ()
 
         rendered = render_csv(*results) if config.output_format == "csv" else to_json()
-        if config.output_path:
+        if config.output_path is not None:
             try:
                 with open(config.output_path, "w", encoding="utf-8", newline="\n") as fh:
                     fh.write(rendered)

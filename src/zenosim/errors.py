@@ -14,10 +14,11 @@ class HamiltonianParseError(ZenosimError, ValueError):
 
 
 class CancellationError(HamiltonianParseError):
-    """Raised when merging duplicate terms cancels a term to (near) zero.
+    """Raised when a word's merged coefficient is at most 1e-15 times the largest magnitude written for it.
 
-    A cancelled term silently changes the term count and the ancilla
-    register size, so it is reported instead of being dropped.
+    That is a written 0, or terms that cancel to a value resting on the order
+    of summation. A cancelled term silently changes the term count and the
+    ancilla register size, so it is reported instead of being dropped.
     """
 
 

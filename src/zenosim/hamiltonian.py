@@ -12,12 +12,15 @@ Text grammar (whitespace is insignificant):
     pauli-word :=  one or more of I, X, Y, Z  (one letter per qubit)
 
 A leading '-' on the expression, a '-' separator, or a negative decimal all
-negate the term's sign. The absolute threshold 1e-15 applies twice: a
-coefficient written at or below it (``1e-16*X``) is a parse error, and terms
-with identical Pauli words are merged by signed summation, a merged magnitude
-at or below it being reported as a cancellation error rather than silently
-dropped. A coefficient that is not finite, as written (``1e400``) or after
-merging, is a parse error.
+negate the term's sign. Terms with identical Pauli words are merged by signed
+summation, and one scale-free rule applies: a merged coefficient whose
+magnitude is at most ``COEFFICIENT_THRESHOLD`` (1e-15) times the largest
+magnitude written for its word is a cancellation error rather than a silently
+dropped term. So a single written term is rejected only when it is 0, any
+nonzero finite magnitude (``5e-324*X``) parses, and a merge whose result rests
+on the order of summation (``1e20*X - 1e20*X + 1*X``) is rejected. A
+coefficient that is not finite, as written (``1e400``) or after merging, is a
+parse error.
 
 File format: UTF-8 text, at most ``MAX_FILE_BYTES`` bytes, holding one
 expression; ``#`` starts a comment that runs to end of line; blank lines are
@@ -39,7 +42,7 @@ from .linalg import hermitian_eigen, spectral_exp
 
 PAULI_AXES = "IXYZ"
 
-COEFFICIENT_THRESHOLD = 1e-15
+COEFFICIENT_THRESHOLD = 1e-15  # a merged coefficient at most this times its largest written magnitude has cancelled
 MAX_FILE_BYTES = 64 * 1024  # a 6-qubit, 32-term expression takes under 2 KB
 
 _FLOAT = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
@@ -48,7 +51,7 @@ _TERM_RE = re.compile(rf"(?P<sep>[+-])?(?:(?P<coef>-?{_FLOAT})\*)?(?P<word>[IXYZ
 
 @dataclass(frozen=True)
 class PauliTerm:
-    """One signed Pauli-string term, ``coefficient * sign * word``."""
+    """One signed Pauli-string term, ``coefficient * sign * word``; the coefficient is kept as a float."""
 
     coefficient: float
     sign: int
@@ -57,6 +60,7 @@ class PauliTerm:
     def __post_init__(self):
         if not (is_real(self.coefficient) and self.coefficient > 0):
             raise ValueError(f"coefficient must be finite and strictly positive, got {self.coefficient!r}")
+        object.__setattr__(self, "coefficient", float(self.coefficient))
         if isinstance(self.sign, bool) or self.sign not in (1, -1):  # True == 1, but a bool is no sign
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
         if not self.axes or any(c not in PAULI_AXES for c in self.axes):
@@ -170,13 +174,13 @@ def parse_hamiltonian(text: str) -> PauliHamiltonian:
     Each term is checked and merged as it is read: duplicate Pauli words are
     summed with their signs and keep their first-appearance position. Raises
     HamiltonianParseError on the first grammar violation and CancellationError
-    when a merge cancels a term.
+    when a word's coefficients cancel (a lone 0 included), by the module's rule.
     """
     if text is None or not text.strip():
         raise HamiltonianParseError("empty Hamiltonian expression")
     compact = re.sub(r"\s+", "", text)
 
-    merged: dict[str, float] = {}
+    merged: dict[str, tuple[float, float]] = {}  # word -> (signed sum, largest written magnitude)
     pos = 0
     while pos < len(compact):
         m = _TERM_RE.match(compact, pos)
@@ -194,32 +198,27 @@ def parse_hamiltonian(text: str) -> PauliHamiltonian:
         value = (-1.0 if sep == "-" else 1.0) * (1.0 if coef_text is None else float(coef_text))
         if not math.isfinite(value):
             raise HamiltonianParseError(f"coefficient {coef_text} for term {word!r} is not finite")
-        if abs(value) <= COEFFICIENT_THRESHOLD:
-            raise HamiltonianParseError(
-                f"coefficient magnitude {abs(value):g} for term {word!r} "
-                f"is at or below the threshold {COEFFICIENT_THRESHOLD:g}"
-            )
         if len(word) != num_qubits:
             raise HamiltonianParseError(f"mixed pauli-word lengths: expected {num_qubits} qubits, got {word!r}")
-        merged[word] = merged.get(word, 0.0) + value
+        total, largest = merged.get(word, (0.0, 0.0))
+        merged[word] = (total + value, max(largest, abs(value)))
         pos = m.end()
 
     terms = []
-    for word, value in merged.items():
+    for word, (value, largest) in merged.items():
         if not math.isfinite(value):
             raise HamiltonianParseError(f"terms with word {word!r} sum to a non-finite coefficient")
-        if abs(value) <= COEFFICIENT_THRESHOLD:
+        if abs(value) <= COEFFICIENT_THRESHOLD * largest:
             raise CancellationError(
-                f"terms with word {word!r} cancel to {value:g}; remove them explicitly"
+                f"terms with word {word!r} cancel to {value:g}, at most {COEFFICIENT_THRESHOLD:g} times their largest "
+                f"magnitude {largest:g}; remove them explicitly"
             )
         terms.append(PauliTerm(coefficient=abs(value), sign=1 if value > 0 else -1, axes=word))
     return PauliHamiltonian(tuple(terms))
 
 
 def to_text(h: PauliHamiltonian) -> str:
-    """Render to the text format; parsing the result reproduces ``h`` exactly when ``h`` is what
-    ``parse_hamiltonian`` returns. A term built directly with a coefficient at or below 1e-15 renders as text the
-    parser rejects."""
+    """Render to the text format; parsing the result reproduces ``h`` exactly (``repr`` round-trips every float)."""
     parts = []
     for i, term in enumerate(h.terms):
         body = f"{term.coefficient!r}*{term.axes}"

@@ -10,9 +10,8 @@ eigenvalue of J - w w^dagger without forming it. ``compose`` is the one
 N-fold power: of mub's A(dt), trotter1's product of rotations and that PTM.
 
 Hermiticity is checked to ``MATRIX_TOL`` (1e-10), and so are unitarity, where
-``channels`` takes a unitary (it holds its own ``CP_TOL`` and ``TP_TOL`` too),
-and the norm of an initial state in ``zeno``; equality assertions in callers
-should use 1e-9.
+``channels`` takes a unitary, and the norm of an initial state in ``zeno``;
+equality assertions in callers should use 1e-9.
 """
 
 from __future__ import annotations

@@ -96,6 +96,13 @@ MUTANTS = [
     Mutant("survival-top-rate-shift", "zeno.py",
            SURVIVAL, SURVIVAL.replace("log_r - top", "log_r").replace("math.exp(top) * ", ""),
            "tests/test_corners.py::test_corner_holds_every_bound"),
+    Mutant("sampler-bias", "zeno.py",
+           "return math.exp(top) * totals[1:] / totals[:-1]\n",
+           "return math.exp(top) * totals[1:] / totals[:-1] * (1.0 - 1e-5)\n",
+           "tests/test_sampled_law.py::test_true_sampler_is_not_flagged"),
+    Mutant("cancellation-rule", "hamiltonian.py",
+           "if abs(value) <= COEFFICIENT_THRESHOLD * largest:", "if value == 0:",
+           "tests/test_hamiltonian.py::TestParseErrors::test_roundoff_residue_of_a_merge_is_cancellation"),
     Mutant("sampler-draw-comparison", "zeno.py",
            "rng.random(len(q)) < q", "rng.random(len(q)) <= q",
            "equivalent: rng.random returns multiples of 2^-53, so u <= q differs from u < q only when a draw equals "

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import zenosim
 from zenosim import (
-    ConvergenceError,
     LimitExceededError,
     build_extended,
     choi_matrix,
@@ -23,8 +22,6 @@ from zenosim import (
     exact_evolution,
     fit_loglog_slope,
     hamiltonian_matrix,
-    is_completely_positive,
-    is_trace_preserving,
     parse_hamiltonian,
     qdrift_channel,
     qdrift_sample,
@@ -231,9 +228,11 @@ class TestQdriftChannel:
         np.testing.assert_allclose(c.superoperator, np.eye(4), atol=1e-12)
 
     def test_cptp(self, h2):
+        # Trace preserving: the Choi matrix's partial trace over the output is I; completely positive: it is PSD.
         c = qdrift_channel(h2, 1.0, 20)
-        assert is_trace_preserving(c)
-        assert is_completely_positive(c)
+        choi = choi_matrix(c)
+        np.testing.assert_allclose(np.einsum("mimk->ik", choi.reshape(2, 2, 2, 2)), np.eye(2), atol=1e-9)
+        assert np.linalg.eigvalsh(choi)[0] >= -1e-9
 
     def test_qubit_cap(self):
         h = parse_hamiltonian("0.5*XIXIXI + 0.5*ZZZZZZ")
@@ -642,11 +641,6 @@ class TestChannelRepValidation:
     def test_unitary_channel_needs_a_matrix(self):
         with pytest.raises(ValueError, match="^expected a 2-D matrix"):
             unitary_channel(np.eye(2)[0])
-
-    def test_cp_check_of_a_nan_channel_is_convergence_error(self):
-        # Before, numpy's LinAlgError ("Eigenvalues did not converge") escaped.
-        with pytest.raises(ConvergenceError, match="^Choi matrix eigenvalue decomposition did not converge"):
-            is_completely_positive(ChannelRep(np.full((4, 4), np.nan)))
 
 
 @pytest.mark.parametrize(

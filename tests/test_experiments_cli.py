@@ -455,6 +455,11 @@ class TestCliExitCodes:
         (["--t", "1", "--sweep", "0,10"], 1, "sweep values must be positive integers"),
         (["--t", "1", "--sweep", "10,x"], 1, "--sweep expects comma-separated integers"),
         (["--t", "1", "--sweep", ","], 1, "--sweep list is empty"),
+        # Before, an empty --sweep or --out counted as not given: the first ran at N = 5, the second exited 1 over
+        # "exactly one of n, epsilon, or sweep", and the third wrote the CSV to stdout and exited 0.
+        (["--t", "1", "--n", "5", "--sweep", ""], 1, "--sweep list is empty"),
+        (["--t", "1", "--sweep", ""], 1, "--sweep list is empty"),
+        (["--t", "1", "--n", "5", "--out", ""], 1, "cannot write output"),
     ])
     def test_non_finite_and_extreme_inputs(self, hfile, capsys, flags, code, message):
         # A repeated flag overrides the defaults below; --hamiltonian values are expressions.
@@ -677,7 +682,7 @@ class TestCliExitCodes:
 def cli_runs(draw):
     """A Hamiltonian text and command-line flags: every method and mode, or --compare, at up to 6 qubits.
 
-    Coefficients run from 1e-15 to 1e308 over up to 32 terms (repeated words
+    Coefficients run from 5e-324 to 1e308 over up to 32 terms (repeated words
     merge); t from 0 to 1e10, 1e-300 included. The step counts come from
     --n, --sweep or --epsilon, and --psi0 may be outside the register.
     """
@@ -695,7 +700,8 @@ def cli_runs(draw):
     # Every method draws 5 qubits too: a 5-qubit channel point takes 0.2-0.3 s at N <= 50 on 2 cores, most
     # of it the transfer-matrix power and the Choi basis change. 6 qubits exit 3 before any channel work.
     num_qubits = draw(st.integers(1, 6))
-    coefficients = st.one_of(st.sampled_from([1e-15, 1e-3, 1.0, 1e300, 1e308]), st.floats(1e-15, 1e308))
+    coefficients = st.one_of(st.sampled_from([5e-324, 1e-300, 1e-15, 1e-3, 1.0, 1e300, 1e308]),
+                             st.floats(5e-324, 1e308))
     terms = draw(st.lists(st.tuples(
         st.sampled_from(["+", "-"]), coefficients, st.text("IXYZ", min_size=num_qubits, max_size=num_qubits)
     ), min_size=1, max_size=32))

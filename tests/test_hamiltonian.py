@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 from conftest import ceiling_hamiltonian, random_hamiltonian
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from zenosim import (
     CancellationError,
@@ -119,8 +121,12 @@ class TestParseErrors:
 
     @pytest.mark.parametrize("text", ["0.0*X", "1e-20*X", "0*X + 0.5*Z", "1e-16*X + 1e-16*Z"])
     def test_subthreshold_coefficient(self, text):
-        with pytest.raises(HamiltonianParseError, match="threshold"):
-            parse_hamiltonian(text)
+        # Magnitudes under 1e-15 were a parse error; the rule is relative now, so only a written 0 is rejected.
+        if text.startswith("0"):
+            with pytest.raises(CancellationError, match="^terms with word 'X' cancel to 0,"):
+                parse_hamiltonian(text)
+        else:
+            assert to_text(parse_hamiltonian(text)) == text
 
     @pytest.mark.parametrize("text", ["1e400*X + 0.5*Z", "1e308*X + 1e308*X + 0.5*Z"])
     def test_non_finite_coefficient(self, text):
@@ -141,6 +147,17 @@ class TestParseErrors:
     def test_cancellation_is_a_parse_error_subclass(self):
         with pytest.raises(HamiltonianParseError):
             parse_hamiltonian("0.5*XZ - 0.5*XZ + 0.1*II")
+
+    def test_roundoff_residue_of_a_merge_is_cancellation(self):
+        # 0.3 - 0.1 - 0.2 sums to -2.8e-17, not 0: the merge cancels relative to its largest magnitude, 0.3.
+        with pytest.raises(CancellationError, match="^terms with word 'X' cancel to -2.77556e-17,"):
+            parse_hamiltonian("0.3*X - 0.1*X - 0.2*X + 1*Z")
+
+    @pytest.mark.parametrize("text", ["1e20*X - 1e20*X + 1*X", "1e20*X + 1*X - 1e20*X"])
+    def test_merge_that_rests_on_summation_order_is_cancellation(self, text):
+        # The sums are 1 and 0: either is at most 1e-15 times the largest magnitude 1e20.
+        with pytest.raises(CancellationError, match="largest magnitude 1e\\+20"):
+            parse_hamiltonian(text)
 
 
 class TestConstructorChecks:
@@ -190,6 +207,15 @@ class TestMerging:
     def test_first_appearance_order_kept(self):
         h = parse_hamiltonian("0.1*Z + 0.2*X + 0.3*Z")
         assert [t.axes for t in h.terms] == ["Z", "X"]
+
+    @pytest.mark.parametrize("text,expected", [
+        ("5e-324*X", "5e-324*X"),
+        ("1*X + 1e-300*Z", "1.0*X + 1e-300*Z"),
+        ("1e308*X - 1e308*X + 1e308*X", "1e+308*X"),
+    ])
+    def test_any_scale_parses(self, text, expected):
+        # No absolute floor: the cancellation test compares a merged value with its own terms only.
+        assert to_text(parse_hamiltonian(text)) == expected
 
 
 class TestTermMatrix:
@@ -310,11 +336,26 @@ class TestRoundTrip:
         h = parse_hamiltonian(text)
         assert parse_hamiltonian(to_text(h)) == h
 
-    def test_subthreshold_term_built_directly_does_not_round_trip(self):
-        # The round trip holds for what the parser returns; a term it would reject renders as text it rejects.
-        h = PauliHamiltonian((PauliTerm(1e-20, 1, "X"),))
-        with pytest.raises(HamiltonianParseError, match="threshold"):
-            parse_hamiltonian(to_text(h))
+    @pytest.mark.parametrize("coefficient", [1e-20, 5e-324, np.float64(0.5), 10**17 + 1])
+    def test_term_built_directly_round_trips(self, coefficient):
+        # Before, 1e-20 rendered as text the parser rejected, and a NumPy float rendered as "np.float64(0.5)*X".
+        h = PauliHamiltonian((PauliTerm(coefficient, -1, "X"),))
+        assert parse_hamiltonian(to_text(h)) == h
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_round_trip_across_the_float_range(self, data):
+        # Coefficients log-uniform over [5e-324, 1e308]: 10**-323.3 rounds to the least subnormal, 5e-324.
+        num_qubits = data.draw(st.integers(1, 3))
+        words = data.draw(st.lists(st.text("IXYZ", min_size=num_qubits, max_size=num_qubits),
+                                   min_size=1, max_size=8, unique=True))
+        terms = tuple(
+            PauliTerm(10.0 ** data.draw(st.floats(-323.3, 308.0)), data.draw(st.sampled_from([1, -1])), word)
+            for word in words
+        )
+        assume(math.isfinite(sum(t.coefficient for t in terms)))
+        h = PauliHamiltonian(terms)
+        assert parse_hamiltonian(to_text(h)) == h
 
 
 class TestFileLoading:

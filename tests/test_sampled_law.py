@@ -80,6 +80,16 @@ def test_true_sampler_is_not_flagged():
     assert not flagged(_sampled_point())
 
 
+def test_true_sampler_is_not_flagged_across_seeds():
+    # 100 points of 2000 shots, at base seeds 2000 k so that no shot's generator is reused: with two tails below
+    # ALPHA each, some point is flagged with probability below 100 * 2 * 1e-9 = 2e-7.
+    sys = build_extended(parse_hamiltonian(TWO_TERM))
+    for k in range(100):
+        point = run_sampled(sys, 1.0, 100, shots=2000, seed=2000 * k)
+        assert not flagged({"p_succ_exact": point.p_succ_exact, "p_succ_sampled": point.p_succ_sampled,
+                            "shots": point.shots}), k
+
+
 def test_planted_bias_is_flagged(monkeypatch):
     # Each step survives with 1 - 1e-5 times its probability, so over 10^4 steps p_succ drops by about 10 %.
     survival = zeno._survival
