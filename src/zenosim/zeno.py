@@ -96,8 +96,8 @@ class ExtendedSystem:
             weights[:num_terms] = np.array([t.coefficient for t in h.terms]) / lam
             scale = lam
             rates = [lam] * num_terms
-        else:  # |1/sqrt(d_a)|^2, 1 ulp below 1/d_a for odd n_ancilla (ROADMAP item 3)
-            weights = np.full(ancilla_dim, 1.0 / math.sqrt(ancilla_dim)) ** 2
+        else:  # exactly 1/d_a, a power of two, so they sum to 1 and A(0) is exactly I
+            weights = np.full(ancilla_dim, 1.0 / ancilla_dim)
             scale = float(ancilla_dim)
             rates = [scale * t.coefficient for t in h.terms]
         rates.extend(0.0 for _ in range(ancilla_dim - num_terms))

@@ -82,6 +82,10 @@ MUTANTS = [
     Mutant("kicks-hypot", "zeno.py",
            "kappa = np.hypot(c, s * np.sqrt(gap))", "kappa = np.sqrt(1.0 - (s * a) ** 2)",
            "tests/test_zeno.py::TestRunKicks::test_quarter_turn_matches_full_register"),
+    Mutant("mub-exact-weights", "zeno.py",
+           "weights = np.full(ancilla_dim, 1.0 / ancilla_dim)",
+           "weights = np.full(ancilla_dim, 1.0 / math.sqrt(ancilla_dim)) ** 2",
+           "tests/test_corners.py::test_time_zero_error_is_exactly_zero"),
     Mutant("success-weight-sum", "zeno.py",
            "min(float(survival / np.dot(weights, np.ones_like(weights))), 1.0)", "min(float(survival), 1.0)",
            "tests/test_corners.py::test_time_zero_success_is_exactly_one"),

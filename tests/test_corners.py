@@ -33,23 +33,13 @@ INSTANCES = {
 CEILING_MODES = {name: instance["modes"] for name, instance in CEILING["instances"].items()}
 TIMES, STEPS = CEILING["corners"]["t"], CEILING["corners"]["n"]
 
-MUB_ROUNDOFF = pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 3: binary powering of mub's step leaves ~2.2e-10 of roundoff at N = 10^6, which "
-    "breaks an error bound near 0 and puts the success probability below its bound; at t = 0 the step is "
-    "(1 - 2.2e-16) I for odd n_a, its weight |1/sqrt(d_a)|^2 being 1 ulp below 1/d_a",
-)
-
-
 def _cases():
     for instance in INSTANCES:
         for method, (modes, _, _) in METHODS.items():
             for mode in (m for m in modes if m in CEILING_MODES.get(instance, MODES)):
                 for t in TIMES:
                     for n in STEPS:
-                        roundoff = method == "mub" and n == "1000000" and t in ("0", "1e-12", "1e-4")
-                        yield pytest.param(instance, method, mode, t, n, marks=[MUB_ROUNDOFF] if roundoff else [],
-                                           id=f"{instance}-{method}-{mode}-t{t}-N{n}")
+                        yield pytest.param(instance, method, mode, t, n, id=f"{instance}-{method}-{mode}-t{t}-N{n}")
 
 
 def _run(instance: str, method: str, mode: str, t: str, n: str) -> tuple[int, str, str]:
@@ -118,33 +108,18 @@ def _zero_time_points(method: str, n: int):
             for h in ZERO_TIME_INSTANCES if method != "qdrift" or h.num_qubits <= 3]
 
 
-def _zero_time_cases(failing: dict):
-    return [pytest.param(method, n, marks=[failing[method]] if method in failing else [], id=f"{method}-N{n}")
-            for method in METHODS for n in ZERO_TIME_STEPS]
-
-
-def _item(reason: str):
-    return pytest.mark.xfail(strict=True, raises=AssertionError, reason=f"ROADMAP {reason}")
-
-
-ODD_ANCILLA = "item 3, mub slice: for odd n_a the step at t = 0 is (1 - 2.2e-16) I"
-ZERO_TIME_ERRORS = {
-    "mub": _item(f"{ODD_ANCILLA}: up to 2.2e-16 at N = 1 and 2.2e-10 at N = 10^6"),
-}
-ZERO_TIME_SUCCESSES = {
-    "mub": _item(f"{ODD_ANCILLA}, so p_succ reads up to 4.4e-10 below 1 at N = 10^6"),
-}
+ZERO_TIME_CASES = [pytest.param(method, n, id=f"{method}-N{n}") for method in METHODS for n in ZERO_TIME_STEPS]
 
 
 # At t = 0 every method's step is the identity on the target, so its error is exactly 0 and its success probability
 # exactly 1, at every N.
-@pytest.mark.parametrize("method,n", _zero_time_cases(ZERO_TIME_ERRORS))
+@pytest.mark.parametrize("method,n", ZERO_TIME_CASES)
 def test_time_zero_error_is_exactly_zero(method, n):
     readings = [p.epsilon_measured for p in _zero_time_points(method, n)]
     assert readings == [0.0] * len(readings)
 
 
-@pytest.mark.parametrize("method,n", _zero_time_cases(ZERO_TIME_SUCCESSES))
+@pytest.mark.parametrize("method,n", ZERO_TIME_CASES)
 def test_time_zero_success_is_exactly_one(method, n):
     readings = [p.p_succ_exact for p in _zero_time_points(method, n)]
     assert readings == [1.0] * len(readings)

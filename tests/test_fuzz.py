@@ -9,8 +9,7 @@ Each draw is one in-spec configuration, run in-process through ``run_experiment`
 
 Every draw must end in a result or in a ``ZenosimError`` whose exit code the README documents (1 to 3); anything
 else, a RuntimeWarning included, fails the draw. A result must satisfy every bound (exit 0, not 4). Draw ``i``
-reads ``numpy.random.default_rng(i)`` only, so a failing draw fails on every run; the draws that read a false exit 4
-are strict xfails naming the item that fixes them.
+reads ``numpy.random.default_rng(i)`` only, so a failing draw fails on every run.
 """
 
 import math
@@ -60,21 +59,8 @@ def _draw(seed: int) -> tuple[str, dict]:
     return " + ".join(terms), fields
 
 
-def _item(reason: str):
-    return pytest.mark.xfail(strict=True, raises=AssertionError, reason=f"ROADMAP {reason}")
-
-
-MUB_ROUNDOFF = _item("item 3, mub slice: binary powering of mub's step leaves up to 2.2e-10 at large N, and for odd "
-                     "n_a its step at t = 0 is (1 - 2.2e-16) I; against a bound of (nearly) 0 that is a false exit 4")
-# 240 and 252 (mub at N = 9243 and 57025, lam t below 1e-116) read ~1e-12 against a bound of ~0.
-FALSE_EXIT_4 = dict.fromkeys((36, 136, 182, 240, 252, 276, 278), MUB_ROUNDOFF)
-
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("seed", [
-    pytest.param(seed, marks=[FALSE_EXIT_4[seed]] if seed in FALSE_EXIT_4 else [], id=f"{seed:03d}")
-    for seed in range(DRAWS)
-])
+@pytest.mark.parametrize("seed", range(DRAWS), ids="{:03d}".format)
 def test_draw_ends_in_a_documented_exit(seed, tmp_path):
     text, fields = _draw(seed)
     path = tmp_path / "h.txt"
