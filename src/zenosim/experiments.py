@@ -25,7 +25,7 @@ from . import bounds
 from .bounds import ZenoRunResult
 from .channels import qdrift_point, trotter_point
 from .errors import ConfigError, LimitExceededError
-from .hamiltonian import PauliHamiltonian, load_hamiltonian
+from .hamiltonian import PauliHamiltonian, load_hamiltonian, path_text
 from .zeno import VARIANT_MUB, VARIANT_STANDARD, build_extended, run_kicks, run_sampled, run_zeno
 
 FORMATS = ("json", "csv")  # --format's choices
@@ -52,7 +52,7 @@ class ExperimentConfig:
     n: int | None = None
     epsilon: float | None = None
     sweep: tuple[int, ...] | None = None
-    mode: str = "projected"
+    mode: str | None = None  # the first mode of the method's METHODS row when None
     shots: int | None = None
     seed: int = 0
     psi0: int | None = None  # initial target state as a basis-state index; |0..0> when None
@@ -104,18 +104,15 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _modes(method: str) -> tuple[str, ...]:
-    """The modes ``method`` runs in, from the method table."""
-    if method not in METHODS:
-        raise ConfigError(f"unknown method {method!r}; choose from {tuple(METHODS)}")
-    return METHODS[method][0]
-
-
 def _validate_config(config: ExperimentConfig) -> ExperimentConfig:
-    """The checked config: t (-0 as 0) and epsilon as floats, shots, seed and psi0 as ints, so the JSON serialises."""
-    modes = _modes(config.method)
-    if config.mode not in modes:
-        raise ConfigError(f"method {config.method!r} runs in mode {' or '.join(modes)}, not {config.mode!r}")
+    """The checked config: the path as a str, the mode resolved (the first of its method's row when None), t (-0 as 0)
+    and epsilon as floats, shots, seed and psi0 as ints, so the JSON serialises."""
+    if not isinstance(config.method, str) or config.method not in METHODS:
+        raise ConfigError(f"unknown method {config.method!r}; choose from {tuple(METHODS)}")
+    modes = METHODS[config.method][0]
+    mode = modes[0] if config.mode is None else config.mode
+    if mode not in modes:
+        raise ConfigError(f"method {config.method!r} runs in mode {' or '.join(modes)}, not {mode!r}")
     chosen = [x is not None for x in (config.n, config.epsilon, config.sweep)]
     if sum(chosen) != 1:
         raise ConfigError("exactly one of n, epsilon, or sweep must be set")
@@ -125,7 +122,7 @@ def _validate_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"epsilon must be finite and positive, got {config.epsilon}")
     if config.shots is not None and not bounds.is_count(config.shots, 1):
         raise ConfigError(f"shots must be >= 1 and an integer, got {config.shots!r}")
-    if config.mode == "sampled" and config.shots is None:
+    if mode == "sampled" and config.shots is None:
         raise ConfigError("sampled mode requires shots >= 1")
     if config.psi0 is not None and not bounds.is_count(config.psi0, 0):
         raise ConfigError(f"psi0 must be a basis-state index, got {config.psi0!r}")
@@ -134,7 +131,8 @@ def _validate_config(config: ExperimentConfig) -> ExperimentConfig:
     if config.output_format not in FORMATS:
         raise ConfigError(f"unknown output format {config.output_format!r}")
     counts = {k: int(v) for k in ("shots", "seed", "psi0") if (v := getattr(config, k)) is not None}
-    return replace(config, t=abs(float(config.t)), epsilon=config.epsilon and float(config.epsilon), **counts)
+    return replace(config, hamiltonian_path=path_text(config.hamiltonian_path), mode=mode, t=abs(float(config.t)),
+                   epsilon=config.epsilon and float(config.epsilon), **counts)
 
 
 def _resolve(config: ExperimentConfig, h: PauliHamiltonian) -> tuple[list[int], np.ndarray | None]:
@@ -176,11 +174,12 @@ def _zeno_point(system, t, n, *, order, psi0, shots, seed):
     return run_sampled(system, t, n, order, psi0, shots, seed)
 
 
-# The method table: for each method, the modes it runs in (--compare runs the
-# first), the projector variant handed to build_extended (None for the
-# baselines, which run on the Hamiltonian itself), and the function computing
-# one sweep point as point(system or Hamiltonian, t, n); a method that also
-# runs sampled post-selects, and its point reads psi0=, shots= and seed= too.
+# The method table: for each method, the modes it runs in (a run without a mode,
+# each --compare method's included, runs in the first), the projector variant
+# handed to build_extended (None for the baselines, which run on the Hamiltonian
+# itself), and the function computing one sweep point as point(system or
+# Hamiltonian, t, n); a method that also runs sampled post-selects, and its
+# point reads psi0=, shots= and seed= too.
 METHODS = {
     "zeno1": (("projected", "sampled"), VARIANT_STANDARD, partial(_zeno_point, order=1)),
     "zeno2": (("projected", "sampled"), VARIANT_STANDARD, partial(_zeno_point, order=2)),
@@ -217,15 +216,9 @@ def _resolved_config_dict(config: ExperimentConfig, ns: list[int], h: PauliHamil
 
 
 def run_experiment(config: ExperimentConfig) -> SweepResult:
-    """Execute one config: load, validate limits, run every step count."""
-    return _run_configs([config])[0]
-
-
-def _run_configs(configs: list[ExperimentConfig]) -> list[SweepResult]:
-    """Run configs on one Hamiltonian file, loaded once so every method reads one spectrum."""
-    configs = [_validate_config(config) for config in configs]
-    h = load_hamiltonian(configs[0].hamiltonian_path)
-    return [_sweep(config, h) for config in configs]
+    """Execute one config: validate, load, check limits, run every step count."""
+    config = _validate_config(config)
+    return _sweep(config, load_hamiltonian(config.hamiltonian_path))
 
 
 def _sweep(config: ExperimentConfig, h: PauliHamiltonian) -> SweepResult:
@@ -241,8 +234,8 @@ def _sweep(config: ExperimentConfig, h: PauliHamiltonian) -> SweepResult:
 def compare_methods(config: ExperimentConfig, methods) -> MethodComparison:
     """Run several methods on the shared Hamiltonian, time, and sweep.
 
-    Each method runs in the first of its modes; ``config.mode`` is ignored. Every method reads the one
-    Hamiltonian's cached spectrum, so the comparison takes one ``eigh`` of H. The methods share their step
+    Each method runs in the first of its modes; ``config.mode`` is ignored. The Hamiltonian is loaded once, and
+    every method reads its cached spectrum, so the comparison takes one ``eigh`` of H. The methods share their step
     counts, so ``config`` sets ``n`` or ``sweep``; an ``epsilon`` (one N per method) is a ConfigError.
     """
     methods = list(methods)
@@ -250,10 +243,11 @@ def compare_methods(config: ExperimentConfig, methods) -> MethodComparison:
         raise ConfigError("compare needs at least one method")
     if config.epsilon is not None:
         raise ConfigError("compare runs every method at shared step counts: set n or sweep, not epsilon")
+    configs = [_validate_config(replace(config, method=m, mode=None)) for m in methods]
     if len(set(methods)) != len(methods):
         raise ConfigError("compare methods must be distinct")
-    configs = [replace(config, method=m, mode=_modes(m)[0]) for m in methods]
-    return MethodComparison(dict(zip(methods, _run_configs(configs))))
+    h = load_hamiltonian(configs[0].hamiltonian_path)
+    return MethodComparison({m: _sweep(c, h) for m, c in zip(methods, configs)})
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(ZenoRunResult) if f.metadata.get(bounds.COLUMN, True))

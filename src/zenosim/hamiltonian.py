@@ -20,7 +20,8 @@ dropped term. So a single written term is rejected only when it is 0, any
 nonzero finite magnitude (``5e-324*X``) parses, and a merge whose result rests
 on the order of summation (``1e20*X - 1e20*X + 1*X``) is rejected. A
 coefficient that is not finite, as written (``1e400``) or after merging, is a
-parse error.
+parse error, and so is a written one with a nonzero digit that rounds to 0
+(``1e-400``).
 
 File format: UTF-8 text, at most ``MAX_FILE_BYTES`` bytes, holding one
 expression; ``#`` starts a comment that runs to end of line; blank lines are
@@ -30,6 +31,7 @@ ignored. ``load_hamiltonian`` reads one such file.
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -196,8 +198,9 @@ def parse_hamiltonian(text: str) -> PauliHamiltonian:
                 f"missing '+' or '-' between terms at position {pos}: {compact[pos:pos + 12]!r}"
             )
         value = (-1.0 if sep == "-" else 1.0) * (1.0 if coef_text is None else float(coef_text))
-        if not math.isfinite(value):
-            raise HamiltonianParseError(f"coefficient {coef_text} for term {word!r} is not finite")
+        if not math.isfinite(value) or not value and re.match(r"-?[0.]*[1-9]", coef_text):  # a nonzero digit read as 0
+            reading = "is not finite" if value else "rounds to 0"
+            raise HamiltonianParseError(f"coefficient {coef_text} for term {word!r} {reading}")
         if len(word) != num_qubits:
             raise HamiltonianParseError(f"mixed pauli-word lengths: expected {num_qubits} qubits, got {word!r}")
         total, largest = merged.get(word, (0.0, 0.0))
@@ -219,18 +222,21 @@ def parse_hamiltonian(text: str) -> PauliHamiltonian:
 
 def to_text(h: PauliHamiltonian) -> str:
     """Render to the text format; parsing the result reproduces ``h`` exactly (``repr`` round-trips every float)."""
-    parts = []
-    for i, term in enumerate(h.terms):
-        body = f"{term.coefficient!r}*{term.axes}"
-        if i == 0:
-            parts.append(body if term.sign > 0 else f"-{body}")
-        else:
-            parts.append(f"{'+' if term.sign > 0 else '-'} {body}")
-    return " ".join(parts)
+    text = " ".join(f"{'+' if term.sign > 0 else '-'} {term.coefficient!r}*{term.axes}" for term in h.terms)
+    return text[2:] if text[0] == "+" else f"-{text[2:]}"  # the first sign binds to its term: "-0.5*Z + 1.0*X"
+
+
+def path_text(path) -> str:
+    """A str, bytes or ``os.PathLike`` path as a str; anything else (a file descriptor included) is a ConfigError."""
+    try:
+        return os.fsdecode(path)
+    except TypeError as exc:
+        raise ConfigError(f"a Hamiltonian path is a str, bytes or os.PathLike, not {path!r}") from exc
 
 
 def load_hamiltonian(path) -> PauliHamiltonian:
-    """Load and parse one Hamiltonian file; an unreadable path raises ConfigError."""
+    """Load and parse one Hamiltonian file; a path ``path_text`` rejects or one that cannot be read is a ConfigError."""
+    path = path_text(path)
     try:
         with open(path, "rb") as f:
             data = f.read(MAX_FILE_BYTES + 1)  # one byte over the cap marks a larger file
@@ -240,11 +246,11 @@ def load_hamiltonian(path) -> PauliHamiltonian:
     except UnicodeDecodeError as exc:
         raise HamiltonianParseError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     except FileNotFoundError as exc:
-        raise ConfigError(f"file not found: {exc.filename or path}") from exc
+        raise ConfigError(f"file not found: {path}") from exc
     except IsADirectoryError as exc:
-        raise ConfigError(f"is a directory, not a file: {exc.filename or path}") from exc
+        raise ConfigError(f"is a directory, not a file: {path}") from exc
     except OSError as exc:
-        raise ConfigError(f"cannot read {exc.filename or path}: {exc.strerror}") from exc
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
     body = " ".join(line.split("#", 1)[0] for line in raw.splitlines())
     if not body.strip():
         raise HamiltonianParseError(f"{path}: no Hamiltonian expression found")

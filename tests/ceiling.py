@@ -9,6 +9,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.append(str(ROOT / "perfbench"))
 from child import run_child
 
+from zenosim.experiments import METHODS
+
 CEILING = json.loads((ROOT / "tests" / "ceiling.json").read_text(encoding="utf-8"))
 FILES = {name: str(ROOT / instance["file"]) for name, instance in CEILING["instances"].items()}
 INSTANCE_OF = {mode: name for name, instance in CEILING["instances"].items() for mode in instance["modes"]}
@@ -21,7 +23,8 @@ def runs():
                for shots in caps["args"] for m in caps["methods"] for t in times]
     for entry in CEILING["runs"] + sampled:
         words = entry["args"].split()
-        mode = dict(zip(words[::2], words[1::2])).get("--mode", "projected")
+        flags = dict(zip(words[::2], words[1::2]))
+        mode = flags.get("--mode", METHODS[flags["--method"]][0][0])  # a run without --mode runs its method's first
         yield INSTANCE_OF[mode], entry["args"], 4 * (entry["args"] in CEILING["exit_4"]["args"]), entry.get("rss_mib")
 
 

@@ -27,6 +27,7 @@ from zenosim import (
     compare_methods,
     errors,
     fit_loglog_slope,
+    load_hamiltonian,
     parse_hamiltonian,
     run_experiment,
     to_text,
@@ -157,9 +158,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="channel"):
             run_experiment(config(hfile, mode="channel"))
 
-    def test_qdrift_requires_channel_mode(self, hfile):
-        with pytest.raises(ConfigError, match="channel"):
-            run_experiment(config(hfile, method="qdrift"))
+    def test_qdrift_without_a_mode_runs_in_channel_mode(self, hfile):
+        # Before, a config without a mode ran in projected mode, so qdrift's was rejected unless it named channel.
+        result = run_experiment(config(hfile, method="qdrift"))
+        assert result.resolved_config["mode"] == "channel"
+        assert render_json(result) == render_json(run_experiment(config(hfile, method="qdrift", mode="channel")))
 
     def test_sampled_needs_shots(self, hfile):
         with pytest.raises(ConfigError, match="shots"):
@@ -168,10 +171,30 @@ class TestConfigValidation:
     @pytest.mark.parametrize("fields,message", [
         ({"method": "zeno3"}, "^unknown method 'zeno3'; choose from "),
         ({"output_format": "xml"}, "^unknown output format 'xml'$"),
+        # Before, a list or dict method ended in "TypeError: unhashable type".
+        ({"method": ["zeno1"]}, "^unknown method \\['zeno1'\\]; choose from "),
+        ({"method": {"zeno1": 1}}, "^unknown method {'zeno1': 1}; choose from "),
     ])
     def test_unknown_method_or_format(self, hfile, fields, message):
         with pytest.raises(ConfigError, match=message):
             run_experiment(config(hfile, **fields))
+
+    # Before, 0 read the file descriptor 0 (stdin) and None ended in a TypeError.
+    @pytest.mark.parametrize("path", [0, None, True, 1.5])
+    def test_path_must_be_a_path(self, path):
+        message = f"^a Hamiltonian path is a str, bytes or os.PathLike, not {path}$"
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(ExperimentConfig(hamiltonian_path=path, method="zeno1", t=1.0, n=10))
+        with pytest.raises(ConfigError, match=message):
+            load_hamiltonian(path)
+
+    @pytest.mark.parametrize("path", [Path(TWO_TERM_FILE), os.fsencode(TWO_TERM_FILE)], ids=["Path", "bytes"])
+    def test_path_and_bytes_paths_run_as_str(self, path):
+        # Before, both ran but render_json raised "Object of type PosixPath is not JSON serializable" on a Path.
+        result = run_experiment(ExperimentConfig(hamiltonian_path=path, method="zeno1", t=1.0, n=10))
+        assert result.resolved_config["hamiltonian_path"] == TWO_TERM_FILE
+        expected = run_experiment(ExperimentConfig(hamiltonian_path=TWO_TERM_FILE, method="zeno1", t=1.0, n=10))
+        assert render_json(result) == render_json(expected)
 
     @pytest.mark.parametrize("psi0", [[1j, 0], np.array([0.6, 0.8j]), 0.0, "1", True])
     def test_psi0_must_be_an_index(self, hfile, psi0):
@@ -324,6 +347,12 @@ class TestCompareMethods:
         with pytest.raises(ConfigError, match="distinct"):
             compare_methods(config(hfile), ["zeno1", "zeno1"])
 
+    @pytest.mark.parametrize("method", [["zeno1"], {"zeno1": 1}, None], ids=repr)
+    def test_method_that_is_no_name_is_unknown(self, hfile, method):
+        # Before, the distinctness set raised "TypeError: unhashable type" on a list or dict.
+        with pytest.raises(ConfigError, match="^unknown method "):
+            compare_methods(config(hfile), ["zeno1", method])
+
     def test_one_spectrum_per_run(self, hfile, monkeypatch):
         # Every method, of either projector variant or none, reads the loaded Hamiltonian's cached spectrum:
         # the Zeno steps and kicks for their eigenvalues, mub, trotter1 and qdrift for the exact propagator.
@@ -460,6 +489,9 @@ class TestCliExitCodes:
         (["--t", "1", "--n", "5", "--sweep", ""], 1, "--sweep list is empty"),
         (["--t", "1", "--sweep", ""], 1, "--sweep list is empty"),
         (["--t", "1", "--n", "5", "--out", ""], 1, "cannot write output"),
+        # A written nonzero coefficient that underflows is its own parse error, not a cancellation.
+        (["--hamiltonian", "1e-400*X + 1*Z", "--t", "1", "--n", "5"], 2,
+         "zenosim: parse error: coefficient 1e-400 for term 'X' rounds to 0\n"),
     ])
     def test_non_finite_and_extreme_inputs(self, hfile, capsys, flags, code, message):
         # A repeated flag overrides the defaults below; --hamiltonian values are expressions.
@@ -804,6 +836,17 @@ class TestCliBehavior:
             header, row = outputs[0].splitlines()
             times = [dict(zip(header.split(","), row.split(",")))["delta_t"]]
         assert all(str(x) in ("0", "0.0") for x in times)
+
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_method_without_mode_runs_its_first_mode(self, capsys, method, output_format):
+        # Before, a run without --mode ran in projected mode, so `--method qdrift` exited 1 without `--mode channel`.
+        args = ["--hamiltonian", TWO_TERM_FILE, "--method", method, "--t", "1", "--n", "10", "--format", output_format]
+        outputs = []
+        for more in ([], ["--mode", METHODS[method][0][0]]):
+            assert main(args + more) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_sweep_flag(self, hfile, capsys):
         code = main(

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -132,6 +133,19 @@ class TestParseErrors:
     def test_non_finite_coefficient(self, text):
         with pytest.raises(HamiltonianParseError, match="finite"):
             parse_hamiltonian(text)
+
+    @pytest.mark.parametrize("coefficient", ["1e-400", "-1e-400", "0.0001e-320", "00.5e-999"])
+    def test_written_nonzero_coefficient_that_rounds_to_0(self, coefficient):
+        # Before, it read as 0 and was reported as a cancellation, though nothing cancelled.
+        message = f"^coefficient {re.escape(coefficient)} for term 'X' rounds to 0$"
+        with pytest.raises(HamiltonianParseError, match=message) as caught:
+            parse_hamiltonian(f"Z + {coefficient}*X")
+        assert not isinstance(caught.value, CancellationError)
+
+    @pytest.mark.parametrize("coefficient", ["0", "0.0", "-0", "0e5", ".0e-999"])
+    def test_written_zero_is_cancellation(self, coefficient):
+        with pytest.raises(CancellationError, match="^terms with word 'X' cancel to 0,"):
+            parse_hamiltonian(f"Z + {coefficient}*X")
 
     def test_coefficient_one_norm_must_be_finite(self):
         # Each coefficient is finite, but lam = 2e308 is not; before, run_zeno and run_kicks on it ended in
