@@ -85,8 +85,9 @@ class ZenoRunResult:
     probability is reported for the state actually used, default |0..0>).
     ``bound_satisfied`` is derived: error at most its bound (true when none is stated) and success at least its
     bound, each with 1e-12 of slack; ``dataclasses.replace`` derives it again. The package builds every one with
-    ``sweep_point``. ``fidelity_mean``, the one field marked ``COLUMN: False``, is library-only: it averages
-    |<exact|final>|^2 over successful sampled trajectories.
+    ``sweep_point``. ``fidelity_mean``, the one field marked ``COLUMN: False``, is library-only and no Monte-Carlo
+    mean: every surviving sampled shot ends in A^N psi0 / ||A^N psi0||, so it is that state's exact fidelity
+    |<e^(-iHt) psi0|A^N psi0>|^2 / ||A^N psi0||^2, and None when no shot survives.
     """
 
     method: str

@@ -10,10 +10,10 @@ LAPACK decomposition that did not converge); 2 Hamiltonian parse error
 (including non-finite coefficients and files that are not UTF-8); 3 desk-scale
 limit exceeded (a step count above ``MAX_STEPS``, --epsilon's included, a
 sweep of more than ``MAX_SWEEP_POINTS`` step counts, sampled mode with more
-than ``MAX_SHOTS`` shots or more than ``MAX_SHOT_STEPS`` shots times steps,
-and a float overflowing in lam, a mub block rate or the largest rotation angle
-rate * t); 4 at least one measured value violated its analytic bound. The
-error classes in ``errors`` carry these codes.
+than ``MAX_SHOTS`` shots or more than ``MAX_SHOT_STEPS`` shots times the
+sum of its step counts, and a float overflowing in lam, a mub block rate or
+the largest rotation angle rate * t); 4 at least one measured value violated
+its analytic bound. The error classes in ``errors`` carry these codes.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ fields and adds the resolved config and the fitted log-log slope.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 
@@ -35,7 +36,7 @@ MAX_TERMS = 32
 MAX_STEPS = 10**6  # largest step count from --n, --sweep or --epsilon
 MAX_SWEEP_POINTS = 64  # most distinct step counts in one --sweep
 MAX_SHOTS = 10**5  # largest --shots in sampled mode
-MAX_SHOT_STEPS = 10**9  # largest shots times step count in sampled mode (one uniform draw each)
+MAX_SHOT_STEPS = 10**9  # largest shots times the sum of the step counts in sampled mode (one uniform draw each)
 
 SLOPE_FLOOR = 1e-12
 SLOPE_MIN_POINTS = 4
@@ -106,7 +107,7 @@ def _fmt(x: float) -> str:
 
 def _validate_config(config: ExperimentConfig) -> ExperimentConfig:
     """The checked config: the path as a str, the mode resolved (the first of its method's row when None), t (-0 as 0)
-    and epsilon as floats, shots, seed and psi0 as ints, so the JSON serialises."""
+    and epsilon as floats, shots, seed and psi0 as ints, so the JSON serialises, and the sweep read once as a tuple."""
     if not isinstance(config.method, str) or config.method not in METHODS:
         raise ConfigError(f"unknown method {config.method!r}; choose from {tuple(METHODS)}")
     modes = METHODS[config.method][0]
@@ -131,8 +132,12 @@ def _validate_config(config: ExperimentConfig) -> ExperimentConfig:
     if config.output_format not in FORMATS:
         raise ConfigError(f"unknown output format {config.output_format!r}")
     counts = {k: int(v) for k in ("shots", "seed", "psi0") if (v := getattr(config, k)) is not None}
+    try:
+        sweep = None if config.sweep is None else tuple(config.sweep)
+    except TypeError:  # no iterable: read as empty, which _resolve rejects
+        sweep = ()
     return replace(config, hamiltonian_path=path_text(config.hamiltonian_path), mode=mode, t=abs(float(config.t)),
-                   epsilon=config.epsilon and float(config.epsilon), **counts)
+                   epsilon=config.epsilon and float(config.epsilon), sweep=sweep, **counts)
 
 
 def _resolve(config: ExperimentConfig, h: PauliHamiltonian) -> tuple[list[int], np.ndarray | None]:
@@ -157,10 +162,9 @@ def _resolve(config: ExperimentConfig, h: PauliHamiltonian) -> tuple[list[int], 
         raise LimitExceededError(f"step count {ns[-1]} exceeds the cap of {MAX_STEPS}")
     if config.mode == "sampled" and config.shots > MAX_SHOTS:
         raise LimitExceededError(f"{config.shots} shots exceed the cap of {MAX_SHOTS}")
-    if config.mode == "sampled" and config.shots * ns[-1] > MAX_SHOT_STEPS:
-        raise LimitExceededError(
-            f"{config.shots} shots of {ns[-1]} steps exceed the cap of {MAX_SHOT_STEPS} sampled steps"
-        )
+    if config.mode == "sampled" and config.shots * sum(ns) > MAX_SHOT_STEPS:
+        steps = f"{sum(ns)} steps in total" if len(ns) > 1 else f"{ns[0]} steps"
+        raise LimitExceededError(f"{config.shots} shots of {steps} exceed the cap of {MAX_SHOT_STEPS} sampled steps")
     dim = 2**h.num_qubits
     if config.psi0 is not None and config.psi0 >= dim:
         raise ConfigError(f"psi0 index {config.psi0} out of range for dimension {dim}")
@@ -238,6 +242,8 @@ def compare_methods(config: ExperimentConfig, methods) -> MethodComparison:
     every method reads its cached spectrum, so the comparison takes one ``eigh`` of H. The methods share their step
     counts, so ``config`` sets ``n`` or ``sweep``; an ``epsilon`` (one N per method) is a ConfigError.
     """
+    if isinstance(methods, str) or not isinstance(methods, Iterable):
+        raise ConfigError(f"compare expects a list of method names, got {methods!r}")
     methods = list(methods)
     if not methods:
         raise ConfigError("compare needs at least one method")

@@ -169,6 +169,12 @@ def _initial_state(sys: ExtendedSystem, psi0: np.ndarray | None) -> np.ndarray:
     return psi
 
 
+def _reduced(h: PauliHamiltonian, delta_t: float):
+    """All that zeno1, zeno2 and kicks read of H: (E_j, a_j = E_j / lam, 1 - a_j^2 clamped at 0, theta = lam dt)."""
+    a = h.spectrum[0] / h.lam
+    return h.spectrum[0], a, np.maximum(0.0, (1.0 - a) * (1.0 + a)), h.lam * delta_t  # eigh may round |a| above 1
+
+
 def _sine_gap(a: np.ndarray, gap: np.ndarray, theta: float) -> np.ndarray:
     """sin(a theta) - a sin(theta), given gap = 1 - a^2.
 
@@ -226,11 +232,7 @@ def _standard(sys: ExtendedSystem, delta_t: float, n_steps: int, order: int, psi
     or -a^2 (1 - a^2) u^2, and as E_j t = N a theta, delta_j is N arg(mu_j e^(i a theta)), whose O(theta)
     terms cancel exactly.
     """
-    energies, vectors = sys.hamiltonian.spectrum
-    lam = sys.hamiltonian.lam
-    a = energies / lam
-    gap = np.maximum(0.0, (1.0 - a) * (1.0 + a))  # 1 - a^2; eigh may put |a| a rounding above 1
-    theta = lam * delta_t
+    _, a, gap, theta = _reduced(sys.hamiltonian, delta_t)
     sin_t, u = math.sin(theta), 2.0 * math.sin(theta / 2.0) ** 2
     if order == 1:
         drop, modulus = u, -sin_t * sin_t * gap
@@ -239,7 +241,7 @@ def _standard(sys: ExtendedSystem, delta_t: float, n_steps: int, order: int, psi
     phase = _phase(a, gap, theta, drop, n_steps)
     with np.errstate(divide="ignore"):  # mu = 0 for a = 0 at theta = pi / 2
         log_r = np.log1p(modulus)
-    weights = np.abs(vectors.conj().T @ psi) ** 2
+    weights = np.abs(sys.hamiltonian.spectrum[1].conj().T @ psi) ** 2
 
     half = 0.5 * n_steps * log_r  # log r^N
     epsilon = float(np.max(np.hypot(np.expm1(half), 2.0 * np.exp(0.5 * half) * np.sin(0.5 * phase))))
@@ -332,10 +334,7 @@ def run_kicks(sys: ExtendedSystem, t: float, n_steps: int) -> ZenoRunResult:
     if sys.variant != VARIANT_STANDARD:
         raise ValueError("kick sequence requires the standard projector variant")
 
-    energies = h.spectrum[0]
-    a = energies / h.lam
-    gap = np.maximum(0.0, (1.0 - a) * (1.0 + a))  # b^2 = 1 - a^2; eigh may put |a| a rounding above 1
-    theta = h.lam * delta_t
+    energies, a, gap, theta = _reduced(h, delta_t)  # gap = b^2
     c, s = math.cos(theta), math.sin(theta)
     kappa = np.hypot(c, s * np.sqrt(gap))  # > 0, as cos(theta) is never 0 in floating point
     turn = n_steps * np.arctan2(s * a, kappa)  # N phi

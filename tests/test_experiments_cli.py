@@ -205,6 +205,8 @@ class TestConfigValidation:
         ({"n": 10.5}, "n must be >= 1"), ({"n": True}, "n must be >= 1"),
         ({"n": None, "sweep": (10.7, 20)}, "sweep values must be positive integers"),
         ({"shots": 2.5}, "shots must be >= 1"), ({"seed": 1.5}, "seed must be >= 0"), ({"seed": True}, "seed must be >= 0"),
+        # Before, a bare int ended in "TypeError: 'int' object is not iterable".
+        ({"n": None, "sweep": 10}, "sweep values must be positive integers"),
     ])
     def test_counts_must_be_integers(self, hfile, fields, message):
         with pytest.raises(ConfigError, match=message) as caught:
@@ -240,6 +242,13 @@ class TestConfigValidation:
         counts = dict(n=10, shots=10, seed=3, psi0=1)
         result = run_experiment(config(hfile, mode="sampled", **{k: np.int64(v) for k, v in counts.items()}))
         assert render_json(result) == render_json(run_experiment(config(hfile, mode="sampled", **counts)))
+
+    @pytest.mark.parametrize("sweep", [np.array([20, 10]), iter((20, 10))], ids=["array", "iterator"])
+    def test_sweep_runs_as_its_tuple(self, hfile, sweep):
+        # Before, an array of two or more counts raised "truth value ... is ambiguous", and a generator was used up
+        # by the check, which left no step count.
+        result = run_experiment(config(hfile, n=None, sweep=sweep))
+        assert render_json(result) == render_json(run_experiment(config(hfile, n=None, sweep=(10, 20))))
 
     def test_sampled_rejects_kicks(self, hfile):
         with pytest.raises(ConfigError, match="sampled"):
@@ -352,6 +361,13 @@ class TestCompareMethods:
         # Before, the distinctness set raised "TypeError: unhashable type" on a list or dict.
         with pytest.raises(ConfigError, match="^unknown method "):
             compare_methods(config(hfile), ["zeno1", method])
+
+    @pytest.mark.parametrize("methods", [None, 5, "zeno1"], ids=repr)
+    def test_methods_that_are_no_list_are_rejected(self, hfile, methods):
+        # Before, None and 5 ended in "TypeError: ... is not iterable", and "zeno1" was split into its letters,
+        # which read as "unknown method 'z'".
+        with pytest.raises(ConfigError, match=f"^compare expects a list of method names, got {methods!r}$"):
+            compare_methods(config(hfile), methods)
 
     def test_one_spectrum_per_run(self, hfile, monkeypatch):
         # Every method, of either projector variant or none, reads the loaded Hamiltonian's cached spectrum:
@@ -624,8 +640,10 @@ class TestCliExitCodes:
         ("1000000", ["--n", "1000000"], "1000000 shots exceed the cap of 100000"),
         ("1000000000", ["--n", "1"], "1000000000 shots exceed the cap of 100000"),
         ("100000", ["--n", "10001"], "100000 shots of 10001 steps exceed the cap of 1000000000"),
-        ("2000", ["--sweep", "10,500001"], "2000 shots of 500001 steps exceed the cap of 1000000000"),
-    ], ids=["shots-and-steps", "shots", "product", "product-sweep"])
+        ("2000", ["--sweep", "10,500001"], "2000 shots of 500011 steps in total exceed the cap of 1000000000"),
+        # Before, only the largest step count was counted, so this ran 1.000001e9 draws.
+        ("1000", ["--sweep", "500000,500001"], "1000 shots of 1000001 steps in total exceed the cap of 1000000000"),
+    ], ids=["shots-and-steps", "shots", "product", "product-sweep", "sum-sweep"])
     def test_sampled_work_caps(self, hfile, capsys, shots, steps, message):
         args = ["--hamiltonian", hfile(TWO_TERM), "--method", "zeno1", "--mode", "sampled", "--t", "1"]
         assert main([*args, "--shots", shots, *steps]) == 3
